@@ -163,6 +163,11 @@ def _match_meta(config: RunConfig, run: MatchRun) -> dict:
         "z_normalize": config.z_normalize,
         "pairs": len(run.results),
         "elapsed_seconds": run.elapsed_seconds,
+        "cells_evaluated": run.cells_evaluated,
+        "pair_cells_evaluated": [
+            {"ion_name": r.ion_id.name, "hist_name": r.hist_id.name, "cells": r.cells_evaluated}
+            for r in run.results
+        ],
     }
 
 

@@ -1,35 +1,43 @@
 """Warped-distance computation between value sequences and pairwise ranking.
 
-Two engines are provided:
+Both engines run one banded dynamic program: row ``i`` of the lattice is
+evaluated over the columns ``lo[i]..hi[i]`` only, with ``lo`` and ``hi``
+non-decreasing, and the path is recovered by backtracking over the stored
+rows (diagonal preferred on ties, then the row step, then the column step,
+so paths are unique and reproducible).  They differ only in the band:
 
-* `dtw_exact` fills the full dynamic-programming lattice and is the
-  oracle of record: globally minimal warped distance, with the path
-  recovered by backtracking (diagonal preferred on ties, then the row
-  step, then the column step, so paths are unique and reproducible).
+* `dtw_exact` passes the full band (``lo = 0``, ``hi = len_b - 1``) and is
+  the oracle of record: the globally minimal warped distance.
 
 * `fastdtw` is the multiresolution approximation: halve both series by
   pairwise averaging, solve the coarse problem recursively, project the
   coarse path back to fine resolution, dilate it by ``radius`` cells in
-  both axes, and run the dynamic program inside that window only.  Its
+  both axes, and run the banded program inside that band only.  Its
   distance is an upper bound on the exact one and converges to it as the
   radius grows; work is linear in series length at fixed radius.
 
-Costs are pointwise |a-b| for L1 and (a-b)^2 for L2; an L2 distance is
-the square root of the accumulated total, matching the usual Euclidean
-convention.  Inputs of unequal length are accepted as is, without
-resampling.
+Rows run over the shorter input, so per-row overhead stays small; the
+transposed lattice holds the same values, and swapping the tie order of
+the row and column steps with it keeps the same path.
+
+Costs are pointwise |a-b| for L1 and (a-b)^2 for L2, computed one row at
+a time with numpy; an L2 distance is the square root of the accumulated
+total, matching the usual Euclidean convention.  Inputs of unequal length
+are accepted as is, without resampling; NaN or infinite values are
+rejected, since no warped distance over them is meaningful.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyPartition, TooShort
+from .errors import EmptyInput, EmptyPartition, NonFiniteValue, TooShort
 from .model import MeasurementId, TimeSeries
 from .sampling import SamplingRecipe, apply_recipe
 
@@ -79,6 +87,7 @@ class MatchResult:
     distance: float
     recipe: SamplingRecipe
     rank: int
+    cells_evaluated: int
 
 
 @dataclass(frozen=True)
@@ -91,76 +100,99 @@ class MatchRun:
     metric: Metric
     recipe: SamplingRecipe
 
-
-def _as_list(a) -> list[float]:
-    if isinstance(a, np.ndarray):
-        return a.astype(np.float64).tolist()
-    return [float(x) for x in a]
+    @property
+    def cells_evaluated(self) -> int:
+        return sum(r.cells_evaluated for r in self.results)
 
 
-def _cost_fn(metric: Metric):
-    if metric is Metric.L1:
-        return lambda x, y: abs(x - y)
-    return lambda x, y: (x - y) * (x - y)
+def _values(a: Sequence[float]) -> np.ndarray:
+    """``a`` as float64; NonFiniteValue names the first NaN or infinite value."""
+    v = np.asarray(a, dtype=np.float64)
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise NonFiniteValue(int(np.argmin(finite)))
+    return v
 
 
-def _finish(total: float, metric: Metric) -> float:
-    if metric is Metric.L2:
-        return float(np.sqrt(total))
-    return float(total)
+def _banded(
+    a: np.ndarray, b: np.ndarray, lo: list[int], hi: list[int], metric: Metric, flip: bool
+) -> DtwResult:
+    """One DP plus one backtrack over row ``i``'s columns ``lo[i]..hi[i]``.
+
+    The band starts at (0, 0) and ends at (len_a-1, len_b-1); ``lo`` and
+    ``hi`` are non-decreasing and leave no gap between rows
+    (``lo[i] <= hi[i-1] + 1``).  Every cell in it is then reachable, so a
+    row splits into three runs that need no range test: cells with a
+    neighbour above, the one cell just past the row above, and a tail
+    reached only from the left.  Cells outside the band read as infinite.
+    ``flip`` marks a transposed lattice and swaps the tie order of the row
+    and column steps to match.
+    """
+    l1 = metric is Metric.L1
+    rows: list[list[float]] = []
+    for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
+        d = a[i] - b[lo_i : hi_i + 1]
+        cost = (np.abs(d) if l1 else d * d).tolist()
+        if not rows:
+            rows.append(list(accumulate(cost)))
+            continue
+        prev, prev_lo, prev_hi = rows[-1], lo[i - 1], hi[i - 1]
+        row: list[float] = []
+        n = prev_hi - lo_i + 1  # cells with a neighbour above
+        if n:
+            s = lo_i - prev_lo
+            left = (prev[s - 1] if s and prev[s - 1] < prev[s] else prev[s]) + cost[0]
+            row.append(left)
+            for best, up, c in zip(prev[s:], prev[s + 1 :], cost[1:n]):
+                if up < best:
+                    best = up
+                if left < best:
+                    best = left
+                left = best + c
+                row.append(left)
+        if hi_i > prev_hi:
+            best = prev[-1]
+            if n and left < best:
+                best = left
+            row.extend(accumulate(cost[n + 1 :], initial=best + cost[n]))
+        rows.append(row)
+
+    # Ties resolved diagonal first, then the row step, then the column step.
+    i, j = len(rows) - 1, len(b) - 1
+    rev = [(i, j)]
+    while i and j:
+        row, prev, k = rows[i], rows[i - 1], j - lo[i - 1]
+        up = prev[k] if k < len(prev) else _INF
+        diag = prev[k - 1] if 0 < k <= len(prev) else _INF
+        left = row[j - lo[i] - 1] if j > lo[i] else _INF
+        if diag <= up and diag <= left:
+            i, j = i - 1, j - 1
+        elif up < left or (up == left and not flip):
+            i -= 1
+        else:
+            j -= 1
+        rev.append((i, j))
+    rev += [(0, jj) for jj in range(j - 1, -1, -1)] + [(ii, 0) for ii in range(i - 1, -1, -1)]
+    rev.reverse()
+
+    total = rows[-1][-1]
+    distance = float(total) if l1 else float(np.sqrt(total))
+    return DtwResult(distance, WarpPath(tuple(rev)), metric, sum(map(len, rows)))
 
 
 def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.L2) -> DtwResult:
-    """Globally minimal warped distance over the full lattice."""
-    av, bv = _as_list(a), _as_list(b)
-    la, lb = len(av), len(bv)
-    if la == 0 or lb == 0:
+    """Globally minimal warped distance: the banded program over the full lattice."""
+    av, bv = _values(a), _values(b)
+    if len(av) == 0 or len(bv) == 0:
         raise EmptyInput("both sequences must be non-empty")
-    cost = _cost_fn(metric)
-
-    acc = [[0.0] * lb for _ in range(la)]
-    acc[0][0] = cost(av[0], bv[0])
-    for j in range(1, lb):
-        acc[0][j] = acc[0][j - 1] + cost(av[0], bv[j])
-    for i in range(1, la):
-        row = acc[i]
-        prev = acc[i - 1]
-        x = av[i]
-        row[0] = prev[0] + cost(x, bv[0])
-        for j in range(1, lb):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if row[j - 1] < best:
-                best = row[j - 1]
-            row[j] = best + cost(x, bv[j])
-
-    path = _backtrack(lambda i, j: acc[i][j], la, lb)
-    return DtwResult(_finish(acc[-1][-1], metric), path, metric, la * lb)
+    return _warp(av, bv, None, metric)
 
 
-def _backtrack(acc_at, la: int, lb: int) -> WarpPath:
-    # Ties resolved diagonal first, then the row step, then the column step.
-    i, j = la - 1, lb - 1
-    rev = [(i, j)]
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            diag = acc_at(i - 1, j - 1)
-            up = acc_at(i - 1, j)
-            left = acc_at(i, j - 1)
-            if diag <= up and diag <= left:
-                i, j = i - 1, j - 1
-            elif up <= left:
-                i -= 1
-            else:
-                j -= 1
-        rev.append((i, j))
-    rev.reverse()
-    return WarpPath(tuple(rev))
+def _halve(v: np.ndarray) -> np.ndarray:
+    if len(v) < 2:
+        raise TooShort("need at least 2 points to coarsen")
+    out = (v[0 : len(v) - 1 : 2] + v[1::2]) / 2.0
+    return np.append(out, v[-1]) if len(v) % 2 else out
 
 
 def coarsen(a: Sequence[float]) -> list[float]:
@@ -168,92 +200,40 @@ def coarsen(a: Sequence[float]) -> list[float]:
 
     An odd trailing element is carried through unchanged.
     """
-    av = _as_list(a)
-    if len(av) < 2:
-        raise TooShort("need at least 2 points to coarsen")
-    out = [(av[2 * i] + av[2 * i + 1]) / 2.0 for i in range(len(av) // 2)]
-    if len(av) % 2:
-        out.append(av[-1])
-    return out
+    return _halve(np.asarray(a, dtype=np.float64)).tolist()
+
+
+def _projected_band(
+    coarse_path: WarpPath, len_a: int, len_b: int, radius: int
+) -> tuple[list[int], list[int]]:
+    """Per-row column bounds of the fine cells a coarse path admits.
+
+    Each coarse cell projects to its (at most) 2x2 fine block, dilated by
+    ``radius`` in both axes and clipped to the lattice.  The coarse path
+    is monotone, so a coarse row's columns run from its first cell to its
+    last, and fine row ``i`` takes coarse rows (i-radius)//2 .. (i+radius)//2.
+    """
+    ci, cj = np.asarray(coarse_path.pairs, dtype=np.int64).T
+    first = np.flatnonzero(np.diff(ci, prepend=-1))
+    top = len(first) - 1
+    rows = np.arange(len_a)
+    c_lo = cj[first][np.clip((rows - radius) // 2, 0, top)]
+    c_hi = cj[np.append(first[1:], len(cj)) - 1][np.clip((rows + radius) // 2, 0, top)]
+    lo = np.maximum(2 * c_lo - radius, 0)
+    hi = np.minimum(2 * c_hi + 1 + radius, len_b - 1)
+    return lo.tolist(), hi.tolist()
 
 
 def expand_window(
     coarse_path: WarpPath, len_a: int, len_b: int, radius: int
 ) -> set[tuple[int, int]]:
-    """Fine-resolution cells admitted by a coarse path.
+    """Fine-resolution cells admitted by a coarse path, as a set.
 
-    Each coarse cell projects to its (at most) 2x2 fine block; the block
-    is dilated by ``radius`` in both axes and clipped to the lattice.
-    The result is contiguous per row because the coarse path is monotone
-    and continuous.
+    A view of the band `fastdtw` runs on: contiguous per row because the
+    coarse path is monotone and continuous.
     """
-    cells: set[tuple[int, int]] = set()
-    for ci, cj in coarse_path.pairs:
-        i_lo = max(0, 2 * ci - radius)
-        i_hi = min(len_a, 2 * ci + 2 + radius)
-        j_lo = max(0, 2 * cj - radius)
-        j_hi = min(len_b, 2 * cj + 2 + radius)
-        for i in range(i_lo, i_hi):
-            for j in range(j_lo, j_hi):
-                cells.add((i, j))
-    return cells
-
-
-def _window_rows(cells: set[tuple[int, int]]) -> dict[int, tuple[int, int]]:
-    rows: dict[int, tuple[int, int]] = {}
-    for i, j in cells:
-        lo, hi = rows.get(i, (j, j))
-        rows[i] = (min(lo, j), max(hi, j))
-    return rows
-
-
-def _windowed_dtw(
-    av: list[float], bv: list[float], cells: set[tuple[int, int]], metric: Metric
-) -> tuple[float, WarpPath, int]:
-    la, lb = len(av), len(bv)
-    cost = _cost_fn(metric)
-    rows = _window_rows(cells)
-
-    # Per-row cumulative-cost segments, kept for backtracking.
-    seg: dict[int, tuple[int, list[float]]] = {}
-    evaluated = 0
-    for i in range(la):
-        if i not in rows:
-            continue
-        lo, hi = rows[i]
-        vals = [0.0] * (hi - lo + 1)
-        prev = seg.get(i - 1)
-        x = av[i]
-        for j in range(lo, hi + 1):
-            evaluated += 1
-            if i == 0 and j == 0:
-                vals[0] = cost(x, bv[0])
-                continue
-            best = _INF
-            if prev is not None:
-                plo, pvals = prev
-                pj = j - plo
-                if 0 <= pj < len(pvals) and pvals[pj] < best:
-                    best = pvals[pj]
-                if 0 <= pj - 1 < len(pvals) and pvals[pj - 1] < best:
-                    best = pvals[pj - 1]
-            if j - 1 >= lo and vals[j - 1 - lo] < best:
-                best = vals[j - 1 - lo]
-            vals[j - lo] = _INF if best == _INF else best + cost(x, bv[j])
-        seg[i] = (lo, vals)
-
-    def acc_at(i: int, j: int) -> float:
-        row = seg.get(i)
-        if row is None:
-            return _INF
-        lo, vals = row
-        if lo <= j < lo + len(vals):
-            return vals[j - lo]
-        return _INF
-
-    total = acc_at(la - 1, lb - 1)
-    path = _backtrack(acc_at, la, lb)
-    return _finish(total, metric), path, evaluated
+    lo, hi = _projected_band(coarse_path, len_a, len_b, radius)
+    return {(i, j) for i in range(len_a) for j in range(lo[i], hi[i] + 1)}
 
 
 def fastdtw(
@@ -271,20 +251,31 @@ def fastdtw(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    av, bv = _as_list(a), _as_list(b)
+    av, bv = _values(a), _values(b)
     if len(av) == 0 or len(bv) == 0:
         raise EmptyInput("both sequences must be non-empty")
-    return _fastdtw(av, bv, radius, metric)
+    return _warp(av, bv, radius, metric)
 
 
-def _fastdtw(av: list[float], bv: list[float], radius: int, metric: Metric) -> DtwResult:
-    base = max(radius + 2, _BASE_CASE_MIN)
-    if len(av) <= base or len(bv) <= base:
-        return dtw_exact(av, bv, metric)
-    coarse = _fastdtw(coarsen(av), coarsen(bv), radius, metric)
-    window = expand_window(coarse.path, len(av), len(bv), radius)
-    distance, path, evaluated = _windowed_dtw(av, bv, window, metric)
-    return DtwResult(distance, path, metric, coarse.cells_evaluated + evaluated)
+def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) -> DtwResult:
+    """FastDTW, or the exact distance when ``radius`` is None, rows over the shorter input."""
+    flip = len(av) > len(bv)
+    if not flip:
+        return _fastdtw(av, bv, radius, metric, flip)
+    r = _fastdtw(bv, av, radius, metric, flip)
+    return replace(r, path=WarpPath(tuple((i, j) for j, i in r.path.pairs)))
+
+
+def _fastdtw(
+    av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric, flip: bool
+) -> DtwResult:
+    la, lb = len(av), len(bv)
+    if radius is None or min(la, lb) <= max(radius + 2, _BASE_CASE_MIN):
+        return _banded(av, bv, [0] * la, [lb - 1] * la, metric, flip)
+    coarse = _fastdtw(_halve(av), _halve(bv), radius, metric, flip)
+    lo, hi = _projected_band(coarse.path, la, lb, radius)
+    fine = _banded(av, bv, lo, hi, metric, flip)
+    return replace(fine, cells_evaluated=coarse.cells_evaluated + fine.cells_evaluated)
 
 
 def z_normalize(values: np.ndarray) -> np.ndarray:
@@ -316,10 +307,13 @@ def match_all(
     if not ion or not hist:
         raise EmptyPartition("both corpus partitions must contain at least one series")
 
-    def prep(s: TimeSeries) -> list[float]:
+    def prep(s: TimeSeries) -> np.ndarray:
         sampled = apply_recipe(s, recipe)
-        vals = z_normalize(sampled.v) if normalize else sampled.v
-        return _as_list(vals)
+        try:
+            return _values(z_normalize(sampled.v) if normalize else sampled.v)
+        except NonFiniteValue as err:
+            err.entry = s.id.name
+            raise
 
     ion_sorted = sorted(ion, key=lambda s: s.id.name)
     hist_sorted = sorted(hist, key=lambda s: s.id.name)
@@ -330,15 +324,15 @@ def match_all(
     scored = []
     for ion_id, a in ion_vals:
         for hist_id, b in hist_vals:
-            result = _fastdtw(a, b, radius, metric) if a and b else None
-            if result is None:
+            if len(a) == 0 or len(b) == 0:
                 raise EmptyInput(f"sampled series is empty for pair ({ion_id}, {hist_id})")
-            scored.append((result.distance, ion_id, hist_id))
+            result = _warp(a, b, radius, metric)
+            scored.append((result.distance, ion_id, hist_id, result.cells_evaluated))
     elapsed = time.perf_counter() - start
 
     scored.sort(key=lambda r: (r[0], r[1].name, r[2].name))
     results = tuple(
-        MatchResult(ion_id, hist_id, dist, recipe, rank)
-        for rank, (dist, ion_id, hist_id) in enumerate(scored, start=1)
+        MatchResult(ion_id, hist_id, dist, recipe, rank, cells)
+        for rank, (dist, ion_id, hist_id, cells) in enumerate(scored, start=1)
     )
     return MatchRun(results, elapsed, radius, metric, recipe)

@@ -216,13 +216,13 @@ def test_criterion_09_sampling_runtime_monotonicity():
     ion = mkvalues(np.cumsum(rng.normal(0, 1, 695)), name="ION-small",
                    system=SystemTag.ION, cadence=3_600_000)
 
-    times = {}
+    times, cells = {}, {}
     for step in (100, 1000, 2000, 5000):
         recipe = SamplingRecipe(SamplingKind.STEP_SIZE, hist_step=step, ion_step=1)
-        elapsed = min(
-            match_all([ion], [hist], recipe).elapsed_seconds for _ in range(3)
-        )
-        times[step] = elapsed
+        runs = [match_all([ion], [hist], recipe) for _ in range(3)]
+        times[step] = min(run.elapsed_seconds for run in runs)
+        cells[step] = runs[0].cells_evaluated
+    assert cells[100] > cells[1000] > cells[2000] > cells[5000]
     assert times[100] > times[1000] > times[2000] > times[5000]
     shown = ", ".join(f"{k}:{v * 1000:.1f}ms" for k, v in times.items())
     _passed(9, f"match wall time strictly decreases with hist step ({shown})")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from meterfuse import SamplingKind, SamplingRecipe, fastdtw, load_corpus, load_manifest
 from meterfuse.cli import main
+from meterfuse.sampling import apply_recipe
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,19 @@ def test_match_outputs_and_top_ten(corpus_dir, tmp_path, capsys):
     assert meta["pairs"] == 6
     assert meta["elapsed_seconds"] >= 0
     assert "rank" in capsys.readouterr().out
+
+    # cells evaluated: per pair in rank order, and their total
+    corpus = load_corpus(load_manifest(_manifest(corpus_dir)))
+    recipe = SamplingRecipe(SamplingKind.STEP_SIZE, hist_step=20, ion_step=1)
+    expected = []
+    for row in lines[1:]:
+        _, ion, hist, _ = row.split(",")
+        a = apply_recipe(corpus.get(ion), recipe).v
+        b = apply_recipe(corpus.get(hist), recipe).v
+        expected.append({"ion_name": ion, "hist_name": hist,
+                         "cells": fastdtw(a, b, radius=meta["radius"]).cells_evaluated})
+    assert meta["pair_cells_evaluated"] == expected
+    assert meta["cells_evaluated"] == sum(e["cells"] for e in expected) > 0
 
 
 def test_match_ranks_true_twins_first(corpus_dir, tmp_path):

@@ -18,8 +18,9 @@ from meterfuse import (
     fastdtw,
     match_all,
 )
-from meterfuse.errors import EmptyInput, EmptyPartition, TooShort
+from meterfuse.errors import EmptyInput, EmptyPartition, NonFiniteValue, TooShort
 
+import reference_fastdtw
 from conftest import mkvalues
 
 
@@ -242,6 +243,49 @@ def test_paths_always_valid(a, b, radius):
     assert fast.distance >= exact.distance - 1e-9 * max(1.0, exact.distance)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("solve", [dtw_exact, fastdtw])
+def test_non_finite_input_rejected(solve, side, bad):
+    seqs = [[0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]
+    seqs[side][2] = bad
+    with pytest.raises(NonFiniteValue) as exc:
+        solve(*seqs)
+    assert exc.value.index == 2
+
+
+def _series(kind: str, n: int, seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    if kind == "walk":
+        return np.cumsum(rng.normal(size=n)).tolist()
+    if kind == "ties":
+        return rng.integers(-2, 3, n).astype(float).tolist()
+    return [0.0] * n
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(1, 200), st.integers(1, 200)),
+        st.sampled_from([(8, 2000), (2000, 8), (3, 1200), (48, 1500), (1500, 48)]),
+    ),
+    st.integers(0, 5),
+    st.sampled_from(["walk", "ties", "flat"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_banded_kernel_matches_cell_set_reference(shape, radius, kind, seed):
+    a, b = _series(kind, shape[0], seed), _series(kind, shape[1], seed + 1)
+    for metric in Metric:
+        got = fastdtw(a, b, radius, metric)
+        want = reference_fastdtw.fastdtw(a, b, radius, metric.value)
+        assert (got.distance, got.path.pairs, got.cells_evaluated) == want
+    if shape[0] * shape[1] <= 40_000:
+        got = dtw_exact(a, b, Metric.L1)
+        assert (got.distance, got.path.pairs, got.cells_evaluated) == (
+            reference_fastdtw.dtw_exact(a, b, "l1")
+        )
+
+
 STEP1 = SamplingRecipe(SamplingKind.STEP_SIZE)
 
 
@@ -316,6 +360,14 @@ def test_match_all_empty_sampled_series_named_in_error():
     with pytest.raises(EmptyInput) as exc:
         match_all([ion], [hist], recipe)
     assert "ION-A" in str(exc.value)
+
+
+def test_match_all_non_finite_value_names_series():
+    ion = mkvalues([1.0, float("nan"), 2.0], name="ION-A", system=SystemTag.ION)
+    hist = mkvalues([1.0, 2.0, 3.0], name="HIST-B", system=SystemTag.HIST)
+    with pytest.raises(NonFiniteValue) as exc:
+        match_all([ion], [hist], STEP1)
+    assert (exc.value.entry, exc.value.index) == ("ION-A", 1)
 
 
 def test_match_all_z_normalize_aligns_scaled_series(rng):
