@@ -124,14 +124,22 @@ def build_report(
     return ComparisonReport(ion_name, hist_name, rows)
 
 
-# Column order used by the flattened CSV report.
-DETECTOR_COLUMNS = (DetectorKind.ROLLING_AVERAGE, DetectorKind.AR, DetectorKind.LEVEL_SHIFT)
+# The detectors in report-column order, each with the short tag that names
+# its CLI flags (--ra-window) and per-detector output files (eval.ra.json).
+DETECTOR_COLUMNS = {
+    DetectorKind.ROLLING_AVERAGE: "ra",
+    DetectorKind.AR: "ar",
+    DetectorKind.LEVEL_SHIFT: "ls",
+}
 
 
 def report_to_dict(report: ComparisonReport) -> dict:
+    """The report.json form of one pair, over the detectors the report holds."""
     detectors = {}
     for kind in DETECTOR_COLUMNS:
-        row = report.by_detector[kind]
+        row = report.by_detector.get(kind)
+        if row is None:
+            continue
         detectors[kind.value] = {
             "ion": row.ion_count,
             "hist": row.hist_count,
@@ -148,14 +156,18 @@ def report_to_dict(report: ComparisonReport) -> dict:
     return {"ion": report.ion_name, "hist": report.hist_name, "detectors": detectors}
 
 
-def report_csv_rows(report: ComparisonReport) -> list[list[str]]:
-    """Three rows (ion, hist, merged) x detector-count columns."""
-    def row(name: str, pick) -> list[str]:
-        counts = [str(pick(report.by_detector[kind])) for kind in DETECTOR_COLUMNS]
-        return [name, *counts]
+def report_csv(pairs: list[dict]) -> str:
+    """report.csv from pairs in report.json form (`report_to_dict` plus "rank").
 
-    return [
-        row(report.ion_name, lambda r: r.ion_count),
-        row(report.hist_name, lambda r: r.hist_count),
-        row(f"{report.ion_name}+{report.hist_name}", lambda r: r.merged_count),
-    ]
+    Each pair gives an ion, a hist and a merged row; there is one count
+    column per detector present, in DETECTOR_COLUMNS order.
+    """
+    present = {name for pair in pairs for name in pair["detectors"]}
+    names = [kind.value for kind in DETECTOR_COLUMNS if kind.value in present]
+    lines = [",".join(["pair_rank", "measurement_name", *names])]
+    for pair in pairs:
+        ion, hist, counts = pair["ion"], pair["hist"], pair["detectors"]
+        for label, view in ((ion, "ion"), (hist, "hist"), (f"{ion}+{hist}", "merged")):
+            row = [str(pair["rank"]), label, *(str(counts[name][view]) for name in names)]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

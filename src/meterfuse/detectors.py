@@ -233,15 +233,3 @@ def anomalies_to_csv(anomalies: AnomalySet, s: SeriesLike) -> str:
         lines.append(row)
     return "\n".join(lines) + "\n"
 
-
-def params_grid(
-    ar: DetectorParams | None = None,
-    ls: DetectorParams | None = None,
-    ra: DetectorParams | None = None,
-) -> dict[DetectorKind, DetectorParams]:
-    """The three detectors with given or default parameters."""
-    return {
-        DetectorKind.ROLLING_AVERAGE: ra or default_params(DetectorKind.ROLLING_AVERAGE),
-        DetectorKind.AR: ar or default_params(DetectorKind.AR),
-        DetectorKind.LEVEL_SHIFT: ls or default_params(DetectorKind.LEVEL_SHIFT),
-    }

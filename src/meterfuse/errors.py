@@ -2,7 +2,8 @@
 
 Every error raised on a per-corpus-entry basis carries an optional
 ``entry`` attribute naming the offending measurement, filled in by the
-corpus loader.
+manifest and corpus loaders: the entry's name, or its index in the
+manifest when it has no usable name.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 class MeterFuseError(Exception):
     """Base class for all package errors."""
 
-    entry: str | None = None
+    entry: str | int | None = None
 
 
 class NonFiniteValue(MeterFuseError):
@@ -48,6 +49,10 @@ class IoError(MeterFuseError):
     def __init__(self, path: str, cause: Exception | None = None):
         self.path = path
         super().__init__(f"cannot read {path}: {cause}")
+
+
+class ManifestError(MeterFuseError):
+    """A corpus manifest that is not JSON, lacks a field or has an unknown value."""
 
 
 class DuplicateId(MeterFuseError):

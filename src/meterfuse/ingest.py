@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DuplicateId,
     IoError,
+    ManifestError,
     MeterFuseError,
     MissingColumn,
     UnparseableTime,
@@ -74,6 +75,14 @@ class CorpusManifest:
             if e.id in seen:
                 raise DuplicateId(e.id.name)
             seen.add(e.id)
+
+    def select(self, name: str) -> CorpusManifest:
+        """The one-entry manifest of the first entry called name."""
+        for e in self.entries:
+            if e.id.name == name:
+                return CorpusManifest((e,))
+        available = ", ".join(sorted(e.id.name for e in self.entries))
+        raise MeterFuseError(f"no series named {name!r}; available: {available}")
 
 
 @dataclass
@@ -169,29 +178,60 @@ def parse_csv(
     return validate_series(series)
 
 
+# Manifest entry keys: the required ones, then the optional ones with their defaults.
+_ENTRY_KEYS = {
+    "system": None,
+    "name": None,
+    "path": None,
+    "time_column": "timestamp",
+    "value_column": "value",
+    "time_format": "EPOCH_MILLIS",
+}
+
+
+def _manifest_entry(raw, base: Path) -> ManifestEntry:
+    if not isinstance(raw, dict):
+        raise ManifestError("entry is not a JSON object")
+    fields = {}
+    for key, default in _ENTRY_KEYS.items():
+        if key not in raw and default is None:
+            raise ManifestError(f"missing key {key!r}")
+        value = raw.get(key, default)
+        if not isinstance(value, str) or not value:
+            raise ManifestError(f"{key!r} must be a non-empty string")
+        fields[key] = value
+    try:
+        system = SystemTag(fields["system"])
+        time_format = TimeFormat(fields["time_format"])
+    except ValueError as e:
+        raise ManifestError(str(e)) from None
+    return ManifestEntry(
+        id=MeasurementId(system, fields["name"]),
+        path=str(base / fields["path"]),  # an absolute path replaces base
+        columns=ColumnMap(fields["time_column"], fields["value_column"]),
+        time_format=time_format,
+    )
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
+    """Parse a manifest file; a malformed one raises ManifestError naming the entry."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise IoError(str(path), e) from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ManifestError(f"{path} is not a JSON manifest: {e}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+        raise ManifestError(f"{path} has no 'entries' list")
     entries = []
-    for raw in doc["entries"]:
-        mid = MeasurementId(SystemTag(raw["system"]), raw["name"])
-        entry_path = Path(raw["path"])
-        if not entry_path.is_absolute():
-            entry_path = path.parent / entry_path
-        entries.append(
-            ManifestEntry(
-                id=mid,
-                path=str(entry_path),
-                columns=ColumnMap(
-                    raw.get("time_column", "timestamp"),
-                    raw.get("value_column", "value"),
-                ),
-                time_format=TimeFormat(raw.get("time_format", "EPOCH_MILLIS")),
-            )
-        )
+    for index, raw in enumerate(doc["entries"]):
+        try:
+            entries.append(_manifest_entry(raw, path.parent))
+        except ManifestError as e:
+            name = raw.get("name") if isinstance(raw, dict) else None
+            e.entry = name if isinstance(name, str) and name else index
+            raise
     return CorpusManifest(tuple(entries))
 
 

@@ -13,7 +13,7 @@ from meterfuse import (
     merge_pair,
     percent_change,
 )
-from meterfuse.analysis import DETECTOR_COLUMNS, report_csv_rows, report_to_dict
+from meterfuse.analysis import DETECTOR_COLUMNS, report_csv, report_to_dict
 from meterfuse.detectors import AnomalySet
 from meterfuse.errors import UndefinedBaseline
 
@@ -181,6 +181,43 @@ def test_report_serialization_shape():
     for row in doc["detectors"].values():
         assert set(row) == {"ion", "hist", "merged", "percent_change", "ratio", "merge_loss"}
 
-    rows = report_csv_rows(report)
-    assert [r[0] for r in rows] == ["ION-A", "HIST-B", "ION-A+HIST-B"]
-    assert rows[2][1:] == ["5", "5", "5"]
+    lines = report_csv([{**doc, "rank": 1}]).splitlines()
+    assert lines[0] == "pair_rank,measurement_name,rolling_average,autoregression,level_shift"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[1] for r in rows] == ["ION-A", "HIST-B", "ION-A+HIST-B"]
+    assert rows[2][2:] == ["5", "5", "5"]
+
+
+def test_readme_library_example_renders_partial_report(tmp_path):
+    # The README's library example, on a small demo corpus: a report that
+    # holds only the rolling-average detector.
+    import meterfuse as mf
+    from meterfuse.synth import demo_corpus, write_corpus
+
+    manifest = write_corpus(demo_corpus(hist_points=2400, ion_cadence_ms=600_000), tmp_path)
+    corpus = mf.load_corpus(mf.load_manifest(manifest))
+    recipe = mf.SamplingRecipe(mf.SamplingKind.STEP_SIZE, hist_step=100, ion_step=2)
+    run = mf.match_all(corpus.partition(mf.SystemTag.ION),
+                       corpus.partition(mf.SystemTag.HIST), recipe)
+
+    best = run.results[0]
+    ion = corpus.series_by_id[best.ion_id]
+    hist = corpus.series_by_id[best.hist_id]
+    merged = mf.merge_pair(ion, hist)
+
+    params = mf.default_params(mf.DetectorKind.ROLLING_AVERAGE)
+    report = mf.build_report(ion.id.name, hist.id.name, {
+        params.kind: (mf.run_detector(params, ion),
+                      mf.run_detector(params, hist),
+                      mf.run_detector(params, merged)),
+    })
+
+    doc = {**mf.analysis.report_to_dict(report), "rank": best.rank}
+    assert list(doc["detectors"]) == ["rolling_average"]
+    row = report.by_detector[mf.DetectorKind.ROLLING_AVERAGE]
+    assert mf.analysis.report_csv([doc]).splitlines() == [
+        "pair_rank,measurement_name,rolling_average",
+        f"1,{ion.id.name},{row.ion_count}",
+        f"1,{hist.id.name},{row.hist_count}",
+        f"1,{ion.id.name}+{hist.id.name},{row.merged_count}",
+    ]

@@ -2,8 +2,17 @@ import json
 
 import pytest
 
-from meterfuse import SamplingKind, SamplingRecipe, fastdtw, load_corpus, load_manifest
-from meterfuse.cli import main
+from meterfuse import (
+    DetectorKind,
+    SamplingKind,
+    SamplingRecipe,
+    default_params,
+    fastdtw,
+    load_corpus,
+    load_manifest,
+)
+from meterfuse.cli import _detector_params, _Outputs, build_parser, cmd_report, main
+from meterfuse.errors import IoError
 from meterfuse.sampling import apply_recipe
 
 
@@ -400,3 +409,90 @@ def test_failure_removes_partial_outputs(corpus_dir, tmp_path):
     )
     assert rc == 1
     assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command", ["detect", "pipeline", "evaluate"])
+def test_detector_flags_default_to_default_params(command):
+    args = build_parser().parse_args([command, "--manifest", "m.json", "--out", "o",
+                                      *(["--series", "S"] if command != "pipeline" else [])])
+    assert _detector_params(args) == {kind: default_params(kind) for kind in DetectorKind}
+
+
+def test_detector_flags_set_their_fields():
+    args = build_parser().parse_args([
+        "detect", "--manifest", "m.json", "--series", "S", "--out", "o",
+        "--ar-order", "5", "--ar-k", "2.5", "--ra-window", "7", "--ra-k", "2.0",
+        "--ls-window", "3", "--ls-k", "4.0",
+    ])
+    params = _detector_params(args)
+    ar, ra, ls = (params[k] for k in (DetectorKind.AR, DetectorKind.ROLLING_AVERAGE,
+                                      DetectorKind.LEVEL_SHIFT))
+    assert (ar.order_p, ar.threshold_k) == (5, 2.5)
+    assert (ra.window_w, ra.threshold_k) == (7, 2.0)
+    assert (ls.window_w, ls.threshold_k) == (3, 4.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["detect", "--manifest", "m.json", "--series", "S", "--out", "o", "--hist-step", "5"],
+        ["match", "--manifest", "m.json", "--out", "o", "--seed", "1"],
+    ],
+    ids=["detect-hist-step", "match-seed"],
+)
+def test_flags_a_command_never_reads_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_single_series_commands_ignore_broken_unrelated_entry(corpus_dir, tmp_path, capsys):
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        entry["path"] = str(corpus_dir / entry["path"])
+    broken = {"system": "HIST", "name": "HIST-broken", "path": str(tmp_path / "missing.csv")}
+    manifest["entries"].append(broken)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+
+    base = ["--manifest", str(path), "--series", "HIST-40-S"]
+    assert main(["detect", *base, "--out", str(tmp_path / "det"), *FAST_DETECTORS]) == 0
+    assert main(["inject", *base, "--duration-ms", "7000", "--out", str(tmp_path / "inj")]) == 0
+    assert main(["evaluate", *base, "--duration-ms", "7000", "--out", str(tmp_path / "ev"),
+                 *FAST_DETECTORS]) == 0
+    # commands over the whole corpus still fail on it
+    assert main(["ingest", "--manifest", str(path)]) == 1
+    capsys.readouterr()
+    # an unknown name lists every manifest entry, the broken one included
+    assert main(["detect", "--manifest", str(path), "--series", "NOPE",
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert "HIST-40-S" in err and "HIST-broken" in err
+
+
+def test_manifest_error_names_entry_index(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": [{"system": "ION", "path": "a.csv"}]}))
+    assert main(["ingest", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "missing key 'name'" in err and "(entry 0)" in err
+
+
+@pytest.mark.parametrize("content", [None, "{not json", '{"no_pairs": []}'],
+                         ids=["missing", "unparseable", "no-pairs"])
+def test_report_without_readable_report_json_is_io_error(tmp_path, content):
+    out = tmp_path / "out"
+    if content is not None:
+        out.mkdir()
+        (out / "report.json").write_text(content)
+    args = build_parser().parse_args(["report", "--out", str(out)])
+    with pytest.raises(IoError) as exc:
+        cmd_report(args, _Outputs(args.out))
+    assert str(out / "report.json") in str(exc.value)
+
+
+def test_report_does_not_create_out_dir(tmp_path, capsys):
+    out = tmp_path / "nodir"
+    assert main(["report", "--out", str(out)]) == 1
+    assert "cannot read" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meterfuse import (
@@ -17,6 +17,8 @@ from meterfuse import (
 from meterfuse.errors import (
     DuplicateId,
     IoError,
+    ManifestError,
+    MeterFuseError,
     MissingColumn,
     UnparseableTime,
     UnparseableValue,
@@ -197,3 +199,62 @@ def test_load_corpus_deterministic(tmp_path):
     a = load_corpus(load_manifest(manifest))
     b = load_corpus(load_manifest(manifest))
     assert a.series_by_id == b.series_by_id
+
+
+GOOD_ENTRY = {"system": "ION", "name": "ION-1", "path": "ION-1.csv"}
+
+
+@pytest.mark.parametrize(
+    "doc, entry",
+    [
+        ({}, None),  # no entries key
+        ({"entries": [{"system": "ION", "path": "x.csv"}]}, 0),  # no name: the index
+        ({"entries": [GOOD_ENTRY, {"name": "H-1", "path": "x.csv"}]}, "H-1"),  # no system
+        ({"entries": [{"system": "HIST", "name": "H-1"}]}, "H-1"),  # no path
+        ({"entries": [{**GOOD_ENTRY, "system": "SCADA"}]}, "ION-1"),  # unknown system
+        ({"entries": [{**GOOD_ENTRY, "time_format": "JULIAN"}]}, "ION-1"),  # unknown time format
+    ],
+    ids=["no-entries", "no-name", "no-system", "no-path", "unknown-system", "unknown-time-format"],
+)
+def test_malformed_manifest_is_typed_and_names_entry(tmp_path, doc, entry):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ManifestError) as exc:
+        load_manifest(manifest)
+    assert exc.value.entry == entry
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _field(*valid):
+    return st.sampled_from(valid) | JSON_VALUES
+
+
+ENTRIES = st.fixed_dictionaries({}, optional={
+    "system": _field("ION", "HIST"),
+    "name": _field("ION-1", "H-1"),
+    "path": _field("a.csv", "/abs/b.csv", ""),
+    "time_column": _field("timestamp"),
+    "value_column": _field("value"),
+    "time_format": _field("ISO8601", "EPOCH_SECONDS"),
+})
+MANIFESTS = JSON_VALUES | st.fixed_dictionaries(
+    {"entries": st.lists(ENTRIES | JSON_VALUES, max_size=3)}
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=MANIFESTS)
+def test_load_manifest_raises_only_meterfuse_errors(tmp_path_factory, doc):
+    manifest = tmp_path_factory.getbasetemp() / "fuzz-manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_manifest(manifest)
+    except MeterFuseError:
+        pass
