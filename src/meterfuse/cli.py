@@ -1,12 +1,12 @@
 """Command-line front end tying the pipeline together.
 
 Subcommands: synth, ingest, match, detect, pipeline, inject, evaluate,
-report.  Every output lands under --out with a fixed filename
+report.  Each command returns its outputs by fixed filename
 (matches.csv, matches.meta.json, report.json, report.csv,
-eval.<detector>.json, ...); the directory is created at the first write.
-A command exits 0 only when all of its outputs were written; on failure,
-partially written files are removed.  All commands are deterministic for
-given flags; wall-clock timing appears only in the .meta sidecars.
+eval.<detector>.json, ...), and `main` writes them under --out: all of
+them, or none and the files already there are left as they were.  All
+commands are deterministic for given flags; wall-clock timing appears
+only in the .meta sidecars.
 
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,24 +37,8 @@ from .model import SystemTag, TimeSeries
 from .sampling import SamplingKind, SamplingRecipe
 
 
-class _Outputs:
-    """Tracks files written by one command so failures can clean up."""
-
-    def __init__(self, out_dir: str | Path | None):
-        self.dir = Path(out_dir) if out_dir else None
-        self.created: list[Path] = []
-
-    def write_text(self, name: str, text: str) -> Path:
-        assert self.dir is not None, "command requires --out"
-        self.dir.mkdir(parents=True, exist_ok=True)
-        path = self.dir / name
-        path.write_text(text, encoding="utf-8")
-        self.created.append(path)
-        return path
-
-    def cleanup(self):
-        for path in self.created:
-            path.unlink(missing_ok=True)
+# SamplingRecipe fields with a --flag of the same name; --recipe sets `kind`.
+_RECIPE_FIELDS = [f for f in fields(SamplingRecipe) if f.name != "kind"]
 
 
 def _json(doc) -> str:
@@ -77,6 +62,12 @@ def _detector_params(args) -> dict[DetectorKind, DetectorParams]:
     }
 
 
+def _recipe(args) -> SamplingRecipe:
+    return SamplingRecipe(
+        SamplingKind(args.recipe), **{f.name: getattr(args, f.name) for f in _RECIPE_FIELDS}
+    )
+
+
 def _load_series(args) -> TimeSeries:
     """Load only the manifest entry named by --series."""
     return load_corpus(load_manifest(args.manifest).select(args.series)).get(args.series)
@@ -84,14 +75,7 @@ def _load_series(args) -> TimeSeries:
 
 def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
     """Rank every cross-system pair; returns the corpus, the run and the matches.* texts."""
-    recipe = SamplingRecipe(
-        kind=SamplingKind(args.recipe),
-        hist_step=args.hist_step,
-        ion_step=args.ion_step,
-        n_points=args.n_points,
-        range_start=args.range_start,
-        range_end=args.range_end,
-    )
+    recipe = _recipe(args)
     corpus = load_corpus(load_manifest(args.manifest))
     run = match_all(
         corpus.partition(SystemTag.ION),
@@ -121,19 +105,16 @@ def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
     return corpus, run, files
 
 
-def cmd_match(args, outputs: _Outputs) -> int:
+def cmd_match(args) -> dict[str, str]:
     _, run, files = _run_match(args)
-    for name, text in files.items():
-        outputs.write_text(name, text)
-
     print("rank  distance      ion            hist")
     for r in run.results[:10]:
         print(f"{r.rank:<5d} {r.distance:<13.6g} {r.ion_id.name:<14s} {r.hist_id.name}")
     print(f"match loop: {run.elapsed_seconds:.3f} s over {len(run.results)} pairs")
-    return 0
+    return files
 
 
-def cmd_pipeline(args, outputs: _Outputs) -> int:
+def cmd_pipeline(args) -> dict[str, str]:
     if args.top_n < 1:
         raise MeterFuseError("--top-n must be >= 1")
     params = _detector_params(args)
@@ -178,24 +159,22 @@ def cmd_pipeline(args, outputs: _Outputs) -> int:
     }
     files["report.json"] = _json(report_doc)
     files["report.csv"] = analysis.report_csv(pair_docs)
-    for name, text in files.items():
-        outputs.write_text(name, text)
-    print(f"pipeline: {len(top)} pairs reported to {outputs.dir}")
-    return 0
+    print(f"pipeline: {len(top)} pairs reported to {Path(args.out)}")
+    return files
 
 
-def cmd_detect(args, outputs: _Outputs) -> int:
+def cmd_detect(args) -> dict[str, str]:
     params = _detector_params(args)
     series = _load_series(args)
-    counts = {}
+    files, counts = {}, {}
     for kind, tag in analysis.DETECTOR_COLUMNS.items():
         result = run_detector(params[kind], series)
-        outputs.write_text(f"anomalies.{tag}.csv", detectors.anomalies_to_csv(result, series))
+        files[f"anomalies.{tag}.csv"] = detectors.anomalies_to_csv(result, series)
         counts[kind.value] = result.count
-    outputs.write_text("detect.json", _json({"series": args.series, "counts": counts}))
+    files["detect.json"] = _json({"series": args.series, "counts": counts})
     for name, count in counts.items():
         print(f"{name}: {count} anomalies")
-    return 0
+    return files
 
 
 def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLabel]:
@@ -208,19 +187,17 @@ def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLa
     return injection.inject_gaussian_noise(series, args.noise_count, args.sigma, args.seed)
 
 
-def cmd_inject(args, outputs: _Outputs) -> int:
+def cmd_inject(args) -> dict[str, str]:
     injected, label = _inject(args, _load_series(args))
-    outputs.write_text("injected.csv", series_to_csv(injected))
-    outputs.write_text("label.json", injection.label_to_json(label))
     print(f"injected {label.kind.value} into {args.series}: {len(label.affected)} samples")
-    return 0
+    return {"injected.csv": series_to_csv(injected), "label.json": injection.label_to_json(label)}
 
 
-def cmd_evaluate(args, outputs: _Outputs) -> int:
+def cmd_evaluate(args) -> dict[str, str]:
     params = _detector_params(args)
     injected, label = _inject(args, _load_series(args))
 
-    outputs.write_text("label.json", injection.label_to_json(label))
+    files = {"label.json": injection.label_to_json(label)}
     for kind, tag in analysis.DETECTOR_COLUMNS.items():
         p = params[kind]
         result = run_detector(p, injected)
@@ -228,15 +205,15 @@ def cmd_evaluate(args, outputs: _Outputs) -> int:
         if slack is None:
             slack = p.order_p if kind is DetectorKind.AR else p.window_w
         score = injection.evaluate(result, label, slack=slack)
-        outputs.write_text(f"eval.{tag}.json", injection.score_to_json(score))
+        files[f"eval.{tag}.json"] = _json(asdict(score))
         print(
             f"{kind.value}: precision {score.precision:.3f} recall {score.recall:.3f} "
             f"f1 {score.f1:.3f} (slack {slack})"
         )
-    return 0
+    return files
 
 
-def cmd_ingest(args, outputs: _Outputs) -> int:
+def cmd_ingest(args) -> dict[str, str]:
     corpus = load_corpus(load_manifest(args.manifest))
     ion = corpus.partition(SystemTag.ION)
     hist = corpus.partition(SystemTag.HIST)
@@ -245,15 +222,13 @@ def cmd_ingest(args, outputs: _Outputs) -> int:
         "ion_series": len(ion),
         "hist_series": len(hist),
     }
-    if outputs.dir:
-        outputs.write_text("ingest.json", _json(summary))
     for name, count in sorted(summary["entries"].items()):
         print(f"{name}: {count} samples")
     print(f"{len(ion)} ION series, {len(hist)} HIST series")
-    return 0
+    return {"ingest.json": _json(summary)}
 
 
-def cmd_synth(args, outputs: _Outputs) -> int:
+def cmd_synth(args) -> dict[str, str]:
     corpus = synth.demo_corpus(
         seed=args.seed,
         hist_points=args.hist_points,
@@ -262,34 +237,30 @@ def cmd_synth(args, outputs: _Outputs) -> int:
         hist_cadence_ms=args.hist_cadence_ms,
         ion_cadence_ms=args.ion_cadence_ms,
     )
-    manifest_path = synth.write_corpus(corpus, outputs.dir)
-    print(f"wrote {len(corpus)} series and {manifest_path}")
-    return 0
+    print(f"wrote {len(corpus)} series and {Path(args.out) / 'manifest.json'}")
+    return synth.corpus_files(corpus)
 
 
-def cmd_report(args, outputs: _Outputs) -> int:
-    report_path = outputs.dir / "report.json"
+def cmd_report(args) -> dict[str, str]:
+    report_path = Path(args.out) / "report.json"
     try:
         text = analysis.report_csv(json.loads(report_path.read_text(encoding="utf-8"))["pairs"])
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise IoError(str(report_path), e) from None
-    outputs.write_text("report.csv", text)
     print(f"rebuilt report.csv from {report_path}")
-    return 0
+    return {"report.csv": text}
 
 
 def _add_recipe_flags(p: argparse.ArgumentParser):
-    p.add_argument("--recipe", choices=["step", "first-n", "date-range"], default="step")
-    p.add_argument("--hist-step", type=int, default=1)
-    p.add_argument("--ion-step", type=int, default=1)
-    p.add_argument("--n-points", type=int, default=100)
-    p.add_argument("--range-start", type=int, default=0)
-    p.add_argument("--range-end", type=int, default=0)
+    p.add_argument("--recipe", choices=[k.value for k in SamplingKind],
+                   default=SamplingKind.STEP_SIZE.value)
+    for f in _RECIPE_FIELDS:
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _add_dtw_flags(p: argparse.ArgumentParser):
     p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--metric", choices=["l1", "l2"], default="l2")
+    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.L2.value)
     p.add_argument("--z-normalize", action="store_true")
 
 
@@ -361,20 +332,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_outputs(out_dir: Path, files: dict[str, str]):
+    """Write every file under out_dir, or none and leave the files there as they were.
+
+    Each file is staged as a temporary file beside its target, and the
+    targets are replaced only once every file is staged.  A target that is
+    a directory is refused up front: its os.replace would fail after the
+    earlier targets were replaced.
+    """
+    targets = [out_dir / name for name in files]
+    for path in targets:
+        if path.is_dir():
+            raise IoError(str(path), IsADirectoryError("is a directory"), action="write")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged: list[Path] = []
+    try:
+        for path, text in zip(targets, files.values()):
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            staged[-1].write_text(text, encoding="utf-8")
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in zip(staged, targets):
+        os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    outputs = _Outputs(args.out)
     try:
-        return args.func(args, outputs)
+        files = args.func(args)
+        if args.out:  # optional only for ingest
+            _write_outputs(Path(args.out), files)
     except MeterFuseError as e:
-        outputs.cleanup()
         entry = f" (entry {e.entry})" if e.entry is not None else ""
         print(f"error: {e}{entry}", file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        outputs.cleanup()
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ class MatchResult:
     ion_id: MeasurementId
     hist_id: MeasurementId
     distance: float
-    recipe: SamplingRecipe
     rank: int
     cells_evaluated: int
 
@@ -96,9 +95,6 @@ class MatchRun:
 
     results: tuple[MatchResult, ...]
     elapsed_seconds: float
-    radius: int
-    metric: Metric
-    recipe: SamplingRecipe
 
     @property
     def cells_evaluated(self) -> int:
@@ -332,7 +328,7 @@ def match_all(
 
     scored.sort(key=lambda r: (r[0], r[1].name, r[2].name))
     results = tuple(
-        MatchResult(ion_id, hist_id, dist, recipe, rank, cells)
+        MatchResult(ion_id, hist_id, dist, rank, cells)
         for rank, (dist, ion_id, hist_id, cells) in enumerate(scored, start=1)
     )
-    return MatchRun(results, elapsed, radius, metric, recipe)
+    return MatchRun(results, elapsed)

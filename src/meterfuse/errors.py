@@ -46,9 +46,13 @@ class UnparseableValue(MeterFuseError):
 
 
 class IoError(MeterFuseError):
-    def __init__(self, path: str, cause: Exception | None = None):
+    def __init__(self, path: str, cause: Exception | None = None, action: str = "read"):
         self.path = path
-        super().__init__(f"cannot read {path}: {cause}")
+        super().__init__(f"cannot {action} {path}: {cause}")
+
+
+class MalformedCsv(MeterFuseError):
+    """A series file that is not UTF-8 text or that the csv module cannot split."""
 
 
 class ManifestError(MeterFuseError):

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     DuplicateId,
     IoError,
+    MalformedCsv,
     ManifestError,
     MeterFuseError,
     MissingColumn,
@@ -123,7 +124,7 @@ def _parse_time(cell: str, fmt: TimeFormat, row: int) -> int:
             millis = round(dt.timestamp() * 1000)
     except (ValueError, OverflowError):
         raise UnparseableTime(row, cell) from None
-    if millis < 0:
+    if not 0 <= millis < 2**63:  # int64 epoch millis
         raise UnparseableTime(row, cell)
     return millis
 
@@ -136,41 +137,45 @@ def parse_csv(
 ) -> TimeSeries:
     """Parse one measurement's CSV into a validated series.
 
-    Expects UTF-8 text with a header row.  Rows with an empty value cell
-    are skipped (zero is meaningful in this data, so blanks are never
+    Expects UTF-8 text with a header row; text that is not UTF-8 or that
+    the csv module rejects raises MalformedCsv.  Rows with an empty value
+    cell are skipped (zero is meaningful in this data, so blanks are never
     zero-filled); the skip count is logged.  Row numbers in errors are
     1-based over data rows.
     """
-    if isinstance(data, bytes):
-        text = data.decode("utf-8")
-    elif isinstance(data, str):
-        text = data
-    else:
-        raw = data.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
-    reader = csv.DictReader(io.StringIO(text))
-    header = reader.fieldnames or []
-    for col in (columns.time_column, columns.value_column):
-        if col not in header:
-            raise MissingColumn(col)
-
     ts: list[int] = []
     vs: list[float] = []
     skipped = 0
-    for row_num, row in enumerate(reader, start=1):
-        value_cell = row.get(columns.value_column) or ""
-        if value_cell.strip() == "":
-            skipped += 1
-            continue
-        time_cell = row.get(columns.time_column) or ""
-        t = _parse_time(time_cell, time_format, row_num)
-        try:
-            v = float(value_cell)
-        except ValueError:
-            raise UnparseableValue(row_num, value_cell) from None
-        ts.append(t)
-        vs.append(v)
+    try:
+        if isinstance(data, bytes):
+            text = data.decode("utf-8")
+        elif isinstance(data, str):
+            text = data
+        else:
+            raw = data.read()
+            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+
+        reader = csv.DictReader(io.StringIO(text))
+        header = reader.fieldnames or []
+        for col in (columns.time_column, columns.value_column):
+            if col not in header:
+                raise MissingColumn(col)
+
+        for row_num, row in enumerate(reader, start=1):
+            value_cell = row.get(columns.value_column) or ""
+            if value_cell.strip() == "":
+                skipped += 1
+                continue
+            time_cell = row.get(columns.time_column) or ""
+            t = _parse_time(time_cell, time_format, row_num)
+            try:
+                v = float(value_cell)
+            except ValueError:
+                raise UnparseableValue(row_num, value_cell) from None
+            ts.append(t)
+            vs.append(v)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise MalformedCsv(f"malformed CSV: {e}") from None
 
     if skipped:
         log.warning("%s: skipped %d rows with empty value cells", id, skipped)

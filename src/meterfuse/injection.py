@@ -162,14 +162,3 @@ def label_to_json(label: InjectionLabel) -> str:
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-
-def score_to_json(score: EvalScore) -> str:
-    doc = {
-        "true_positives": score.true_positives,
-        "false_positives": score.false_positives,
-        "false_negatives": score.false_negatives,
-        "precision": score.precision,
-        "recall": score.recall,
-        "f1": score.f1,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

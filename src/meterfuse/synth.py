@@ -118,15 +118,13 @@ def demo_corpus(
     return corpus
 
 
-def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
-    """Write one CSV per series plus a manifest; returns the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def corpus_files(corpus: Corpus) -> dict[str, str]:
+    """One CSV per series plus ``manifest.json``, as file name -> text."""
+    files = {}
     entries = []
     for mid in sorted(corpus.series_by_id, key=lambda m: m.name):
-        series = corpus.series_by_id[mid]
         filename = f"{mid.name}.csv"
-        (out / filename).write_text(series_to_csv(series), encoding="utf-8")
+        files[filename] = series_to_csv(corpus.series_by_id[mid])
         entries.append(
             {
                 "system": mid.system.value,
@@ -137,8 +135,14 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
                 "time_format": "EPOCH_MILLIS",
             }
         )
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return manifest_path
+    files["manifest.json"] = json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n"
+    return files
+
+
+def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
+    """Write one CSV per series plus a manifest; returns the manifest path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in corpus_files(corpus).items():
+        (out / name).write_text(text, encoding="utf-8")
+    return out / "manifest.json"

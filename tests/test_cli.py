@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,7 @@ from meterfuse import (
     load_corpus,
     load_manifest,
 )
-from meterfuse.cli import _detector_params, _Outputs, build_parser, cmd_report, main
+from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
 from meterfuse.errors import IoError
 from meterfuse.sampling import apply_recipe
 
@@ -388,8 +389,8 @@ def test_missing_manifest_exits_nonzero(tmp_path, capsys):
 
 def test_failure_removes_partial_outputs(corpus_dir, tmp_path):
     out = tmp_path / "fail"
-    # label.json is written before detection; the oversized AR order then
-    # fails the run, and the partial output must be removed again.
+    # the oversized AR order fails detection, so no output may be written,
+    # label.json included.
     rc = main(
         [
             "evaluate",
@@ -487,7 +488,7 @@ def test_report_without_readable_report_json_is_io_error(tmp_path, content):
         (out / "report.json").write_text(content)
     args = build_parser().parse_args(["report", "--out", str(out)])
     with pytest.raises(IoError) as exc:
-        cmd_report(args, _Outputs(args.out))
+        cmd_report(args)
     assert str(out / "report.json") in str(exc.value)
 
 
@@ -496,3 +497,77 @@ def test_report_does_not_create_out_dir(tmp_path, capsys):
     assert main(["report", "--out", str(out)]) == 1
     assert "cannot read" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["match", "pipeline"])
+def test_recipe_flags_default_to_sampling_recipe(command):
+    args = build_parser().parse_args([command, "--manifest", "m.json", "--out", "o"])
+    assert _recipe(args) == SamplingRecipe(SamplingKind.STEP_SIZE)
+
+
+def _pipeline(corpus_dir, out, *extra) -> int:
+    return main(["pipeline", "--manifest", _manifest(corpus_dir), "--out", str(out),
+                 "--top-n", "2", *MATCH_FLAGS, *FAST_DETECTORS, *extra])
+
+
+def _snapshot(out) -> dict:
+    """Every entry of out: a file's bytes, or None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
+
+
+def _fail_nth_write(monkeypatch, n, exc):
+    """Make the n-th Path.write_text call write half its text, then raise exc."""
+    real = Path.write_text
+    calls = []
+
+    def write_text(self, text, *args, **kwargs):
+        calls.append(self)
+        if len(calls) == n:
+            real(self, text[: len(text) // 2], *args, **kwargs)
+            raise exc
+        return real(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+
+
+def test_failed_rerun_leaves_previous_outputs(corpus_dir, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "pipe"
+    assert _pipeline(corpus_dir, out) == 0
+    before = _snapshot(out)
+    assert sorted(before) == ["matches.csv", "matches.meta.json", "report.csv", "report.json"]
+
+    _fail_nth_write(monkeypatch, 3, OSError("disk full"))
+    # a different hist step and top-n change every output of the rerun
+    assert _pipeline(corpus_dir, out, "--hist-step", "10", "--top-n", "1") == 1
+    assert "disk full" in capsys.readouterr().err
+    assert _snapshot(out) == before
+
+
+def test_interrupted_rerun_leaves_previous_outputs(corpus_dir, tmp_path, monkeypatch):
+    out = tmp_path / "pipe"
+    assert _pipeline(corpus_dir, out) == 0
+    before = _snapshot(out)
+
+    _fail_nth_write(monkeypatch, 3, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
+        _pipeline(corpus_dir, out, "--hist-step", "10", "--top-n", "1")
+    assert _snapshot(out) == before
+
+
+def test_output_name_that_is_a_directory_fails_before_writing(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "pipe"
+    assert _pipeline(corpus_dir, out) == 0
+    (out / "report.csv").unlink()
+    (out / "report.csv").mkdir()
+    before = _snapshot(out)
+
+    assert _pipeline(corpus_dir, out, "--hist-step", "10", "--top-n", "1") == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert _snapshot(out) == before
+
+
+def test_failed_synth_leaves_no_files(tmp_path, monkeypatch):
+    out = tmp_path / "corpus"
+    _fail_nth_write(monkeypatch, 3, OSError("disk full"))
+    assert main(["synth", "--out", str(out), "--hist-points", "100"]) == 1
+    assert not out.exists() or not any(out.iterdir())

@@ -17,6 +17,7 @@ from meterfuse import (
 from meterfuse.errors import (
     DuplicateId,
     IoError,
+    MalformedCsv,
     ManifestError,
     MeterFuseError,
     MissingColumn,
@@ -194,6 +195,23 @@ def test_parse_error_tagged_with_entry(tmp_path):
     assert exc.value.entry == "HIST-bad"
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        (b"timestamp,value\n1000,1.0\n2000,\xff\n", MalformedCsv),
+        (b"timestamp,value\n1000," + b"1" * 200_000 + b"\n", MalformedCsv),
+        (b"timestamp,value\n99999999999999999999,1.0\n", UnparseableTime),
+    ],
+    ids=["not-utf8", "field-over-csv-limit", "millis-over-int64"],
+)
+def test_unreadable_series_file_is_typed_and_names_entry(tmp_path, body, error):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    (tmp_path / "H-1.csv").write_bytes(body)
+    with pytest.raises(error) as exc:
+        load_corpus(load_manifest(manifest))
+    assert exc.value.entry == "H-1"
+
+
 def test_load_corpus_deterministic(tmp_path):
     manifest = _write_corpus(tmp_path, [("ION", "ION-1"), ("HIST", "H-1")])
     a = load_corpus(load_manifest(manifest))
@@ -258,3 +276,29 @@ def test_load_manifest_raises_only_meterfuse_errors(tmp_path_factory, doc):
         load_manifest(manifest)
     except MeterFuseError:
         pass
+
+
+CSV_CELLS = (
+    st.integers().map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=8)
+    | st.sampled_from(["", "1e999", "nan", "2020-01-01T00:00:00Z", "99999999999999999999"])
+)
+CSV_ROWS = st.lists(st.tuples(CSV_CELLS, CSV_CELLS), max_size=6).map(
+    lambda rows: "".join(f"{t},{v}\n" for t, v in rows)
+)
+CSV_FILES = st.binary(max_size=200) | st.builds(
+    lambda header, rows: (header + rows).encode("utf-8", "surrogatepass"),
+    st.sampled_from(["ts,val\n", "val,ts\r\n", "ts\n", ""]) | st.text(max_size=12),
+    CSV_ROWS,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=CSV_FILES, time_format=st.sampled_from(TimeFormat))
+def test_parse_csv_raises_only_meterfuse_errors(data, time_format):
+    try:
+        series = parse_csv(data, ION_X, COLS, time_format)
+    except MeterFuseError:
+        return
+    assert series.id == ION_X
