@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, EmptyPartition, NonFiniteValue, TooShort
+from .errors import EmptyInput, EmptyPartition, InvalidArgument, NonFiniteValue, TooShort
 from .model import MeasurementId, TimeSeries
 from .sampling import SamplingRecipe, apply_recipe
 
@@ -245,8 +245,6 @@ def fastdtw(
     The returned distance is always >= the exact distance and equals it
     once the radius reaches the longer input's length.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     av, bv = _values(a), _values(b)
     if len(av) == 0 or len(bv) == 0:
         raise EmptyInput("both sequences must be non-empty")
@@ -255,6 +253,8 @@ def fastdtw(
 
 def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) -> DtwResult:
     """FastDTW, or the exact distance when ``radius`` is None, rows over the shorter input."""
+    if radius is not None and radius < 0:
+        raise InvalidArgument(f"radius must be >= 0, got {radius}")
     flip = len(av) > len(bv)
     if not flip:
         return _fastdtw(av, bv, radius, metric, flip)

@@ -65,6 +65,10 @@ class DuplicateId(MeterFuseError):
         super().__init__(f"duplicate measurement id {name!r}")
 
 
+class InvalidArgument(MeterFuseError, ValueError):
+    """A numeric argument outside its allowed range, such as a negative radius."""
+
+
 class ZeroStep(MeterFuseError):
     """Sampling step below 1."""
 

@@ -13,6 +13,15 @@ Manifest JSON::
 
 Series CSV (canonical export): header ``timestamp,value``, LF endings,
 value as decimal text.
+
+An ``EPOCH_MILLIS`` file of plain shape, as every canonical export is,
+is parsed column-wise: split on commas and converted with ``int``/``float``
+in bulk.  Plain means no quote, CR or NUL, no line over the csv field
+limit, and the header's comma count on every data line.  Everything
+else (quoted cells, CRLF, blank or ragged lines, blank values, cells that
+do not convert, out-of-range millis, the other time formats) goes through
+the csv.DictReader row loop, the only source of skip counts and of errors
+that name a row.  Both give the same series.
 """
 
 from __future__ import annotations
@@ -21,7 +30,6 @@ import csv
 import io
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -42,6 +50,8 @@ from .errors import (
 from .model import MeasurementId, SystemTag, TimeSeries, validate_series
 
 log = logging.getLogger(__name__)
+
+_CHUNK_ROWS = 2048  # data rows split and converted at once by the column-wise path
 
 
 class TimeFormat(Enum):
@@ -143,44 +153,96 @@ def parse_csv(
     zero-filled); the skip count is logged.  Row numbers in errors are
     1-based over data rows.
     """
+    try:
+        if not isinstance(data, (bytes, str)):
+            data = data.read()
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        plain = None
+        if time_format is TimeFormat.EPOCH_MILLIS:
+            raw = data if isinstance(data, bytes) else text.encode("utf-8", "surrogatepass")
+            plain = _parse_plain(text, raw, columns)
+        t, v = plain if plain is not None else _parse_rows(text, id, columns, time_format)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise MalformedCsv(f"malformed CSV: {e}") from None
+    return validate_series(TimeSeries(id, t, v))
+
+
+def _parse_plain(
+    text: str, raw: bytes, columns: ColumnMap
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Epoch-millis columns of a plain file, parsed in bulk; None if not plain.
+
+    Plain means no quote, CR or NUL, no line over the csv field limit, the
+    named columns in the header and exactly len(header) - 1 commas on every
+    data line, so splitting on commas gives the cells csv.DictReader would.
+    Any cell that int() or float() rejects, a blank value included, and any
+    millis outside int64 also give None: the row loop then skips or names
+    the row as it always has.
+    """
+    if '"' in text or "\r" in text or "\0" in text:  # csv.reader's NUL rule varies by version
+        return None
+    header = text.partition("\n")[0].split(",")
+    index = {name: i for i, name in enumerate(header)}  # a repeated name keeps its last column
+    if columns.time_column not in index or columns.value_column not in index:
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not len(ends) or ends[-1] != len(buf) - 1:
+        ends = np.append(ends, len(buf))  # a last line without a newline
+    lengths = np.diff(ends, prepend=-1) - 1
+    if lengths.min() == 0 or lengths.max() >= csv.field_size_limit():
+        return None
+    line_of_comma = np.searchsorted(ends, np.flatnonzero(buf == ord(",")))
+    commas = np.bincount(line_of_comma, minlength=len(ends))
+    if (commas[1:] != len(header) - 1).any():
+        return None
+    rows, width = len(ends) - 1, len(header)
+    ti, vi = index[columns.time_column], index[columns.value_column]
+    t, v = np.empty(rows, np.int64), np.empty(rows, np.float64)
+    try:
+        for a in range(0, rows, _CHUNK_ROWS):  # a chunk at a time bounds the cell strings held
+            b = min(a + _CHUNK_ROWS, rows)
+            chunk = raw[ends[a] + 1 : ends[b]].decode("utf-8", "surrogatepass")
+            cells = chunk.replace("\n", ",").split(",")
+            t[a:b] = np.fromiter(map(int, cells[ti::width]), np.int64, b - a)
+            v[a:b] = np.fromiter(map(float, cells[vi::width]), np.float64, b - a)
+    except (ValueError, OverflowError):
+        return None
+    if rows and t.min() < 0:
+        return None
+    return t, v
+
+
+def _parse_rows(
+    text: str, id: MeasurementId, columns: ColumnMap, time_format: TimeFormat
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time and value columns read one csv.DictReader row at a time."""
     ts: list[int] = []
     vs: list[float] = []
     skipped = 0
-    try:
-        if isinstance(data, bytes):
-            text = data.decode("utf-8")
-        elif isinstance(data, str):
-            text = data
-        else:
-            raw = data.read()
-            text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    reader = csv.DictReader(io.StringIO(text))
+    header = reader.fieldnames or []
+    for col in (columns.time_column, columns.value_column):
+        if col not in header:
+            raise MissingColumn(col)
 
-        reader = csv.DictReader(io.StringIO(text))
-        header = reader.fieldnames or []
-        for col in (columns.time_column, columns.value_column):
-            if col not in header:
-                raise MissingColumn(col)
-
-        for row_num, row in enumerate(reader, start=1):
-            value_cell = row.get(columns.value_column) or ""
-            if value_cell.strip() == "":
-                skipped += 1
-                continue
-            time_cell = row.get(columns.time_column) or ""
-            t = _parse_time(time_cell, time_format, row_num)
-            try:
-                v = float(value_cell)
-            except ValueError:
-                raise UnparseableValue(row_num, value_cell) from None
-            ts.append(t)
-            vs.append(v)
-    except (UnicodeDecodeError, csv.Error) as e:
-        raise MalformedCsv(f"malformed CSV: {e}") from None
+    for row_num, row in enumerate(reader, start=1):
+        value_cell = row.get(columns.value_column) or ""
+        if value_cell.strip() == "":
+            skipped += 1
+            continue
+        time_cell = row.get(columns.time_column) or ""
+        t = _parse_time(time_cell, time_format, row_num)
+        try:
+            v = float(value_cell)
+        except ValueError:
+            raise UnparseableValue(row_num, value_cell) from None
+        ts.append(t)
+        vs.append(v)
 
     if skipped:
         log.warning("%s: skipped %d rows with empty value cells", id, skipped)
-    series = TimeSeries(id, np.array(ts, dtype=np.int64), np.array(vs, dtype=np.float64))
-    return validate_series(series)
+    return np.array(ts, dtype=np.int64), np.array(vs, dtype=np.float64)
 
 
 # Manifest entry keys: the required ones, then the optional ones with their defaults.
@@ -266,15 +328,14 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
 
 def series_to_csv(s: TimeSeries, time_format: TimeFormat = TimeFormat.EPOCH_MILLIS) -> str:
     """Canonical CSV export; re-parsing yields an identical series."""
-    lines = ["timestamp,value"]
-    for t, v in zip(s.t, s.v):
-        lines.append(f"{_format_time(int(t), time_format)},{_format_value(float(v))}")
-    return "\n".join(lines) + "\n"
+    times = s.t.tolist()  # epoch millis print as plain ints
+    if time_format is not TimeFormat.EPOCH_MILLIS:
+        times = [_format_time(t, time_format) for t in times]
+    lines = [f"{t},{_format_value(v)}\n" for t, v in zip(times, s.v.tolist())]
+    return "timestamp,value\n" + "".join(lines)
 
 
 def _format_time(millis: int, fmt: TimeFormat) -> str:
-    if fmt is TimeFormat.EPOCH_MILLIS:
-        return str(millis)
     if fmt is TimeFormat.EPOCH_SECONDS:
         if millis % 1000 == 0:
             return str(millis // 1000)
@@ -285,6 +346,6 @@ def _format_time(millis: int, fmt: TimeFormat) -> str:
 
 
 def _format_value(v: float) -> str:
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+    if v.is_integer() and abs(v) < 1e16:  # False for NaN and infinities
         return str(int(v))
     return repr(v)

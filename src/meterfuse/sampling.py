@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ZeroStep
+from .errors import InvalidArgument, ZeroStep
 from .model import SystemTag, TimeSeries, slice_by_range
 
 
@@ -40,9 +40,11 @@ class SamplingRecipe:
         if self.hist_step < 1 or self.ion_step < 1:
             raise ZeroStep("steps must be >= 1")
         if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+            raise InvalidArgument(f"n_points must be >= 1, got {self.n_points}")
         if self.kind is SamplingKind.DATE_RANGE and self.range_start > self.range_end:
-            raise ValueError("range_start must be <= range_end")
+            raise InvalidArgument(
+                f"range_start must be <= range_end, got {self.range_start} > {self.range_end}"
+            )
 
     def step_for(self, system: SystemTag) -> int:
         return self.hist_step if system is SystemTag.HIST else self.ion_step
@@ -58,7 +60,7 @@ def sample_step(s: TimeSeries, k: int) -> TimeSeries:
 def sample_first_n(s: TimeSeries, n: int) -> TimeSeries:
     """The first min(n, len(s)) samples of s."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     return TimeSeries(s.id, s.t[:n], s.v[:n])
 
 

@@ -12,8 +12,8 @@ from meterfuse import (
     load_corpus,
     load_manifest,
 )
-from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
-from meterfuse.errors import IoError
+from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_match, cmd_report, main
+from meterfuse.errors import InvalidArgument, IoError
 from meterfuse.sampling import apply_recipe
 
 
@@ -385,6 +385,23 @@ def test_missing_manifest_exits_nonzero(tmp_path, capsys):
     rc = main(["match", "--manifest", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--radius", "-1", "--hist-step", "100"], "radius must be >= 0, got -1"),
+        (["--recipe", "first-n", "--n-points", "0"], "n_points must be >= 1, got 0"),
+    ],
+    ids=["negative-radius", "zero-n-points"],
+)
+def test_out_of_range_match_argument_is_typed_error(corpus_dir, tmp_path, capsys, flags, named):
+    argv = ["match", "--manifest", _manifest(corpus_dir), "--out", str(tmp_path / "o"), *flags]
+    with pytest.raises(InvalidArgument, match=named):  # a MeterFuseError, not the catch-all
+        cmd_match(build_parser().parse_args(argv))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_failure_removes_partial_outputs(corpus_dir, tmp_path):

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from meterfuse import (
     parse_csv,
     series_to_csv,
 )
+from meterfuse import ingest, synth
 from meterfuse.errors import (
     DuplicateId,
     IoError,
@@ -25,6 +27,7 @@ from meterfuse.errors import (
     UnparseableValue,
 )
 
+import reference_ingest
 from conftest import mkseries
 
 ION_X = MeasurementId(SystemTag.ION, "ION-X")
@@ -302,3 +305,123 @@ def test_parse_csv_raises_only_meterfuse_errors(data, time_format):
     except MeterFuseError:
         return
     assert series.id == ION_X
+
+
+def test_canonical_export_never_reaches_the_row_loop(monkeypatch):
+    def row_loop(*args, **kwargs):
+        raise AssertionError("csv.DictReader reached")
+
+    monkeypatch.setattr(ingest.csv, "DictReader", row_loop)
+    edge = mkseries(
+        [(0, 0.0), (1, -0.0), (2, 1e16), (3, -1e-300), (4, 2.5), (2**62, -123456789.0)],
+        name="ION-edge",
+    )
+    corpus = synth.demo_corpus(hist_points=500)
+    for s in [edge, *corpus.series_by_id.values()]:
+        assert parse_csv(series_to_csv(s).encode("utf-8"), s.id) == s
+
+
+# Differential test: parse_csv against the row-by-row parser it replaced.
+# Clean files hold cells that int() and float() accept and take the
+# column-wise path; the rest mix in everything the row loop must handle.
+GOOD_TIMES = st.integers(0, 2**63 - 1).map(str) | st.sampled_from([" 7 ", "1_0", "١٢٣", "0"])
+GOOD_VALUES = (
+    st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.integers(-(10**20), 10**20).map(str)
+    | st.sampled_from(["1_0", "١٢", " 5 ", "-0.0", "1e-320"])
+)
+BAD_TIMES = st.integers(-(2**70), 2**70).map(str) | st.sampled_from([
+    "", " ", "nan", "1.5", "-1", "-0", str(2**63), "99999999999999999999", '"1000"', "1\x002",
+    "1970-01-01T00:00:01Z", "2020-01-01T00:00:00+01:00", "2020-01-01 00:00:00",
+])
+BAD_VALUES = st.floats().map(repr) | st.sampled_from([
+    "", " ", "\t", "nan", "-inf", "1e999", '"5"', '"1,5"', 'a"b', "x", "1" * 40,
+])
+CLEAN_HEADERS = st.sampled_from([
+    ["ts", "val"], ["val", "ts"], ["ts", "val", "extra"], ["extra", "val", "ts"],
+    ["ts", "val", "val"], ["val", "ts", "val"], ["ts", "ts", "val"], ["", "ts", "val"],
+])
+ANY_HEADERS = CLEAN_HEADERS | st.sampled_from([["ts"], ["val"], ["ts", "value"]]) | st.lists(
+    st.sampled_from(["ts", "val", "x", " ts", ""]), min_size=1, max_size=4
+)
+
+
+@st.composite
+def csv_inputs(draw):
+    """Plain files, each perturbed or not in its cells, one line and its line endings."""
+    messy = st.sampled_from([False, False, True])
+    messy_cells, messy_eol = draw(messy), draw(messy)
+    header = draw(ANY_HEADERS if messy_cells else CLEAN_HEADERS)
+    times = GOOD_TIMES | BAD_TIMES if messy_cells else GOOD_TIMES
+    values = GOOD_VALUES | BAD_VALUES if messy_cells else GOOD_VALUES
+
+    def row(width):  # cells past the header, like the ts column, hold integers
+        names = header + ["ts"] * width
+        return ",".join(draw(times if name == "ts" else values) for name in names[:width])
+
+    width = len(header)
+    lines = [row(width) for _ in range(draw(st.integers(0, 5)))]
+    fault = draw(st.sampled_from([None, None, "blank", "ragged", "shifted"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "blank":
+        lines[at:at] = [draw(st.sampled_from(["", " "]))]
+    elif fault == "ragged":
+        lines[at:at] = [row(draw(st.sampled_from([max(width - 1, 0), width + 1, width + 2])))]
+    elif fault == "shifted":  # one cell moved to the line before: the comma total still fits
+        lines[at:at] = [row(width + 1), row(width - 1)]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"])) if messy_eol else "\n"
+    text = eol.join([",".join(header), *lines]) + draw(st.sampled_from([eol, eol, ""]))
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+def _outcome(parse, data, columns, time_format):
+    try:
+        s = parse(data, ION_X, columns, time_format)
+    except MeterFuseError as e:
+        return type(e), str(e)
+    return s.t.tolist(), s.v.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=csv_inputs(),
+    columns=st.sampled_from([ColumnMap("ts", "val"), ColumnMap("ts", "ts")]),
+    time_format=st.sampled_from([TimeFormat.EPOCH_MILLIS] * 3 + list(TimeFormat)),
+    field_limit=st.sampled_from([None] * 4 + [8, 24]),
+)
+def test_parse_csv_matches_row_by_row_reference(data, columns, time_format, field_limit):
+    old_limit = csv.field_size_limit()
+    try:
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        got = _outcome(parse_csv, data, columns, time_format)
+        want = _outcome(reference_ingest.parse_csv, data, columns, time_format)
+    finally:
+        csv.field_size_limit(old_limit)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "ts,val\n1,2\n3,4\n",  # plain
+        "ts,val\n1,2\n3,4",  # no final newline
+        "ts,val\n",  # header only
+        "ts,val",  # header only, no newline
+        "ts,val,val\n1,2,3\n",  # repeated name: its last column
+        "val,ts,x\n2,1,9\n",  # reordered and extra columns
+        "ts,val\n1,2,3\n4\n",  # ragged lines whose cells add up to whole rows
+        "ts,val\n1,2\n\n3,4\n",  # blank line
+        "ts,val\n1,\n2,5\n",  # blank value
+        "ts,val\r\n1,2\r\n",  # CRLF
+        'ts,val\n1,"2"\n',  # quoted cell
+        "ts,val\n-1,2\n",  # negative millis
+        "ts,val\n9223372036854775808,2\n",  # millis past int64
+        "ts,val\n1,x\n",  # unparseable value
+    ],
+)
+def test_parse_csv_matches_reference_on_edge_files(body):
+    for data in (body, body.encode("utf-8")):
+        assert _outcome(parse_csv, data, COLS, TimeFormat.EPOCH_MILLIS) == _outcome(
+            reference_ingest.parse_csv, data, COLS, TimeFormat.EPOCH_MILLIS
+        )
