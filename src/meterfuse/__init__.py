@@ -8,8 +8,6 @@ harness turns the comparison into a labeled evaluation.
 """
 
 from .analysis import (
-    ComparisonReport,
-    DetectorComparison,
     SummaryStats,
     build_report,
     coverage_ratio,
@@ -33,9 +31,7 @@ from .dtw import (
     MatchRun,
     Metric,
     WarpPath,
-    coarsen,
     dtw_exact,
-    expand_window,
     fastdtw,
     match_all,
 )
@@ -81,10 +77,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AnomalySet",
     "ColumnMap",
-    "ComparisonReport",
     "Corpus",
     "CorpusManifest",
-    "DetectorComparison",
     "DetectorKind",
     "DetectorParams",
     "DtwResult",
@@ -107,7 +101,6 @@ __all__ = [
     "TimeSeries",
     "WarpPath",
     "build_report",
-    "coarsen",
     "coverage_ratio",
     "default_params",
     "describe",
@@ -116,7 +109,6 @@ __all__ = [
     "detect_rolling_average",
     "dtw_exact",
     "evaluate",
-    "expand_window",
     "fastdtw",
     "fit_ar_predict",
     "inject_gaussian_noise",

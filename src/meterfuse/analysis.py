@@ -2,14 +2,15 @@
 
 Summation is compensated (math.fsum) so means and standard deviations on
 million-point series agree with a naive oracle to full precision.  The
-standard deviation is population by default; sample variance is a flag.
+standard deviation is the population one.
 
 The comparison arithmetic is deliberately explicit about undefined
 cases: percent change has no value when the individual baseline is zero,
 and a coverage ratio against a zero single-view count is reported as
 "all anomalies missed by the single view" rather than a number.  Both
 ratio denominators (each single system) are reported because either
-reading is defensible.
+reading is defensible.  `build_report` gives each pair in its report.json
+form, a plain dict, and `report_csv` renders those dicts as report.csv.
 """
 
 from __future__ import annotations
@@ -37,15 +38,14 @@ class SummaryStats:
     max: float | None
 
 
-def describe(s: Union[TimeSeries, MergedSeries, np.ndarray], sample_std: bool = False) -> SummaryStats:
+def describe(s: Union[TimeSeries, MergedSeries, np.ndarray]) -> SummaryStats:
     values = s.v if isinstance(s, (TimeSeries, MergedSeries)) else np.asarray(s, dtype=np.float64)
     n = len(values)
     if n == 0:
         return SummaryStats(0, None, None, None, None)
     mean = math.fsum(values) / n
     centered = values - mean
-    denom = n - 1 if (sample_std and n > 1) else n
-    var = math.fsum(centered * centered) / denom
+    var = math.fsum(centered * centered) / n
     return SummaryStats(n, mean, math.sqrt(var), float(values.min()), float(values.max()))
 
 
@@ -68,62 +68,6 @@ def coverage_ratio(single: int, combined: int) -> float | None:
     return 1.0
 
 
-@dataclass(frozen=True)
-class DetectorComparison:
-    """One detector's anomaly counts across the three views of a pair."""
-
-    ion_count: int
-    hist_count: int
-    merged_count: int
-    percent_change: float | None
-    ratio_vs_ion: float | None
-    ratio_vs_hist: float | None
-    missed_by_ion: int
-    missed_by_hist: int
-    merge_loss: bool
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Per-pair anomaly comparison, one row group per detector."""
-
-    ion_name: str
-    hist_name: str
-    by_detector: dict[DetectorKind, DetectorComparison]
-
-
-def build_report(
-    ion_name: str,
-    hist_name: str,
-    anomaly_sets: dict[DetectorKind, tuple[AnomalySet, AnomalySet, AnomalySet]],
-) -> ComparisonReport:
-    """Aggregate (ion, hist, merged) anomaly sets per detector.
-
-    A detector whose merged count drops below the sum of the individual
-    counts is flagged as a merge loss; it can happen because the robust
-    thresholds are recomputed on the denser merged score distribution.
-    """
-    rows: dict[DetectorKind, DetectorComparison] = {}
-    for kind, (ion_set, hist_set, merged_set) in anomaly_sets.items():
-        ion_n, hist_n, merged_n = ion_set.count, hist_set.count, merged_set.count
-        individual = ion_n + hist_n
-        change = percent_change(individual, merged_n) if individual > 0 else None
-        ratio_ion = coverage_ratio(ion_n, individual)
-        ratio_hist = coverage_ratio(hist_n, individual)
-        rows[kind] = DetectorComparison(
-            ion_count=ion_n,
-            hist_count=hist_n,
-            merged_count=merged_n,
-            percent_change=change,
-            ratio_vs_ion=ratio_ion,
-            ratio_vs_hist=ratio_hist,
-            missed_by_ion=individual if ion_n == 0 else 0,
-            missed_by_hist=individual if hist_n == 0 else 0,
-            merge_loss=merged_n < individual,
-        )
-    return ComparisonReport(ion_name, hist_name, rows)
-
-
 # The detectors in report-column order, each with the short tag that names
 # its CLI flags (--ra-window) and per-detector output files (eval.ra.json).
 DETECTOR_COLUMNS = {
@@ -133,31 +77,42 @@ DETECTOR_COLUMNS = {
 }
 
 
-def report_to_dict(report: ComparisonReport) -> dict:
-    """The report.json form of one pair, over the detectors the report holds."""
+def build_report(
+    ion_name: str,
+    hist_name: str,
+    anomaly_sets: dict[DetectorKind, tuple[AnomalySet, AnomalySet, AnomalySet]],
+) -> dict:
+    """The report.json form of one pair from its (ion, hist, merged) anomaly sets.
+
+    One row per detector given, in DETECTOR_COLUMNS order.  A detector
+    whose merged count drops below the sum of the individual counts is
+    flagged as a merge loss; it can happen because the robust thresholds
+    are recomputed on the denser merged score distribution.
+    """
     detectors = {}
     for kind in DETECTOR_COLUMNS:
-        row = report.by_detector.get(kind)
-        if row is None:
+        if kind not in anomaly_sets:
             continue
+        ion_n, hist_n, merged_n = (s.count for s in anomaly_sets[kind])
+        individual = ion_n + hist_n
         detectors[kind.value] = {
-            "ion": row.ion_count,
-            "hist": row.hist_count,
-            "merged": row.merged_count,
-            "percent_change": row.percent_change,
+            "ion": ion_n,
+            "hist": hist_n,
+            "merged": merged_n,
+            "percent_change": percent_change(individual, merged_n) if individual > 0 else None,
             "ratio": {
-                "vs_ion": row.ratio_vs_ion,
-                "vs_hist": row.ratio_vs_hist,
-                "missed_by_ion": row.missed_by_ion,
-                "missed_by_hist": row.missed_by_hist,
+                "vs_ion": coverage_ratio(ion_n, individual),
+                "vs_hist": coverage_ratio(hist_n, individual),
+                "missed_by_ion": individual if ion_n == 0 else 0,
+                "missed_by_hist": individual if hist_n == 0 else 0,
             },
-            "merge_loss": row.merge_loss,
+            "merge_loss": merged_n < individual,
         }
-    return {"ion": report.ion_name, "hist": report.hist_name, "detectors": detectors}
+    return {"ion": ion_name, "hist": hist_name, "detectors": detectors}
 
 
 def report_csv(pairs: list[dict]) -> str:
-    """report.csv from pairs in report.json form (`report_to_dict` plus "rank").
+    """report.csv from pairs in report.json form (`build_report` plus "rank").
 
     Each pair gives an ion, a hist and a merged row; there is one count
     column per detector present, in DETECTOR_COLUMNS order.

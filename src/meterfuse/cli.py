@@ -138,8 +138,7 @@ def cmd_pipeline(args) -> dict[str, str]:
             kind: (run_detector(p, ion), run_detector(p, hist), run_detector(p, merged))
             for kind, p in params.items()
         }
-        report = analysis.build_report(ion.id.name, hist.id.name, sets)
-        doc = analysis.report_to_dict(report)
+        doc = analysis.build_report(ion.id.name, hist.id.name, sets)
         doc["rank"] = match.rank
         doc["distance"] = match.distance
         doc["stats"] = {

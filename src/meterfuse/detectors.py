@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import TooShort
+from .errors import InvalidArgument, TooShort
 from .merge import ORIGIN_NAMES, MergedSeries
 from .model import TimeSeries
 
@@ -57,12 +57,13 @@ class DetectorParams:
     use_std: bool = False
 
     def __post_init__(self):
+        kind = self.kind.value
         if self.order_p < 1:
-            raise ValueError("order_p must be >= 1")
+            raise InvalidArgument(f"{kind} order_p must be >= 1, got {self.order_p}")
         if self.window_w < 1:
-            raise ValueError("window_w must be >= 1")
+            raise InvalidArgument(f"{kind} window_w must be >= 1, got {self.window_w}")
         if self.threshold_k <= 0:
-            raise ValueError("threshold_k must be > 0")
+            raise InvalidArgument(f"{kind} threshold_k must be > 0, got {self.threshold_k}")
 
 
 def default_params(kind: DetectorKind) -> DetectorParams:
@@ -217,19 +218,14 @@ def run_detector(params: DetectorParams, s: SeriesLike) -> AnomalySet:
     return AnomalySet(result.series_name, params, result.flagged, result.scores)
 
 
-def anomalies_to_csv(anomalies: AnomalySet, s: SeriesLike) -> str:
+def anomalies_to_csv(anomalies: AnomalySet, s: TimeSeries | MergedSeries) -> str:
     """Flagged rows as ``index,timestamp,value,score[,origin]``."""
     origins = s.origin if isinstance(s, MergedSeries) else None
-    header = "index,timestamp,value,score" + (",origin" if origins is not None else "")
-    lines = [header]
-    t = s.t if isinstance(s, (TimeSeries, MergedSeries)) else None
-    values, _ = _values_and_name(s)
+    lines = ["index,timestamp,value,score" + (",origin" if origins is not None else "")]
     for idx, score in zip(anomalies.flagged, anomalies.scores):
         i = int(idx)
-        ts = int(t[i]) if t is not None else i
-        row = f"{i},{ts},{float(values[i])!r},{float(score)!r}"
+        row = f"{i},{int(s.t[i])},{float(s.v[i])!r},{float(score)!r}"
         if origins is not None:
             row += f",{ORIGIN_NAMES[int(origins[i])]}"
         lines.append(row)
     return "\n".join(lines) + "\n"
-

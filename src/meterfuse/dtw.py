@@ -186,17 +186,9 @@ def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.L2
 
 def _halve(v: np.ndarray) -> np.ndarray:
     if len(v) < 2:
-        raise TooShort("need at least 2 points to coarsen")
+        raise TooShort("need at least 2 points to halve")
     out = (v[0 : len(v) - 1 : 2] + v[1::2]) / 2.0
     return np.append(out, v[-1]) if len(v) % 2 else out
-
-
-def coarsen(a: Sequence[float]) -> list[float]:
-    """Halve a sequence by averaging adjacent pairs.
-
-    An odd trailing element is carried through unchanged.
-    """
-    return _halve(np.asarray(a, dtype=np.float64)).tolist()
 
 
 def _projected_band(
@@ -218,18 +210,6 @@ def _projected_band(
     lo = np.maximum(2 * c_lo - radius, 0)
     hi = np.minimum(2 * c_hi + 1 + radius, len_b - 1)
     return lo.tolist(), hi.tolist()
-
-
-def expand_window(
-    coarse_path: WarpPath, len_a: int, len_b: int, radius: int
-) -> set[tuple[int, int]]:
-    """Fine-resolution cells admitted by a coarse path, as a set.
-
-    A view of the band `fastdtw` runs on: contiguous per row because the
-    coarse path is monotone and continuous.
-    """
-    lo, hi = _projected_band(coarse_path, len_a, len_b, radius)
-    return {(i, j) for i in range(len_a) for j in range(lo[i], hi[i] + 1)}
 
 
 def fastdtw(

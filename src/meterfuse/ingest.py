@@ -326,23 +326,10 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
     return corpus
 
 
-def series_to_csv(s: TimeSeries, time_format: TimeFormat = TimeFormat.EPOCH_MILLIS) -> str:
-    """Canonical CSV export; re-parsing yields an identical series."""
-    times = s.t.tolist()  # epoch millis print as plain ints
-    if time_format is not TimeFormat.EPOCH_MILLIS:
-        times = [_format_time(t, time_format) for t in times]
-    lines = [f"{t},{_format_value(v)}\n" for t, v in zip(times, s.v.tolist())]
+def series_to_csv(s: TimeSeries) -> str:
+    """Canonical epoch-millis CSV export; re-parsing yields an identical series."""
+    lines = [f"{t},{_format_value(v)}\n" for t, v in zip(s.t.tolist(), s.v.tolist())]
     return "timestamp,value\n" + "".join(lines)
-
-
-def _format_time(millis: int, fmt: TimeFormat) -> str:
-    if fmt is TimeFormat.EPOCH_SECONDS:
-        if millis % 1000 == 0:
-            return str(millis // 1000)
-        return repr(millis / 1000.0)
-    return (
-        datetime.fromtimestamp(millis / 1000.0, tz=timezone.utc).isoformat().replace("+00:00", "Z")
-    )
 
 
 def _format_value(v: float) -> str:

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .detectors import AnomalySet
-from .errors import EmptyWindow, SeriesMismatch, TooFewSamples
+from .errors import EmptyWindow, InvalidArgument, SeriesMismatch, TooFewSamples
 from .model import TimeSeries
 
 # The zero-run duration, when not chosen by the caller, is drawn from
@@ -75,7 +75,7 @@ def inject_zero_run(s: TimeSeries, at: int, duration_ms: int) -> tuple[TimeSerie
     already zero.  Raises EmptyWindow when no sample falls inside.
     """
     if duration_ms <= 0:
-        raise ValueError("duration_ms must be > 0")
+        raise InvalidArgument(f"duration_ms must be > 0, got {duration_ms}")
     if len(s) == 0:
         raise EmptyWindow("series is empty")
     end = at + duration_ms
@@ -103,9 +103,9 @@ def inject_gaussian_noise(
     with ``seed``; the perturbations come from the same stream.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidArgument(f"noise count n must be >= 1, got {n}")
     if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+        raise InvalidArgument(f"sigma must be >= 0, got {sigma}")
     if len(s) == 0:
         raise EmptyWindow("series is empty")
     if n > len(s):
@@ -133,6 +133,8 @@ def evaluate(detected: AnomalySet, label: InjectionLabel, slack: int = 0) -> Eva
     within +-slack of it; detected indices matching no labeled index are
     false positives; labeled indices never matched are false negatives.
     """
+    if slack < 0:
+        raise InvalidArgument(f"slack must be >= 0, got {slack}")
     if detected.series_name != label.series_name:
         raise SeriesMismatch(
             f"anomalies are for {detected.series_name!r}, label for {label.series_name!r}"

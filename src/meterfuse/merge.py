@@ -82,10 +82,3 @@ def split(merged: MergedSeries) -> tuple[TimeSeries, TimeSeries]:
     hist = TimeSeries(merged.hist_id, merged.t[hist_mask], merged.v[hist_mask])
     return ion, hist
 
-
-def merged_to_csv(merged: MergedSeries) -> str:
-    """Ingestion CSV format plus an origin column."""
-    lines = ["timestamp,value,origin"]
-    for t, v, o in zip(merged.t, merged.v, merged.origin):
-        lines.append(f"{int(t)},{float(v)!r},{ORIGIN_NAMES[int(o)]}")
-    return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .ingest import Corpus, series_to_csv
 from .model import MeasurementId, SystemTag, TimeSeries
 
@@ -96,6 +97,11 @@ def demo_corpus(
     behind HIST-44-S; HIST-23-S is an unrelated random walk.  The
     default size is one day of 5-second samples.
     """
+    if spike_count < 0:
+        raise InvalidArgument(f"spike_count must be >= 0, got {spike_count}")
+    for name, cadence in (("hist_cadence_ms", hist_cadence_ms), ("ion_cadence_ms", ion_cadence_ms)):
+        if cadence < 1:
+            raise InvalidArgument(f"{name} must be >= 1, got {cadence}")
     every = max(1, ion_cadence_ms // hist_cadence_ms)
 
     flat = constant_series("base-flat", SystemTag.HIST, 0.0, hist_points, hist_cadence_ms)

@@ -13,7 +13,7 @@ from meterfuse import (
     merge_pair,
     percent_change,
 )
-from meterfuse.analysis import DETECTOR_COLUMNS, report_csv, report_to_dict
+from meterfuse.analysis import DETECTOR_COLUMNS, report_csv
 from meterfuse.detectors import AnomalySet
 from meterfuse.errors import UndefinedBaseline
 
@@ -84,13 +84,6 @@ def test_describe_close_to_naive_oracle_on_floats(rng):
     assert (st.min, st.max) == (lo, hi)
 
 
-def test_describe_sample_std_flag():
-    values = np.array([1.0, 2.0, 3.0])
-    pop = describe(values).std
-    samp = describe(values, sample_std=True).std
-    assert samp == pytest.approx(pop * math.sqrt(3 / 2))
-
-
 def test_describe_pools_across_merge(rng):
     ion = mkvalues(rng.normal(0, 1, 30), name="ION-A", system=SystemTag.ION)
     hist = mkvalues(rng.normal(100, 9, 300), name="HIST-B", system=SystemTag.HIST)
@@ -143,29 +136,30 @@ def _sets(ion_n, hist_n, merged_n):
 
 def test_build_report_percent_change_row():
     report = build_report("ION-A", "HIST-B", _sets(0, 94, 832))
-    row = report.by_detector[DetectorKind.ROLLING_AVERAGE]
-    assert (row.ion_count, row.hist_count, row.merged_count) == (0, 94, 832)
-    assert row.percent_change == pytest.approx(785.1, abs=0.5)
-    assert row.ratio_vs_ion is None
-    assert row.missed_by_ion == 94
-    assert row.ratio_vs_hist == 1.0
-    assert not row.merge_loss
+    row = report["detectors"][DetectorKind.ROLLING_AVERAGE.value]
+    assert (row["ion"], row["hist"], row["merged"]) == (0, 94, 832)
+    assert row["percent_change"] == pytest.approx(785.1, abs=0.5)
+    assert row["ratio"]["vs_ion"] is None
+    assert row["ratio"]["missed_by_ion"] == 94
+    assert row["ratio"]["vs_hist"] == 1.0
+    assert row["ratio"]["missed_by_hist"] == 0
+    assert not row["merge_loss"]
 
 
 def test_build_report_flags_merge_loss():
     report = build_report("ION-A", "HIST-B", _sets(0, 6, 4))
-    row = report.by_detector[DetectorKind.LEVEL_SHIFT]
-    assert row.merge_loss
-    assert row.percent_change == pytest.approx(-100 * 2 / 6, abs=1e-9)
+    row = report["detectors"][DetectorKind.LEVEL_SHIFT.value]
+    assert row["merge_loss"]
+    assert row["percent_change"] == pytest.approx(-100 * 2 / 6, abs=1e-9)
 
 
 def test_build_report_all_zero_counts():
     report = build_report("ION-A", "HIST-B", _sets(0, 0, 0))
-    row = report.by_detector[DetectorKind.AR]
-    assert row.percent_change is None
-    assert row.ratio_vs_ion == 1.0
-    assert row.ratio_vs_hist == 1.0
-    assert not row.merge_loss
+    row = report["detectors"][DetectorKind.AR.value]
+    assert row["percent_change"] is None
+    assert row["ratio"]["vs_ion"] == 1.0
+    assert row["ratio"]["vs_hist"] == 1.0
+    assert not row["merge_loss"]
 
 
 def test_build_report_pure_aggregation_is_reproducible():
@@ -174,9 +168,9 @@ def test_build_report_pure_aggregation_is_reproducible():
 
 
 def test_report_serialization_shape():
-    report = build_report("ION-A", "HIST-B", _sets(1, 2, 5))
-    doc = report_to_dict(report)
+    doc = build_report("ION-A", "HIST-B", _sets(1, 2, 5))
     assert set(doc) == {"ion", "hist", "detectors"}
+    assert (doc["ion"], doc["hist"]) == ("ION-A", "HIST-B")
     assert list(doc["detectors"]) == ["rolling_average", "autoregression", "level_shift"]
     for row in doc["detectors"].values():
         assert set(row) == {"ion", "hist", "merged", "percent_change", "ratio", "merge_loss"}
@@ -206,18 +200,16 @@ def test_readme_library_example_renders_partial_report(tmp_path):
     merged = mf.merge_pair(ion, hist)
 
     params = mf.default_params(mf.DetectorKind.ROLLING_AVERAGE)
-    report = mf.build_report(ion.id.name, hist.id.name, {
-        params.kind: (mf.run_detector(params, ion),
-                      mf.run_detector(params, hist),
-                      mf.run_detector(params, merged)),
-    })
+    sets = {params.kind: (mf.run_detector(params, ion),
+                          mf.run_detector(params, hist),
+                          mf.run_detector(params, merged))}
 
-    doc = {**mf.analysis.report_to_dict(report), "rank": best.rank}
+    doc = {**mf.build_report(ion.id.name, hist.id.name, sets), "rank": best.rank}
     assert list(doc["detectors"]) == ["rolling_average"]
-    row = report.by_detector[mf.DetectorKind.ROLLING_AVERAGE]
+    counts = [s.count for s in sets[params.kind]]
     assert mf.analysis.report_csv([doc]).splitlines() == [
         "pair_rank,measurement_name,rolling_average",
-        f"1,{ion.id.name},{row.ion_count}",
-        f"1,{hist.id.name},{row.hist_count}",
-        f"1,{ion.id.name}+{hist.id.name},{row.merged_count}",
+        f"1,{ion.id.name},{counts[0]}",
+        f"1,{hist.id.name},{counts[1]}",
+        f"1,{ion.id.name}+{hist.id.name},{counts[2]}",
     ]

@@ -1,20 +1,30 @@
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from meterfuse import (
     DetectorKind,
+    DetectorParams,
     SamplingKind,
     SamplingRecipe,
     default_params,
+    evaluate,
     fastdtw,
+    inject_gaussian_noise,
+    inject_zero_run,
     load_corpus,
     load_manifest,
+    run_detector,
 )
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_match, cmd_report, main
 from meterfuse.errors import InvalidArgument, IoError
 from meterfuse.sampling import apply_recipe
+from meterfuse.synth import demo_corpus
+
+from conftest import mkvalues
 
 
 @pytest.fixture(scope="module")
@@ -402,6 +412,53 @@ def test_out_of_range_match_argument_is_typed_error(corpus_dir, tmp_path, capsys
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
     assert not (tmp_path / "o").exists()
+
+
+def _scored_with_slack(s, slack):
+    _, label = inject_zero_run(s, int(s.t[10]), 1000)
+    return evaluate(run_detector(default_params(DetectorKind.ROLLING_AVERAGE), s), label, slack)
+
+
+@pytest.mark.parametrize(
+    "command, flags, named, library_call",
+    [
+        ("detect", ["--ar-order", "0"], "autoregression order_p must be >= 1, got 0",
+         lambda s: DetectorParams(DetectorKind.AR, order_p=0)),
+        ("pipeline", ["--ls-window", "0"], "level_shift window_w must be >= 1, got 0",
+         lambda s: DetectorParams(DetectorKind.LEVEL_SHIFT, window_w=0)),
+        ("evaluate", ["--ra-k", "0"], "rolling_average threshold_k must be > 0, got 0.0",
+         lambda s: DetectorParams(DetectorKind.ROLLING_AVERAGE, threshold_k=0.0)),
+        ("inject", ["--duration-ms", "0"], "duration_ms must be > 0, got 0",
+         lambda s: inject_zero_run(s, int(s.t[0]), 0)),
+        ("inject", ["--kind", "gaussian", "--noise-count", "0"],
+         "noise count n must be >= 1, got 0", lambda s: inject_gaussian_noise(s, 0, 1.0, 0)),
+        ("inject", ["--kind", "gaussian", "--sigma", "-1"], "sigma must be >= 0, got -1.0",
+         lambda s: inject_gaussian_noise(s, 1, -1.0, 0)),
+        ("evaluate", ["--slack", "-1"], "slack must be >= 0, got -1",
+         lambda s: _scored_with_slack(s, -1)),
+        ("synth", ["--spikes", "-1"], "spike_count must be >= 0, got -1",
+         lambda s: demo_corpus(spike_count=-1)),
+        ("synth", ["--hist-cadence-ms", "0"], "hist_cadence_ms must be >= 1, got 0",
+         lambda s: demo_corpus(hist_cadence_ms=0)),
+        ("synth", ["--ion-cadence-ms", "0"], "ion_cadence_ms must be >= 1, got 0",
+         lambda s: demo_corpus(ion_cadence_ms=0)),
+    ],
+    ids=["ar-order", "ls-window", "ra-k", "duration-ms", "noise-count", "sigma", "slack",
+         "spikes", "hist-cadence-ms", "ion-cadence-ms"],
+)
+def test_out_of_range_argument_is_typed_error(
+    corpus_dir, tmp_path, capsys, command, flags, named, library_call
+):
+    argv = [command, "--out", str(tmp_path / "o"), *flags]
+    if command != "synth":
+        argv += ["--manifest", _manifest(corpus_dir)]
+    if command in ("detect", "inject", "evaluate"):
+        argv += ["--series", "HIST-44-S"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "o").exists()
+    with pytest.raises(InvalidArgument, match=re.escape(named)):
+        library_call(mkvalues(np.zeros(100), name="HIST-44-S"))
 
 
 def test_failure_removes_partial_outputs(corpus_dir, tmp_path):

@@ -12,12 +12,11 @@ from meterfuse import (
     SamplingRecipe,
     SystemTag,
     WarpPath,
-    coarsen,
     dtw_exact,
-    expand_window,
     fastdtw,
     match_all,
 )
+from meterfuse.dtw import _halve, _projected_band
 from meterfuse.errors import EmptyInput, EmptyPartition, NonFiniteValue, TooShort
 
 import reference_fastdtw
@@ -121,51 +120,53 @@ def test_exact_symmetry_integer_values(rng):
         assert dtw_exact(a, b).distance == dtw_exact(b, a).distance
 
 
+# FastDTW's coarsening step is `_halve`; its window is the band `_projected_band` returns.
 def test_coarsen_pairwise_means():
-    assert coarsen([0, 2, 4, 6]) == [1, 5]
+    assert _halve(np.array([0.0, 2, 4, 6])).tolist() == [1, 5]
 
 
 def test_coarsen_odd_trailing_element():
-    assert coarsen([1, 1, 1, 1, 1]) == [1, 1, 1]
+    assert _halve(np.ones(5)).tolist() == [1, 1, 1]
 
 
 def test_coarsen_single_pair():
-    assert coarsen([0, 10]) == [5]
+    assert _halve(np.array([0.0, 10])).tolist() == [5]
 
 
 def test_coarsen_too_short():
     with pytest.raises(TooShort):
-        coarsen([1.0])
+        _halve(np.array([1.0]))
 
 
 def test_expand_window_block():
-    cells = expand_window(WarpPath(((0, 0),)), 2, 2, 0)
-    assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert _projected_band(WarpPath(((0, 0),)), 2, 2, 0) == ([0, 0], [1, 1])
 
 
 def test_expand_window_dilation_clipped():
-    cells = expand_window(WarpPath(((0, 0),)), 2, 2, 1)
-    assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert _projected_band(WarpPath(((0, 0),)), 2, 2, 1) == ([0, 0], [1, 1])
 
 
 def test_expand_window_saturates_to_full_lattice():
     n = 6
     diag = WarpPath(tuple((i, i) for i in range(n // 2)))
-    cells = expand_window(diag, n, n, n)
-    assert cells == {(i, j) for i in range(n) for j in range(n)}
+    assert _projected_band(diag, n, n, n) == ([0] * n, [n - 1] * n)
 
 
 def test_expand_window_contiguous_per_row(rng):
-    a = rng.normal(size=40).tolist()
-    b = rng.normal(size=40).tolist()
-    coarse = dtw_exact(coarsen(a), coarsen(b))
+    # the reference's cell set holds, in each row, exactly the columns lo..hi
+    a = rng.normal(size=40)
+    b = rng.normal(size=40)
+    coarse = dtw_exact(_halve(a), _halve(b))
     for radius in (0, 1, 3):
-        cells = expand_window(coarse.path, 40, 40, radius)
+        cells = reference_fastdtw.expand_window(coarse.path.pairs, 40, 40, radius)
         rows = {}
         for i, j in cells:
             rows.setdefault(i, set()).add(j)
-        for js in rows.values():
-            assert js == set(range(min(js), max(js) + 1))
+        lo, hi = _projected_band(coarse.path, 40, 40, radius)
+        assert sorted(rows) == list(range(40))
+        assert [min(rows[i]) for i in range(40)] == lo
+        assert [max(rows[i]) for i in range(40)] == hi
+        assert all(rows[i] == set(range(lo[i], hi[i] + 1)) for i in range(40))
 
 
 def test_fastdtw_identity_any_radius(rng):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meterfuse import SystemTag, describe, merge_pair, split, validate_series
-from meterfuse.merge import FROM_HIST, FROM_ION, merged_to_csv
+from meterfuse.merge import FROM_HIST, FROM_ION
 
 from conftest import mkseries
 
@@ -80,12 +80,3 @@ def test_merged_stats_pool_the_inputs(rng):
     assert math.isclose(got.std, math.sqrt(pooled_var), rel_tol=1e-9)
     assert got.min == min(a.min, b.min)
     assert got.max == max(a.max, b.max)
-
-
-def test_merged_csv_has_origin_column():
-    m = merge_pair(ion_series([(1, 0.5)]), hist_series([(2, 1.5)]))
-    text = merged_to_csv(m)
-    lines = text.strip().split("\n")
-    assert lines[0] == "timestamp,value,origin"
-    assert lines[1].endswith(",ION")
-    assert lines[2].endswith(",HIST")
