@@ -208,13 +208,20 @@ def detect_rolling_average(s: SeriesLike, w: int = 10, k: float = 3.0, use_std: 
 
 
 def run_detector(params: DetectorParams, s: SeriesLike) -> AnomalySet:
-    """Dispatch to the detector named in params; params are recorded as given."""
-    if params.kind is DetectorKind.AR:
-        result = detect_autoregression(s, params.order_p, params.threshold_k, params.use_std)
-    elif params.kind is DetectorKind.LEVEL_SHIFT:
-        result = detect_level_shift(s, params.window_w, params.threshold_k, params.use_std)
-    else:
-        result = detect_rolling_average(s, params.window_w, params.threshold_k, params.use_std)
+    """Dispatch to the detector named in params; params are recorded as given.
+
+    TooShort names the series as its ``entry``.
+    """
+    try:
+        if params.kind is DetectorKind.AR:
+            result = detect_autoregression(s, params.order_p, params.threshold_k, params.use_std)
+        elif params.kind is DetectorKind.LEVEL_SHIFT:
+            result = detect_level_shift(s, params.window_w, params.threshold_k, params.use_std)
+        else:
+            result = detect_rolling_average(s, params.window_w, params.threshold_k, params.use_std)
+    except TooShort as err:
+        err.entry = _values_and_name(s)[1] or None
+        raise
     return AnomalySet(result.series_name, params, result.flagged, result.scores)
 
 

@@ -20,11 +20,20 @@ Rows run over the shorter input, so per-row overhead stays small; the
 transposed lattice holds the same values, and swapping the tie order of
 the row and column steps with it keeps the same path.
 
-Costs are pointwise |a-b| for L1 and (a-b)^2 for L2, computed one row at
-a time with numpy; an L2 distance is the square root of the accumulated
-total, matching the usual Euclidean convention.  Inputs of unequal length
-are accepted as is, without resampling; NaN or infinite values are
-rejected, since no warped distance over them is meaningful.
+`match_all` ranks pairs by distance alone, so it builds no path at the
+finest level.  It groups the pairs whose lattice is solved exactly by
+shape, and sweeps each group that holds enough cells per anti-diagonal
+with one batched wavefront: three diagonals live, vectorised over the
+pairs.  Every other pair runs the banded program without the final
+backtrack.  Each cell is still the minimum of the same three neighbours
+plus the same cost, so the distances and cell counts equal `fastdtw`'s
+bit for bit.
+
+Costs are pointwise |a-b| for L1 and (a-b)^2 for L2, computed one row (or
+diagonal) at a time with numpy; an L2 distance is the square root of the
+accumulated total, matching the usual Euclidean convention.  Inputs of
+unequal length are accepted as is, without resampling; NaN or infinite
+values are rejected, since no warped distance over them is meaningful.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate
-from typing import Sequence
+from itertools import accumulate, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +51,10 @@ from .model import MeasurementId, TimeSeries
 from .sampling import SamplingRecipe, apply_recipe
 
 _BASE_CASE_MIN = 16
+# Mean cells per anti-diagonal from which one batched wavefront beats a
+# `_banded` call per pair: a diagonal costs a few numpy calls, about as
+# long as 100-odd cells of the row loop (2 vCPUs, numpy 2.4).
+_WAVEFRONT_MIN_WIDTH = 128
 _INF = float("inf")
 
 
@@ -111,9 +124,9 @@ def _values(a: Sequence[float]) -> np.ndarray:
 
 
 def _banded(
-    a: np.ndarray, b: np.ndarray, lo: list[int], hi: list[int], metric: Metric, flip: bool
-) -> DtwResult:
-    """One DP plus one backtrack over row ``i``'s columns ``lo[i]..hi[i]``.
+    a: np.ndarray, b: np.ndarray, lo: list[int], hi: list[int], metric: Metric
+) -> Iterator[list[float]]:
+    """The accumulated-cost rows over row ``i``'s columns ``lo[i]..hi[i]``, one at a time.
 
     The band starts at (0, 0) and ends at (len_a-1, len_b-1); ``lo`` and
     ``hi`` are non-decreasing and leave no gap between rows
@@ -121,18 +134,19 @@ def _banded(
     row splits into three runs that need no range test: cells with a
     neighbour above, the one cell just past the row above, and a tail
     reached only from the left.  Cells outside the band read as infinite.
-    ``flip`` marks a transposed lattice and swaps the tie order of the row
-    and column steps to match.
+    Only the row above is held, so a caller that needs only the total
+    keeps two rows live.
     """
     l1 = metric is Metric.L1
-    rows: list[list[float]] = []
+    prev: list[float] = []
     for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
         d = a[i] - b[lo_i : hi_i + 1]
         cost = (np.abs(d) if l1 else d * d).tolist()
-        if not rows:
-            rows.append(list(accumulate(cost)))
+        if not i:
+            prev = list(accumulate(cost))
+            yield prev
             continue
-        prev, prev_lo, prev_hi = rows[-1], lo[i - 1], hi[i - 1]
+        prev_lo, prev_hi = lo[i - 1], hi[i - 1]
         row: list[float] = []
         n = prev_hi - lo_i + 1  # cells with a neighbour above
         if n:
@@ -151,10 +165,17 @@ def _banded(
             if n and left < best:
                 best = left
             row.extend(accumulate(cost[n + 1 :], initial=best + cost[n]))
-        rows.append(row)
+        prev = row
+        yield row
 
-    # Ties resolved diagonal first, then the row step, then the column step.
-    i, j = len(rows) - 1, len(b) - 1
+
+def _backtrack(rows: list[list[float]], lo: list[int], len_b: int, flip: bool) -> WarpPath:
+    """The path through `_banded`'s rows, ties resolved diagonal first, then the row step.
+
+    ``flip`` marks a transposed lattice and swaps the tie order of the row
+    and column steps to match.
+    """
+    i, j = len(rows) - 1, len_b - 1
     rev = [(i, j)]
     while i and j:
         row, prev, k = rows[i], rows[i - 1], j - lo[i - 1]
@@ -170,10 +191,52 @@ def _banded(
         rev.append((i, j))
     rev += [(0, jj) for jj in range(j - 1, -1, -1)] + [(ii, 0) for ii in range(i - 1, -1, -1)]
     rev.reverse()
+    return WarpPath(tuple(rev))
 
-    total = rows[-1][-1]
-    distance = float(total) if l1 else float(np.sqrt(total))
-    return DtwResult(distance, WarpPath(tuple(rev)), metric, sum(map(len, rows)))
+
+def _wavefront(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
+    """Exact accumulated totals for every row of ``a`` against every row of ``b``.
+
+    ``a`` is (n, la) and ``b`` is (m, lb) with la <= lb; the result is
+    (n, m).  The lattices are swept one anti-diagonal at a time, all
+    n * m of them at once: diagonal ``d`` holds the cells (i, d - i) at
+    position i + 1 of an (n, m, la + 1) array whose position 0 is an
+    infinite sentinel, and only the last three diagonals are live.  Each
+    cell is the minimum of the same three neighbours plus the same cost
+    as in `_banded`, and ``min`` is exact, so the totals are the same
+    floats.  Positions past a diagonal's last row are never written and
+    stay infinite; the diagonal's own cells never read a neighbour past
+    column lb - 1, so stale values below its first row go unread.
+    """
+    n, la = a.shape
+    m, lb = b.shape
+    l1 = metric is Metric.L1
+    b_rev = b[:, ::-1]  # column lb-1-j, so each diagonal's columns are one ascending slice
+    d2, d1, d0 = (np.full((n, m, la + 1), _INF) for _ in range(3))
+    cost = np.empty((n, m, la))
+    for d in range(la + lb - 1):
+        i0, i1 = max(0, d - lb + 1), min(d, la - 1) + 1
+        c = cost[:, :, : i1 - i0]
+        # (n, 1, k) against (1, m, k): b is not tiled per pair
+        np.subtract(a[:, None, i0:i1], b_rev[None, :, lb - 1 - d + i0 : lb - d + i1 - 1], out=c)
+        if l1:
+            np.abs(c, out=c)
+        else:
+            np.multiply(c, c, out=c)
+        cell = d0[:, :, i0 + 1 : i1 + 1]
+        if d:
+            np.minimum(d2[:, :, i0:i1], d1[:, :, i0:i1], out=cell)  # diagonal, up
+            np.minimum(cell, d1[:, :, i0 + 1 : i1 + 1], out=cell)  # left
+            np.add(cell, c, out=cell)
+        else:
+            cell[...] = c  # the origin has no predecessor
+        d2, d1, d0 = d1, d0, d2
+    return d1[:, :, la]
+
+
+def _distance(total: float | np.ndarray, metric: Metric) -> float | np.ndarray:
+    """The warped distance of an accumulated total: the square root for L2."""
+    return total if metric is Metric.L1 else np.sqrt(total)
 
 
 def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.L2) -> DtwResult:
@@ -231,10 +294,19 @@ def fastdtw(
     return _warp(av, bv, radius, metric)
 
 
-def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) -> DtwResult:
-    """FastDTW, or the exact distance when ``radius`` is None, rows over the shorter input."""
+def _check_radius(radius: int | None) -> None:
     if radius is not None and radius < 0:
         raise InvalidArgument(f"radius must be >= 0, got {radius}")
+
+
+def _is_exact(la: int, lb: int, radius: int | None) -> bool:
+    """Whether FastDTW solves an ``la`` x ``lb`` lattice exactly, with no coarser level."""
+    return radius is None or min(la, lb) <= max(radius + 2, _BASE_CASE_MIN)
+
+
+def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) -> DtwResult:
+    """FastDTW, or the exact distance when ``radius`` is None, rows over the shorter input."""
+    _check_radius(radius)
     flip = len(av) > len(bv)
     if not flip:
         return _fastdtw(av, bv, radius, metric, flip)
@@ -242,16 +314,40 @@ def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) ->
     return replace(r, path=WarpPath(tuple((i, j) for j, i in r.path.pairs)))
 
 
+def _band(
+    av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric, flip: bool
+) -> tuple[list[int], list[int], int]:
+    """Row bounds of the finest level's band, and the cells of it and every coarser level."""
+    la, lb = len(av), len(bv)
+    if _is_exact(la, lb, radius):
+        lo, hi, cells = [0] * la, [lb - 1] * la, 0
+    else:
+        coarse = _fastdtw(_halve(av), _halve(bv), radius, metric, flip)
+        lo, hi = _projected_band(coarse.path, la, lb, radius)
+        cells = coarse.cells_evaluated
+    return lo, hi, cells + sum(hi) - sum(lo) + la
+
+
 def _fastdtw(
     av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric, flip: bool
 ) -> DtwResult:
-    la, lb = len(av), len(bv)
-    if radius is None or min(la, lb) <= max(radius + 2, _BASE_CASE_MIN):
-        return _banded(av, bv, [0] * la, [lb - 1] * la, metric, flip)
-    coarse = _fastdtw(_halve(av), _halve(bv), radius, metric, flip)
-    lo, hi = _projected_band(coarse.path, la, lb, radius)
-    fine = _banded(av, bv, lo, hi, metric, flip)
-    return replace(fine, cells_evaluated=coarse.cells_evaluated + fine.cells_evaluated)
+    lo, hi, cells = _band(av, bv, radius, metric, flip)
+    rows = list(_banded(av, bv, lo, hi, metric))
+    path = _backtrack(rows, lo, len(bv), flip)
+    return DtwResult(float(_distance(rows[-1][-1], metric)), path, metric, cells)
+
+
+def _warp_distance(
+    av: np.ndarray, bv: np.ndarray, radius: int, metric: Metric
+) -> tuple[float, int]:
+    """`_warp`'s distance and cells, without the finest level's backtrack."""
+    flip = len(av) > len(bv)
+    if flip:
+        av, bv = bv, av
+    lo, hi, cells = _band(av, bv, radius, metric, flip)
+    for row in _banded(av, bv, lo, hi, metric):
+        pass
+    return float(_distance(row[-1], metric)), cells
 
 
 def z_normalize(values: np.ndarray) -> np.ndarray:
@@ -274,11 +370,16 @@ def match_all(
 ) -> MatchRun:
     """Rank every cross-system pair by warped distance, ascending.
 
-    Series are sampled per the recipe before comparison; the sampling is
-    done up front so the recorded wall time covers the distance loop
-    only.  Ties in distance break lexicographically on (ion name, hist
-    name), making the ranking deterministic regardless of evaluation
-    order.
+    Series are sampled per the recipe, and every pair is checked, before
+    the recorded wall time starts, so it covers the distance loop only.
+    The ranking reads no path, so none is built at the finest level.
+    Pairs whose lattice FastDTW solves exactly are grouped by shape (ION
+    length, HIST length), and each group with enough cells per
+    anti-diagonal (`_WAVEFRONT_MIN_WIDTH`) is swept at once by
+    `_wavefront`; every other pair runs `_warp_distance`.  Distances and
+    ``cells_evaluated`` equal `fastdtw`'s bit for bit.  Ties in distance
+    break lexicographically on (ion name, hist name), making the ranking
+    deterministic regardless of evaluation order.
     """
     if not ion or not hist:
         raise EmptyPartition("both corpus partitions must contain at least one series")
@@ -293,22 +394,49 @@ def match_all(
 
     ion_sorted = sorted(ion, key=lambda s: s.id.name)
     hist_sorted = sorted(hist, key=lambda s: s.id.name)
-    ion_vals = [(s.id, prep(s)) for s in ion_sorted]
-    hist_vals = [(s.id, prep(s)) for s in hist_sorted]
+    ion_vals = [prep(s) for s in ion_sorted]
+    hist_vals = [prep(s) for s in hist_sorted]
+    for ion_s, a in zip(ion_sorted, ion_vals):
+        for hist_s, b in zip(hist_sorted, hist_vals):
+            # in the order, and with the checks, of one solver call per pair
+            if len(a) == 0 or len(b) == 0:
+                raise EmptyInput(f"sampled series is empty for pair ({ion_s.id}, {hist_s.id})")
+            _check_radius(radius)
 
     start = time.perf_counter()
-    scored = []
-    for ion_id, a in ion_vals:
-        for hist_id, b in hist_vals:
-            if len(a) == 0 or len(b) == 0:
-                raise EmptyInput(f"sampled series is empty for pair ({ion_id}, {hist_id})")
-            result = _warp(a, b, radius, metric)
-            scored.append((result.distance, ion_id, hist_id, result.cells_evaluated))
+    dist = np.empty((len(ion_vals), len(hist_vals)))
+    cells = np.empty(dist.shape, dtype=np.int64)
+    for la, rows in _by_length(ion_vals).items():
+        for lb, cols in _by_length(hist_vals).items():
+            if _is_exact(la, lb, radius) and (
+                len(rows) * len(cols) * la * lb >= _WAVEFRONT_MIN_WIDTH * (la + lb - 1)
+            ):
+                a = np.stack([ion_vals[i] for i in rows])
+                b = np.stack([hist_vals[j] for j in cols])
+                totals = _wavefront(a, b, metric) if la <= lb else _wavefront(b, a, metric).T
+                dist[np.ix_(rows, cols)] = _distance(totals, metric)
+                cells[np.ix_(rows, cols)] = la * lb
+                continue
+            for i, j in product(rows, cols):
+                dist[i, j], cells[i, j] = _warp_distance(ion_vals[i], hist_vals[j], radius, metric)
     elapsed = time.perf_counter() - start
 
+    scored = [
+        (d, ion_s.id, hist_s.id, c)
+        for ion_s, d_row, c_row in zip(ion_sorted, dist.tolist(), cells.tolist())
+        for hist_s, d, c in zip(hist_sorted, d_row, c_row)
+    ]
     scored.sort(key=lambda r: (r[0], r[1].name, r[2].name))
     results = tuple(
-        MatchResult(ion_id, hist_id, dist, rank, cells)
-        for rank, (dist, ion_id, hist_id, cells) in enumerate(scored, start=1)
+        MatchResult(ion_id, hist_id, d, rank, c)
+        for rank, (d, ion_id, hist_id, c) in enumerate(scored, start=1)
     )
     return MatchRun(results, elapsed)
+
+
+def _by_length(values: list[np.ndarray]) -> dict[int, list[int]]:
+    """Indices of ``values`` grouped by length, in order."""
+    groups: dict[int, list[int]] = {}
+    for k, v in enumerate(values):
+        groups.setdefault(len(v), []).append(k)
+    return groups

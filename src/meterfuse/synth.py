@@ -97,8 +97,12 @@ def demo_corpus(
     behind HIST-44-S; HIST-23-S is an unrelated random walk.  The
     default size is one day of 5-second samples.
     """
+    if hist_points < 1:
+        raise InvalidArgument(f"hist_points must be >= 1, got {hist_points}")
     if spike_count < 0:
         raise InvalidArgument(f"spike_count must be >= 0, got {spike_count}")
+    if not np.isfinite(spike_magnitude):
+        raise InvalidArgument(f"spike_magnitude must be finite, got {spike_magnitude}")
     for name, cadence in (("hist_cadence_ms", hist_cadence_ms), ("ion_cadence_ms", ion_cadence_ms)):
         if cadence < 1:
             raise InvalidArgument(f"{name} must be >= 1, got {cadence}")

@@ -442,9 +442,18 @@ def _scored_with_slack(s, slack):
          lambda s: demo_corpus(hist_cadence_ms=0)),
         ("synth", ["--ion-cadence-ms", "0"], "ion_cadence_ms must be >= 1, got 0",
          lambda s: demo_corpus(ion_cadence_ms=0)),
+        ("synth", ["--hist-points", "0"], "hist_points must be >= 1, got 0",
+         lambda s: demo_corpus(hist_points=0)),
+        ("synth", ["--hist-points", "-1"], "hist_points must be >= 1, got -1",
+         lambda s: demo_corpus(hist_points=-1)),
+        ("synth", ["--spike-magnitude", "nan"], "spike_magnitude must be finite, got nan",
+         lambda s: demo_corpus(spike_magnitude=float("nan"))),
+        ("synth", ["--spike-magnitude", "inf"], "spike_magnitude must be finite, got inf",
+         lambda s: demo_corpus(spike_magnitude=float("inf"))),
     ],
     ids=["ar-order", "ls-window", "ra-k", "duration-ms", "noise-count", "sigma", "slack",
-         "spikes", "hist-cadence-ms", "ion-cadence-ms"],
+         "spikes", "hist-cadence-ms", "ion-cadence-ms", "hist-points-0", "hist-points-neg",
+         "spike-magnitude-nan", "spike-magnitude-inf"],
 )
 def test_out_of_range_argument_is_typed_error(
     corpus_dir, tmp_path, capsys, command, flags, named, library_call
@@ -459,6 +468,26 @@ def test_out_of_range_argument_is_typed_error(
     assert not (tmp_path / "o").exists()
     with pytest.raises(InvalidArgument, match=re.escape(named)):
         library_call(mkvalues(np.zeros(100), name="HIST-44-S"))
+
+
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["pipeline"], "ION-4-3472"),
+        (["detect", "--series", "HIST-44-S"], "HIST-44-S"),
+        (["evaluate", "--series", "HIST-44-S", "--duration-ms", "7000"], "HIST-44-S"),
+    ],
+    ids=["pipeline", "detect", "evaluate"],
+)
+def test_too_short_series_is_named(tmp_path, capsys, argv, entry):
+    # 10 HIST points, and one hourly ION point: too short for the default windows
+    assert main(["synth", "--out", str(tmp_path / "c"), "--hist-points", "10"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main([*argv, "--manifest", str(tmp_path / "c" / "manifest.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: [a-zA-Z() 0-9]+ needs .* samples, got \d+ \(entry {entry}\)\n", err)
+    assert not out.exists()
 
 
 def test_failure_removes_partial_outputs(corpus_dir, tmp_path):

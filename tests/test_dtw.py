@@ -1,5 +1,6 @@
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from meterfuse import (
     fastdtw,
     match_all,
 )
-from meterfuse.dtw import _halve, _projected_band
+from meterfuse import dtw
+from meterfuse.dtw import _halve, _projected_band, z_normalize
 from meterfuse.errors import EmptyInput, EmptyPartition, NonFiniteValue, TooShort
 
 import reference_fastdtw
@@ -380,3 +382,62 @@ def test_match_all_z_normalize_aligns_scaled_series(rng):
     run_norm = match_all([ion], [hist_scaled, hist_flat], STEP1, normalize=True)
     assert run_raw.results[0].hist_id.name == "HIST-F"
     assert run_norm.results[0].hist_id.name == "HIST-S"
+
+
+def per_pair_ranking(ions, hists, radius, metric, normalize):
+    """The ranking as a `fastdtw` call per pair: (ion, hist, distance, rank, cells) tuples."""
+    scored = []
+    for ion in sorted(ions, key=lambda s: s.id.name):
+        for hist in sorted(hists, key=lambda s: s.id.name):
+            a, b = (z_normalize(s.v) if normalize else s.v for s in (ion, hist))
+            r = fastdtw(a, b, radius, metric)
+            scored.append((r.distance, ion.id.name, hist.id.name, r.cells_evaluated))
+    scored.sort(key=lambda r: r[:3])
+    return [(i, h, d, rank, c) for rank, (d, i, h, c) in enumerate(scored, start=1)]
+
+
+# Lengths on both sides of the base case (16, or radius + 2), lopsided ones
+# included; a few seeds per call, so identical series give exact ties.
+_lengths = st.lists(st.sampled_from([1, 2, 3, 7, 16, 17, 18, 24, 33, 60, 300]), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("min_width", [0, dtw._WAVEFRONT_MIN_WIDTH], ids=["all-wavefront", "default"])
+@settings(max_examples=40, deadline=None)
+@given(
+    _lengths,
+    _lengths,
+    st.sampled_from([0, 1, 2, 14, 15, 16, 40]),
+    st.sampled_from(list(Metric)),
+    st.booleans(),
+    st.sampled_from(["walk", "ties", "flat"]),
+    st.lists(st.integers(0, 2), min_size=8, max_size=8),
+)
+def test_match_all_matches_per_pair_fastdtw(
+    min_width, ion_lens, hist_lens, radius, metric, normalize, kind, seeds
+):
+    ions = [
+        mkvalues(_series(kind, n, seeds[k]), name=f"ION-{k}", system=SystemTag.ION)
+        for k, n in enumerate(ion_lens)
+    ]
+    hists = [
+        mkvalues(_series(kind, n, seeds[4 + k]), name=f"HIST-{k}", system=SystemTag.HIST)
+        for k, n in enumerate(hist_lens)
+    ]
+    with mock.patch.object(dtw, "_WAVEFRONT_MIN_WIDTH", min_width):
+        run = match_all(ions, hists, STEP1, radius, metric, normalize)
+    got = [(r.ion_id.name, r.hist_id.name, r.distance, r.rank, r.cells_evaluated) for r in run.results]
+    assert got == per_pair_ranking(ions, hists, radius, metric, normalize)
+
+
+def test_match_all_batches_many_pairs_of_one_shape(rng):
+    # 6 x 8 pairs of 24 x 400 clear the default width, so this is the wavefront
+    ions = [mkvalues(np.cumsum(rng.normal(size=24)), name=f"ION-{k}", system=SystemTag.ION)
+            for k in range(6)]
+    hists = [mkvalues(np.cumsum(rng.normal(size=400)), name=f"HIST-{k}", system=SystemTag.HIST)
+             for k in range(8)]
+    assert 48 * 24 * 400 >= dtw._WAVEFRONT_MIN_WIDTH * (24 + 400 - 1)
+    for metric in Metric:
+        run = match_all(ions, hists, STEP1, radius=24, metric=metric)
+        got = [(r.ion_id.name, r.hist_id.name, r.distance, r.rank, r.cells_evaluated)
+               for r in run.results]
+        assert got == per_pair_ranking(ions, hists, 24, metric, False)
