@@ -146,13 +146,15 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     if n <= p:
         raise TooShort(f"AR({p}) needs more than {p} samples, got {n}")
     rows = n - p
-    design = np.empty((rows, p + 1))
+    # Ridge via the augmented system: argmin |Xc - y|^2 + 1e-8 |c|^2,
+    # with the design X the top rows of the one augmented matrix.
+    aug = np.empty((rows + p + 1, p + 1))
+    design = aug[:rows]
     design[:, 0] = 1.0
     for lag in range(1, p + 1):
         design[:, lag] = y[p - lag : n - lag]
+    aug[rows:] = np.sqrt(_RIDGE) * np.eye(p + 1)
     target = y[p:]
-    # Ridge via the augmented system: argmin |Xc - y|^2 + 1e-8 |c|^2.
-    aug = np.vstack([design, np.sqrt(_RIDGE) * np.eye(p + 1)])
     rhs = np.concatenate([target, np.zeros(p + 1)])
     coef, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
     return target - design @ coef

@@ -77,6 +77,10 @@ class EmptyInput(MeterFuseError):
     """A distance computation received an empty value sequence."""
 
 
+class CostOverflow(MeterFuseError):
+    """A warped distance whose accumulated cost is too large for float64."""
+
+
 class TooShort(MeterFuseError):
     """Series shorter than the detector or transform requires."""
 

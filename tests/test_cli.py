@@ -470,6 +470,19 @@ def test_out_of_range_argument_is_typed_error(
         library_call(mkvalues(np.zeros(100), name="HIST-44-S"))
 
 
+def test_overflowing_warped_cost_is_typed_error(tmp_path, capsys):
+    # finite spikes whose squared difference from the ION level overflows float64
+    assert main(["synth", "--out", str(tmp_path / "c"), "--spike-magnitude", "1e200"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "o"
+    argv = ["match", "--manifest", str(tmp_path / "c" / "manifest.json"),
+            "--hist-step", "1", "--ion-step", "1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: warped cost overflows float64 for pair (ION-4-3472, HIST-40-S)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, entry",
     [

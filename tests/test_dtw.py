@@ -12,14 +12,13 @@ from meterfuse import (
     SamplingKind,
     SamplingRecipe,
     SystemTag,
-    WarpPath,
     dtw_exact,
     fastdtw,
     match_all,
 )
 from meterfuse import dtw
 from meterfuse.dtw import _halve, _projected_band, z_normalize
-from meterfuse.errors import EmptyInput, EmptyPartition, NonFiniteValue, TooShort
+from meterfuse.errors import CostOverflow, EmptyInput, EmptyPartition, NonFiniteValue, TooShort
 
 import reference_fastdtw
 from conftest import mkvalues
@@ -140,18 +139,27 @@ def test_coarsen_too_short():
         _halve(np.array([1.0]))
 
 
+def spans_of(pairs):
+    """Each row's first and last column along a path."""
+    first, last = {}, {}
+    for i, j in pairs:
+        first.setdefault(i, j)
+        last[i] = j
+    return [first[i] for i in sorted(first)], [last[i] for i in sorted(last)]
+
+
 def test_expand_window_block():
-    assert _projected_band(WarpPath(((0, 0),)), 2, 2, 0) == ([0, 0], [1, 1])
+    assert _projected_band([0], [0], 2, 2, 0) == ([0, 0], [1, 1])
 
 
 def test_expand_window_dilation_clipped():
-    assert _projected_band(WarpPath(((0, 0),)), 2, 2, 1) == ([0, 0], [1, 1])
+    assert _projected_band([0], [0], 2, 2, 1) == ([0, 0], [1, 1])
 
 
 def test_expand_window_saturates_to_full_lattice():
     n = 6
-    diag = WarpPath(tuple((i, i) for i in range(n // 2)))
-    assert _projected_band(diag, n, n, n) == ([0] * n, [n - 1] * n)
+    diag = list(range(n // 2))
+    assert _projected_band(diag, diag, n, n, n) == ([0] * n, [n - 1] * n)
 
 
 def test_expand_window_contiguous_per_row(rng):
@@ -164,7 +172,7 @@ def test_expand_window_contiguous_per_row(rng):
         rows = {}
         for i, j in cells:
             rows.setdefault(i, set()).add(j)
-        lo, hi = _projected_band(coarse.path, 40, 40, radius)
+        lo, hi = _projected_band(*spans_of(coarse.path.pairs), 40, 40, radius)
         assert sorted(rows) == list(range(40))
         assert [min(rows[i]) for i in range(40)] == lo
         assert [max(rows[i]) for i in range(40)] == hi
@@ -257,12 +265,48 @@ def test_non_finite_input_rejected(solve, side, bad):
     assert exc.value.index == 2
 
 
+@pytest.mark.parametrize("metric, a, b", [
+    (Metric.L2, [0.0, 1.0, 2e200], [0.0, 1.0, 2.0]),  # one squared difference overflows
+    (Metric.L1, [1e308, 1e308], [-1e308, -1e308]),  # one absolute difference overflows
+    (Metric.L1, [1e308, 1e308], [0.0, 0.0]),  # finite costs, an overflowing sum
+], ids=["l2-cost", "l1-cost", "l1-sum"])
+@pytest.mark.parametrize("solve", [dtw_exact, fastdtw])
+def test_overflowing_warped_cost_is_typed_error(solve, metric, a, b):
+    for x, y in ((a, b), (b, a), (a * 20, b * 30)):
+        with pytest.raises(CostOverflow, match="warped cost overflows float64"):
+            solve(x, y, metric=metric)
+
+
+def test_overflow_off_the_path_is_no_error():
+    # the off-diagonal cells overflow, the diagonal path costs nothing
+    for solve in (dtw_exact, fastdtw):
+        r = solve([0.0, 1e200] * 20, [0.0, 1e200] * 20)
+        assert r.distance == 0
+        assert r.path.pairs == tuple((i, i) for i in range(40))
+
+
+def test_match_all_names_the_first_overflowing_pair():
+    ions = [mkvalues([0.0, 1.0, 2.0] * k, name=f"ION-{k}", system=SystemTag.ION) for k in (1, 9)]
+    hists = [
+        mkvalues([0.0, 1.0, 2.0] * 10, name="HIST-A", system=SystemTag.HIST),
+        mkvalues([0.0, 1e200, 2.0] * 10, name="HIST-B", system=SystemTag.HIST),
+    ]
+    for radius in (1, 40):  # per pair, and the exact wavefront of each shape
+        with mock.patch.object(dtw, "_WAVEFRONT_MIN_WIDTH", 0 if radius == 40 else 128):
+            with pytest.raises(CostOverflow, match=r"for pair \(ION-1, HIST-B\)$"):
+                match_all(ions, hists, STEP1, radius)
+
+
 def _series(kind: str, n: int, seed: int) -> list[float]:
     rng = np.random.default_rng(seed)
     if kind == "walk":
         return np.cumsum(rng.normal(size=n)).tolist()
     if kind == "ties":
         return rng.integers(-2, 3, n).astype(float).tolist()
+    if kind == "noise":
+        return rng.normal(size=n).tolist()
+    if kind == "steps":  # an integer walk: exact ties between the up and left neighbours
+        return np.cumsum(rng.integers(-1, 2, n)).astype(float).tolist()
     return [0.0] * n
 
 
@@ -287,6 +331,73 @@ def test_banded_kernel_matches_cell_set_reference(shape, radius, kind, seed):
         assert (got.distance, got.path.pairs, got.cells_evaluated) == (
             reference_fastdtw.dtw_exact(a, b, "l1")
         )
+
+
+def assert_reference(a, b, radius, metric):
+    """fastdtw equals the cell-set reference, and the finest level's spans equal its path's."""
+    got = fastdtw(a, b, radius, metric)
+    want = reference_fastdtw.fastdtw(a, b, radius, metric.value)
+    assert (got.distance, got.path.pairs, got.cells_evaluated) == want
+    flip = len(a) > len(b)
+    x, y = (np.asarray(b), np.asarray(a)) if flip else (np.asarray(a), np.asarray(b))
+    rows, lo, _ = dtw._rows(x, y, radius, metric, flip)
+    pairs = [(j, i) for i, j in want[1]] if flip else want[1]
+    assert dtw._spans(rows, lo, len(y), flip) == spans_of(pairs)
+    return rows
+
+
+# Rows of 12 x 4,000 (solved exactly) and of 48 x 6,000 and 48 x 2,000 (at
+# radius 10) are wider than _SCAN_MIN_WIDTH, so `_scan` fills them and
+# `_skip_columns` walks them; the metric alternates to bound the run time.
+@pytest.mark.parametrize("shape", [(12, 4000), (4000, 12), (48, 6000), (6000, 48)],
+                         ids=["12x4000", "4000x12", "48x6000", "6000x48"])
+@pytest.mark.parametrize("kind", ["walk", "noise", "ties", "flat"])
+def test_wide_rows_match_cell_set_reference(shape, kind):
+    scanned = []
+    for radius, metric in ((0, Metric.L1), (1, Metric.L2), (10, Metric.L1), (10, Metric.L2)):
+        la, lb = shape if radius < 10 else (min(shape[0], 2000), min(shape[1], 2000))
+        if (radius, metric) == (10, Metric.L2) and kind in ("ties", "flat"):
+            continue
+        a, b = _series(kind, la, 1), _series(kind, lb, 2)
+        rows = assert_reference(a, b, radius, metric)
+        scanned += [isinstance(row, np.ndarray) for row in rows]
+    assert any(scanned)
+
+
+def test_scan_gives_up_partway_through_a_row(rng):
+    # Row 1 of a 2 x 4,000 lattice: over the ramp one long chain from the left
+    # wins; over the white noise the chains turn short until the budget trips.
+    a = [1.0, 2.0]
+    b = np.linspace(0, 5, 1500).tolist() + rng.normal(size=2500).tolist()
+    above = np.add.accumulate((a[0] - np.asarray(b)) ** 2)
+    cost = (a[1] - np.asarray(b)) ** 2
+    want, left = [], math.inf
+    for j, (up, c) in enumerate(zip(above.tolist(), cost.tolist())):
+        left = min(above[j - 1] if j else math.inf, up, left) + c
+        want.append(left)
+    head = dtw._scan(above[:2700], cost[:2700], 0, 2700)
+    assert isinstance(head, np.ndarray)  # the ramp's chain is summed by numpy
+    assert head.tolist() == want[:2700]
+    full = dtw._scan(above, cost, 0, len(b))
+    assert isinstance(full, list)  # and the noise gives up
+    assert full == want
+    for metric in Metric:
+        assert_reference(a, b, 1, metric)
+
+
+@pytest.mark.parametrize("chain_cells", [0, 10**9], ids=["never-gives-up", "gives-up-at-once"])
+@pytest.mark.parametrize("min_width", [1, 2, 64])
+def test_scan_and_span_settings_change_no_result(min_width, chain_cells):
+    # every row scanned, or none given up, or all given up: the same distances and paths
+    with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_CELLS_PER_CHAIN=chain_cells,
+                             _SCAN_WINDOW=min(min_width, 8)):
+        # seed 52's integer walks tie up and left where the diagonal loses
+        for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
+                                          ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),
+                                          ("steps", (32, 190), 1, 52), ("steps", (190, 32), 1, 52)):
+            a, b = _series(kind, shape[0], seed), _series(kind, shape[1], seed + 1)
+            for metric in Metric:
+                assert_reference(a, b, radius, metric)
 
 
 STEP1 = SamplingRecipe(SamplingKind.STEP_SIZE)
