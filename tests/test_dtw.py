@@ -134,6 +134,12 @@ def test_coarsen_single_pair():
     assert _halve(np.array([0.0, 10])).tolist() == [5]
 
 
+def test_coarsen_sum_past_float64_range():
+    # a sum that overflows averages as halves; every other pair keeps (x + y) / 2
+    v = np.array([1e308, 1e308, -1.7e308, -1.6e308, 5e-324, 5e-324, 3.0, 0.5, 7.0])
+    assert _halve(v).tolist() == [1e308, -1.7e308 / 2 + -1.6e308 / 2, 5e-324, 1.75, 7.0]
+
+
 def test_coarsen_too_short():
     with pytest.raises(TooShort):
         _halve(np.array([1.0]))
@@ -278,11 +284,13 @@ def test_overflowing_warped_cost_is_typed_error(solve, metric, a, b):
 
 
 def test_overflow_off_the_path_is_no_error():
-    # the off-diagonal cells overflow, the diagonal path costs nothing
-    for solve in (dtw_exact, fastdtw):
-        r = solve([0.0, 1e200] * 20, [0.0, 1e200] * 20)
-        assert r.distance == 0
-        assert r.path.pairs == tuple((i, i) for i in range(40))
+    # the off-diagonal cells overflow, the diagonal path costs nothing;
+    # 1e308 + 1e308 overflows, but FastDTW's coarse levels must hold 1e308
+    for values in ([0.0, 1e200] * 20, [1e308] * 40):
+        for solve in (dtw_exact, fastdtw):
+            r = solve(values, values)
+            assert r.distance == 0
+            assert r.path.pairs == tuple((i, i) for i in range(40))
 
 
 def test_match_all_names_the_first_overflowing_pair():
@@ -385,12 +393,42 @@ def test_scan_gives_up_partway_through_a_row(rng):
         assert_reference(a, b, 1, metric)
 
 
+@pytest.mark.parametrize("retry", [0, 1])
+def test_rows_after_a_scan_gives_up_take_the_scalar_loop(retry):
+    # white noise: every scanned row gives up, and the next `retry` rows are not scanned
+    a, b = np.asarray(_series("noise", 12, 1)), np.asarray(_series("noise", 4000, 2))
+    with mock.patch.object(dtw, "_SCAN_RETRY", retry), \
+            mock.patch.object(dtw, "_scan", wraps=dtw._scan) as scan:
+        rows = list(dtw._banded(a, b, [0] * 12, [3999] * 12, Metric.L2))
+    assert scan.call_count == len(range(1, 12, retry + 1))
+    assert all(isinstance(row, list) for row in rows[1:])
+    for row, want in zip(rows, full_lattice_rows(a, b)):
+        assert list(row) == want
+
+
+def full_lattice_rows(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
+    """The full lattice's accumulated-cost rows, by the definition, cell by cell."""
+    rows: list[list[float]] = []
+    for i, x in enumerate(a.tolist()):
+        row: list[float] = []
+        for j, y in enumerate(b.tolist()):
+            best = 0.0 if i == j == 0 else min(
+                rows[i - 1][j - 1] if i and j else math.inf,
+                rows[i - 1][j] if i else math.inf,
+                row[j - 1] if j else math.inf,
+            )
+            row.append(best + (x - y) * (x - y))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("retry", [0, 1])
 @pytest.mark.parametrize("chain_cells", [0, 10**9], ids=["never-gives-up", "gives-up-at-once"])
 @pytest.mark.parametrize("min_width", [1, 2, 64])
-def test_scan_and_span_settings_change_no_result(min_width, chain_cells):
+def test_scan_and_span_settings_change_no_result(min_width, chain_cells, retry):
     # every row scanned, or none given up, or all given up: the same distances and paths
     with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_CELLS_PER_CHAIN=chain_cells,
-                             _SCAN_WINDOW=min(min_width, 8)):
+                             _SCAN_WINDOW=min(min_width, 8), _SCAN_RETRY=retry):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),
