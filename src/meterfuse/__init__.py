@@ -19,9 +19,6 @@ from .detectors import (
     DetectorKind,
     DetectorParams,
     default_params,
-    detect_autoregression,
-    detect_level_shift,
-    detect_rolling_average,
     fit_ar_predict,
     run_detector,
 )
@@ -104,9 +101,6 @@ __all__ = [
     "coverage_ratio",
     "default_params",
     "describe",
-    "detect_autoregression",
-    "detect_level_shift",
-    "detect_rolling_average",
     "dtw_exact",
     "evaluate",
     "fastdtw",

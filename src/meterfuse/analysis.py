@@ -16,12 +16,13 @@ form, a plain dict, and `report_csv` renders those dicts as report.csv.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 import numpy as np
 
-from .detectors import AnomalySet, DetectorKind
+from .detectors import DETECTORS, AnomalySet, DetectorKind
+from .dtw import MatchResult
 from .errors import UndefinedBaseline
 from .merge import MergedSeries
 from .model import TimeSeries
@@ -68,29 +69,23 @@ def coverage_ratio(single: int, combined: int) -> float | None:
     return 1.0
 
 
-# The detectors in report-column order, each with the short tag that names
-# its CLI flags (--ra-window) and per-detector output files (eval.ra.json).
-DETECTOR_COLUMNS = {
-    DetectorKind.ROLLING_AVERAGE: "ra",
-    DetectorKind.AR: "ar",
-    DetectorKind.LEVEL_SHIFT: "ls",
-}
-
-
 def build_report(
-    ion_name: str,
-    hist_name: str,
+    match: MatchResult,
+    ion: TimeSeries,
+    hist: TimeSeries,
+    merged: MergedSeries,
     anomaly_sets: dict[DetectorKind, tuple[AnomalySet, AnomalySet, AnomalySet]],
 ) -> dict:
-    """The report.json form of one pair from its (ion, hist, merged) anomaly sets.
+    """The report.json form of one matched pair from its (ion, hist, merged) anomaly sets.
 
-    One row per detector given, in DETECTOR_COLUMNS order.  A detector
-    whose merged count drops below the sum of the individual counts is
-    flagged as a merge loss; it can happen because the robust thresholds
-    are recomputed on the denser merged score distribution.
+    One row per detector given, in DETECTORS order, beside the match's rank
+    and distance and each view's summary statistics.  A detector whose
+    merged count drops below the sum of the individual counts is flagged as
+    a merge loss; it can happen because the robust thresholds are
+    recomputed on the denser merged score distribution.
     """
     detectors = {}
-    for kind in DETECTOR_COLUMNS:
+    for kind in DETECTORS:
         if kind not in anomaly_sets:
             continue
         ion_n, hist_n, merged_n = (s.count for s in anomaly_sets[kind])
@@ -108,17 +103,28 @@ def build_report(
             },
             "merge_loss": merged_n < individual,
         }
-    return {"ion": ion_name, "hist": hist_name, "detectors": detectors}
+    return {
+        "rank": match.rank,
+        "distance": match.distance,
+        "ion": ion.id.name,
+        "hist": hist.id.name,
+        "detectors": detectors,
+        "stats": {
+            "ion": asdict(describe(ion)),
+            "hist": asdict(describe(hist)),
+            "merged": asdict(describe(merged)),
+        },
+    }
 
 
 def report_csv(pairs: list[dict]) -> str:
-    """report.csv from pairs in report.json form (`build_report` plus "rank").
+    """report.csv from pairs in report.json form, as `build_report` gives them.
 
     Each pair gives an ion, a hist and a merged row; there is one count
-    column per detector present, in DETECTOR_COLUMNS order.
+    column per detector present, in DETECTORS order.
     """
     present = {name for pair in pairs for name in pair["detectors"]}
-    names = [kind.value for kind in DETECTOR_COLUMNS if kind.value in present]
+    names = [kind.value for kind in DETECTORS if kind.value in present]
     lines = [",".join(["pair_rank", "measurement_name", *names])]
     for pair in pairs:
         ion, hist, counts = pair["ion"], pair["hist"], pair["detectors"]

@@ -10,8 +10,7 @@ only in the .meta sidecars.
 
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
---seed on synth, inject and evaluate (and pipeline, where it is
-accepted but unused).  Detector flags default to
+--seed on synth, inject and evaluate.  Detector flags default to
 `detectors.default_params`.  detect, inject and evaluate load only the
 manifest entry named by --series.
 """
@@ -28,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, detectors, injection, synth
-from .detectors import DetectorKind, DetectorParams, default_params, run_detector
+from .detectors import DETECTORS, DetectorKind, DetectorParams, default_params, run_detector
 from .dtw import MatchRun, Metric, match_all
 from .errors import IoError, MeterFuseError
 from .ingest import Corpus, load_corpus, load_manifest, series_to_csv
@@ -46,10 +45,12 @@ def _json(doc) -> str:
 
 
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:
-    """argparse dest -> DetectorParams field of one detector's flags (--ar-order, --ar-k, ...)."""
-    tag = analysis.DETECTOR_COLUMNS[kind]
-    size = ("order", "order_p") if kind is DetectorKind.AR else ("window", "window_w")
-    return {f"{tag}_{size[0]}": size[1], f"{tag}_k": "threshold_k"}
+    """argparse dest -> DetectorParams field of one detector's flags (--ar-order, --ar-k, ...).
+
+    The size flag is named after its field: --ar-order sets order_p, --ra-window window_w.
+    """
+    tag, _, size = DETECTORS[kind]
+    return {f"{tag}_{size.split('_')[0]}": size, f"{tag}_k": "threshold_k"}
 
 
 def _detector_params(args) -> dict[DetectorKind, DetectorParams]:
@@ -58,7 +59,7 @@ def _detector_params(args) -> dict[DetectorKind, DetectorParams]:
             default_params(kind),
             **{field: getattr(args, dest) for dest, field in _detector_flags(kind).items()},
         )
-        for kind in analysis.DETECTOR_COLUMNS
+        for kind in DETECTORS
     }
 
 
@@ -138,15 +139,7 @@ def cmd_pipeline(args) -> dict[str, str]:
             kind: (run_detector(p, ion), run_detector(p, hist), run_detector(p, merged))
             for kind, p in params.items()
         }
-        doc = analysis.build_report(ion.id.name, hist.id.name, sets)
-        doc["rank"] = match.rank
-        doc["distance"] = match.distance
-        doc["stats"] = {
-            "ion": asdict(analysis.describe(ion)),
-            "hist": asdict(analysis.describe(hist)),
-            "merged": asdict(analysis.describe(merged)),
-        }
-        pair_docs.append(doc)
+        pair_docs.append(analysis.build_report(match, ion, hist, merged, sets))
 
     report_doc = {
         "detector_params": {
@@ -166,9 +159,9 @@ def cmd_detect(args) -> dict[str, str]:
     params = _detector_params(args)
     series = _load_series(args)
     files, counts = {}, {}
-    for kind, tag in analysis.DETECTOR_COLUMNS.items():
+    for kind, spec in DETECTORS.items():
         result = run_detector(params[kind], series)
-        files[f"anomalies.{tag}.csv"] = detectors.anomalies_to_csv(result, series)
+        files[f"anomalies.{spec.tag}.csv"] = detectors.anomalies_to_csv(result, series)
         counts[kind.value] = result.count
     files["detect.json"] = _json({"series": args.series, "counts": counts})
     for name, count in counts.items():
@@ -197,14 +190,12 @@ def cmd_evaluate(args) -> dict[str, str]:
     injected, label = _inject(args, _load_series(args))
 
     files = {"label.json": injection.label_to_json(label)}
-    for kind, tag in analysis.DETECTOR_COLUMNS.items():
+    for kind, spec in DETECTORS.items():
         p = params[kind]
         result = run_detector(p, injected)
-        slack = args.slack
-        if slack is None:
-            slack = p.order_p if kind is DetectorKind.AR else p.window_w
+        slack = getattr(p, spec.size) if args.slack is None else args.slack
         score = injection.evaluate(result, label, slack=slack)
-        files[f"eval.{tag}.json"] = _json(asdict(score))
+        files[f"eval.{spec.tag}.json"] = _json(asdict(score))
         print(
             f"{kind.value}: precision {score.precision:.3f} recall {score.recall:.3f} "
             f"f1 {score.f1:.3f} (slack {slack})"
@@ -264,7 +255,7 @@ def _add_dtw_flags(p: argparse.ArgumentParser):
 
 
 def _add_detector_flags(p: argparse.ArgumentParser):
-    for kind in analysis.DETECTOR_COLUMNS:
+    for kind in DETECTORS:
         defaults = default_params(kind)
         for dest, field in _detector_flags(kind).items():
             default = getattr(defaults, field)
@@ -317,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pipeline", cmd_pipeline, "match, merge, and compare anomaly counts",
             _add_recipe_flags, _add_dtw_flags, _add_detector_flags)
     p.add_argument("--top-n", type=int, default=4)
-    # the pipeline draws no randomness; --seed is accepted for existing scripts
-    p.add_argument("--seed", type=int, default=0)
 
     add("inject", cmd_inject, "inject a labeled synthetic attack into one series",
         _add_injection_flags)

@@ -6,8 +6,10 @@ its score deviates from the median score by more than ``k`` times the
 scores' interquartile range.  The IQR is floored at a small fraction of
 the series' own spread, so constant and straight-line inputs never flag
 on numerical noise, while a spike among otherwise-identical residuals
-(which leaves the IQR at exactly zero) is still caught.  A mean/std rule
-is available behind a flag for comparison.
+(which leaves the IQR at exactly zero) is still caught.  The
+``DetectorParams`` field ``use_std`` selects a mean/std rule instead.
+
+``DETECTORS`` holds each kind's facts; `run_detector` is the one entry point.
 
 Detectors see index order only; timestamps never enter the computation,
 so a merged series is detected exactly like a plain one.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -45,9 +47,9 @@ class DetectorKind(Enum):
 class DetectorParams:
     """Knobs for one detector run.
 
-    ``order_p`` applies to AR, ``window_w`` to LS (per side) and RA,
-    ``threshold_k`` to all.  ``use_std`` switches the robust median/IQR
-    rule to a classical mean/std rule.
+    ``DETECTORS`` names the field that sizes each kind (``window_w`` is per
+    side for LS); ``threshold_k`` applies to all.  ``use_std`` switches the
+    robust median/IQR rule to a classical mean/std rule.
     """
 
     kind: DetectorKind
@@ -160,15 +162,6 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     return target - design @ coef
 
 
-def detect_autoregression(s: SeriesLike, p: int = 10, k: float = 3.0, use_std: bool = False) -> AnomalySet:
-    """Flag indices whose AR(p) one-step prediction error is an outlier."""
-    values, name = _values_and_name(s)
-    residuals = fit_ar_predict(values, p)
-    positions, scores = _flag_outliers(residuals, values, k, use_std)
-    params = DetectorParams(DetectorKind.AR, order_p=p, threshold_k=k, use_std=use_std)
-    return AnomalySet(name, params, positions + p, scores)
-
-
 def level_shift_scores(values: np.ndarray, w: int) -> np.ndarray:
     """|median of the w before t - median of the w from t| for t = w .. len-w."""
     values = np.asarray(values, dtype=np.float64)
@@ -181,15 +174,6 @@ def level_shift_scores(values: np.ndarray, w: int) -> np.ndarray:
     return np.abs(medians[: n - 2 * w + 1] - medians[w:])
 
 
-def detect_level_shift(s: SeriesLike, w: int = 5, k: float = 6.0, use_std: bool = False) -> AnomalySet:
-    """Flag sustained changes in level via two adjacent sliding medians."""
-    values, name = _values_and_name(s)
-    scores_all = level_shift_scores(values, w)
-    positions, scores = _flag_outliers(scores_all, values, k, use_std)
-    params = DetectorParams(DetectorKind.LEVEL_SHIFT, window_w=w, threshold_k=k, use_std=use_std)
-    return AnomalySet(name, params, positions + w, scores)
-
-
 def rolling_average_residuals(values: np.ndarray, w: int) -> np.ndarray:
     """value minus the mean of its w predecessors, for t = w .. len-1."""
     values = np.asarray(values, dtype=np.float64)
@@ -200,31 +184,36 @@ def rolling_average_residuals(values: np.ndarray, w: int) -> np.ndarray:
     return values[w:] - means[: n - w]
 
 
-def detect_rolling_average(s: SeriesLike, w: int = 10, k: float = 3.0, use_std: bool = False) -> AnomalySet:
-    """Flag indices deviating from the mean of their preceding window."""
-    values, name = _values_and_name(s)
-    residuals = rolling_average_residuals(values, w)
-    positions, scores = _flag_outliers(residuals, values, k, use_std)
-    params = DetectorParams(DetectorKind.ROLLING_AVERAGE, window_w=w, threshold_k=k, use_std=use_std)
-    return AnomalySet(name, params, positions + w, scores)
+class DetectorSpec(NamedTuple):
+    tag: str  # names the kind's CLI flags (--ra-window) and files (eval.ra.json)
+    score: Callable[[np.ndarray, int], np.ndarray]
+    size: str  # the DetectorParams field passed to `score`
+
+
+# Every detector kind, in report-column order.
+DETECTORS = {
+    DetectorKind.ROLLING_AVERAGE: DetectorSpec("ra", rolling_average_residuals, "window_w"),
+    DetectorKind.AR: DetectorSpec("ar", fit_ar_predict, "order_p"),
+    DetectorKind.LEVEL_SHIFT: DetectorSpec("ls", level_shift_scores, "window_w"),
+}
 
 
 def run_detector(params: DetectorParams, s: SeriesLike) -> AnomalySet:
-    """Dispatch to the detector named in params; params are recorded as given.
+    """Flag the outliers of the scores of the detector named in params.
 
-    TooShort names the series as its ``entry``.
+    The kind's size field is also the first index it scores, so it offsets
+    the flagged positions.  TooShort names the series as its ``entry``.
     """
+    values, name = _values_and_name(s)
+    spec = DETECTORS[params.kind]
+    size = getattr(params, spec.size)
     try:
-        if params.kind is DetectorKind.AR:
-            result = detect_autoregression(s, params.order_p, params.threshold_k, params.use_std)
-        elif params.kind is DetectorKind.LEVEL_SHIFT:
-            result = detect_level_shift(s, params.window_w, params.threshold_k, params.use_std)
-        else:
-            result = detect_rolling_average(s, params.window_w, params.threshold_k, params.use_std)
+        scores = spec.score(values, size)
     except TooShort as err:
-        err.entry = _values_and_name(s)[1] or None
+        err.entry = name or None
         raise
-    return AnomalySet(result.series_name, params, result.flagged, result.scores)
+    positions, deviations = _flag_outliers(scores, values, params.threshold_k, params.use_std)
+    return AnomalySet(name, params, positions + size, deviations)
 
 
 def anomalies_to_csv(anomalies: AnomalySet, s: TimeSeries | MergedSeries) -> str:

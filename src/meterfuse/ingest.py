@@ -81,10 +81,11 @@ class CorpusManifest:
     def __post_init__(self):
         seen: set[MeasurementId] = set()
         for e in self.entries:
-            if not e.path:
-                raise ValueError(f"entry {e.id} has an empty path")
-            if e.id in seen:
-                raise DuplicateId(e.id.name)
+            if not e.path or e.id in seen:
+                err = (DuplicateId(e.id.name) if e.path
+                       else ManifestError(f"entry {e.id} has an empty path"))
+                err.entry = e.id.name
+                raise err
             seen.add(e.id)
 
     def select(self, name: str) -> CorpusManifest:
@@ -310,8 +311,6 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
     """
     corpus = Corpus()
     for entry in manifest.entries:
-        if entry.id in corpus.series_by_id:
-            raise DuplicateId(entry.id.name)
         try:
             blob = Path(entry.path).read_bytes()
         except OSError as e:

@@ -10,14 +10,12 @@ import pytest
 
 from meterfuse import (
     DetectorKind,
+    DetectorParams,
     MeasurementId,
     SamplingKind,
     SamplingRecipe,
     SystemTag,
     TimeSeries,
-    detect_autoregression,
-    detect_level_shift,
-    detect_rolling_average,
     dtw_exact,
     evaluate,
     fastdtw,
@@ -37,6 +35,8 @@ from meterfuse.synth import add_spikes, constant_series, subsample_every
 
 from conftest import mkseries, mkvalues
 from test_detectors import ar_oracle_residuals, ls_oracle_scores, ra_oracle_residuals
+
+AR, LS, RA = DetectorKind.AR, DetectorKind.LEVEL_SHIFT, DetectorKind.ROLLING_AVERAGE
 
 
 def _passed(n, text):
@@ -131,19 +131,22 @@ def test_criterion_05_detector_zero_sets():
     constants = (0.0, 5.0, -2048.0, 6.5e7)
     slopes = (-1e6, -3.7, -0.1, 0.0, 1e-7, 0.1, 7.25, 1e6)
     intercepts = (0.0, -42.0, 1e6)
+    params = (
+        DetectorParams(AR, order_p=10, threshold_k=3.0),
+        DetectorParams(LS, window_w=5, threshold_k=6.0),
+        DetectorParams(RA, window_w=10, threshold_k=3.0),
+    )
     checked = 0
     for value in constants:
         series = np.full(300, value)
-        assert detect_autoregression(series, 10, 3.0).count == 0
-        assert detect_level_shift(series, 5, 6.0).count == 0
-        assert detect_rolling_average(series, 10, 3.0).count == 0
+        for p in params:
+            assert run_detector(p, series).count == 0, p.kind
         checked += 1
     for slope in slopes:
         for intercept in intercepts:
             series = intercept + slope * np.arange(300.0)
-            assert detect_autoregression(series, 10, 3.0).count == 0, (slope, intercept)
-            assert detect_level_shift(series, 5, 6.0).count == 0, (slope, intercept)
-            assert detect_rolling_average(series, 10, 3.0).count == 0, (slope, intercept)
+            for p in params:
+                assert run_detector(p, series).count == 0, (slope, intercept, p.kind)
             checked += 1
     _passed(5, f"all three detectors report 0 anomalies on {checked} constant/line series")
 
@@ -190,21 +193,21 @@ def test_criterion_08_injection_end_to_end():
     series = mkvalues(np.full(600, 100.0), name="HIST-C", cadence=1_000)
     injected, label = inject_zero_run(series, int(series.t[300]), 7_000)
 
-    ls = detect_level_shift(injected, 5, 6.0)
+    ls = run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), injected)
     ls_score = evaluate(ls, label, slack=5)
     assert ls_score.recall >= 0.5
 
-    ra = detect_rolling_average(injected, 10, 3.0)
+    ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), injected)
     ra_score = evaluate(ra, label, slack=10)
     assert ra_score.true_positives >= 1
 
     noisy, _ = inject_gaussian_noise(series, 25, 0.0, seed=8)
-    for detect in (
-        lambda s: detect_autoregression(s, 10, 3.0),
-        lambda s: detect_level_shift(s, 5, 6.0),
-        lambda s: detect_rolling_average(s, 10, 3.0),
+    for params in (
+        DetectorParams(AR, order_p=10, threshold_k=3.0),
+        DetectorParams(LS, window_w=5, threshold_k=6.0),
+        DetectorParams(RA, window_w=10, threshold_k=3.0),
     ):
-        assert detect(noisy) == detect(series)
+        assert run_detector(params, noisy) == run_detector(params, series)
     _passed(8, f"zero-run: LS recall {ls_score.recall:.2f} >= 0.5, RA TP {ra_score.true_positives}; "
                f"sigma-0 outputs bit-identical")
 
@@ -235,7 +238,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
          "--ion-cadence-ms", "600000"]
     ) == 0
     args = [
-        "pipeline", "--manifest", str(corpus / "manifest.json"), "--seed", "42",
+        "pipeline", "--manifest", str(corpus / "manifest.json"),
         "--top-n", "2", "--recipe", "step", "--hist-step", "20", "--ion-step", "1",
         "--ar-order", "5", "--ra-window", "5", "--ls-window", "3",
     ]

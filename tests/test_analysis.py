@@ -13,8 +13,9 @@ from meterfuse import (
     merge_pair,
     percent_change,
 )
-from meterfuse.analysis import DETECTOR_COLUMNS, report_csv
-from meterfuse.detectors import AnomalySet
+from meterfuse.analysis import report_csv
+from meterfuse.detectors import DETECTORS, AnomalySet
+from meterfuse.dtw import MatchResult
 from meterfuse.errors import UndefinedBaseline
 
 from conftest import mkvalues
@@ -130,12 +131,19 @@ def _sets(ion_n, hist_n, merged_n):
             _anomaly_set("HIST-B", hist_n),
             _anomaly_set("ION-A+HIST-B", merged_n),
         )
-        for kind in DETECTOR_COLUMNS
+        for kind in DETECTORS
     }
 
 
+def _report(sets):
+    ion = mkvalues([1.0, 2.0], name="ION-A", system=SystemTag.ION, cadence=2000)
+    hist = mkvalues([1.0, 1.5, 2.0], name="HIST-B")
+    match = MatchResult(ion.id, hist.id, distance=0.25, rank=1, cells_evaluated=6)
+    return build_report(match, ion, hist, merge_pair(ion, hist), sets)
+
+
 def test_build_report_percent_change_row():
-    report = build_report("ION-A", "HIST-B", _sets(0, 94, 832))
+    report = _report(_sets(0, 94, 832))
     row = report["detectors"][DetectorKind.ROLLING_AVERAGE.value]
     assert (row["ion"], row["hist"], row["merged"]) == (0, 94, 832)
     assert row["percent_change"] == pytest.approx(785.1, abs=0.5)
@@ -147,14 +155,14 @@ def test_build_report_percent_change_row():
 
 
 def test_build_report_flags_merge_loss():
-    report = build_report("ION-A", "HIST-B", _sets(0, 6, 4))
+    report = _report(_sets(0, 6, 4))
     row = report["detectors"][DetectorKind.LEVEL_SHIFT.value]
     assert row["merge_loss"]
     assert row["percent_change"] == pytest.approx(-100 * 2 / 6, abs=1e-9)
 
 
 def test_build_report_all_zero_counts():
-    report = build_report("ION-A", "HIST-B", _sets(0, 0, 0))
+    report = _report(_sets(0, 0, 0))
     row = report["detectors"][DetectorKind.AR.value]
     assert row["percent_change"] is None
     assert row["ratio"]["vs_ion"] == 1.0
@@ -164,18 +172,19 @@ def test_build_report_all_zero_counts():
 
 def test_build_report_pure_aggregation_is_reproducible():
     sets = _sets(3, 10, 20)
-    assert build_report("ION-A", "HIST-B", sets) == build_report("ION-A", "HIST-B", sets)
+    assert _report(sets) == _report(sets)
 
 
 def test_report_serialization_shape():
-    doc = build_report("ION-A", "HIST-B", _sets(1, 2, 5))
-    assert set(doc) == {"ion", "hist", "detectors"}
-    assert (doc["ion"], doc["hist"]) == ("ION-A", "HIST-B")
+    doc = _report(_sets(1, 2, 5))
+    assert set(doc) == {"rank", "distance", "ion", "hist", "detectors", "stats"}
+    assert (doc["rank"], doc["distance"], doc["ion"], doc["hist"]) == (1, 0.25, "ION-A", "HIST-B")
+    assert [doc["stats"][view]["count"] for view in ("ion", "hist", "merged")] == [2, 3, 5]
     assert list(doc["detectors"]) == ["rolling_average", "autoregression", "level_shift"]
     for row in doc["detectors"].values():
         assert set(row) == {"ion", "hist", "merged", "percent_change", "ratio", "merge_loss"}
 
-    lines = report_csv([{**doc, "rank": 1}]).splitlines()
+    lines = report_csv([doc]).splitlines()
     assert lines[0] == "pair_rank,measurement_name,rolling_average,autoregression,level_shift"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[1] for r in rows] == ["ION-A", "HIST-B", "ION-A+HIST-B"]
@@ -204,7 +213,7 @@ def test_readme_library_example_renders_partial_report(tmp_path):
                           mf.run_detector(params, hist),
                           mf.run_detector(params, merged))}
 
-    doc = {**mf.build_report(ion.id.name, hist.id.name, sets), "rank": best.rank}
+    doc = mf.build_report(best, ion, hist, merged, sets)
     assert list(doc["detectors"]) == ["rolling_average"]
     counts = [s.count for s in sets[params.kind]]
     assert mf.analysis.report_csv([doc]).splitlines() == [

@@ -213,8 +213,6 @@ def test_pipeline_deterministic_bytes(corpus_dir, tmp_path):
         "pipeline",
         "--manifest",
         _manifest(corpus_dir),
-        "--seed",
-        "3",
         "--top-n",
         "2",
         *MATCH_FLAGS,
@@ -308,6 +306,17 @@ def test_evaluate_writes_scores(corpus_dir, tmp_path):
             "recall",
             "f1",
         }
+
+
+def test_evaluate_default_slack_is_each_detectors_size(corpus_dir, tmp_path, capsys):
+    rc = main([
+        "evaluate", "--manifest", _manifest(corpus_dir), "--series", "HIST-40-S",
+        "--out", str(tmp_path / "eval"), "--ar-order", "4", "--ra-window", "7", "--ls-window", "3",
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    for name, slack in (("autoregression", 4), ("rolling_average", 7), ("level_shift", 3)):
+        assert re.search(rf"^{name}: .* \(slack {slack}\)$", out, re.M), (name, out)
 
 
 def test_pipeline_all_constant_corpus_reports_zero_counts(tmp_path):
@@ -554,8 +563,9 @@ def test_detector_flags_set_their_fields():
     [
         ["detect", "--manifest", "m.json", "--series", "S", "--out", "o", "--hist-step", "5"],
         ["match", "--manifest", "m.json", "--out", "o", "--seed", "1"],
+        ["pipeline", "--manifest", "m.json", "--out", "o", "--seed", "1"],
     ],
-    ids=["detect-hist-step", "match-seed"],
+    ids=["detect-hist-step", "match-seed", "pipeline-seed"],
 )
 def test_flags_a_command_never_reads_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:

@@ -7,9 +7,6 @@ from meterfuse import (
     MeasurementId,
     SystemTag,
     TimeSeries,
-    detect_autoregression,
-    detect_level_shift,
-    detect_rolling_average,
     fit_ar_predict,
     run_detector,
 )
@@ -17,6 +14,8 @@ from meterfuse.detectors import level_shift_scores, rolling_average_residuals
 from meterfuse.errors import TooShort
 
 from conftest import mkvalues
+
+AR, LS, RA = DetectorKind.AR, DetectorKind.LEVEL_SHIFT, DetectorKind.ROLLING_AVERAGE
 
 
 def ar_oracle_residuals(values, p):
@@ -70,28 +69,30 @@ def test_ar_too_short():
     with pytest.raises(TooShort):
         fit_ar_predict(np.zeros(3), 3)
     with pytest.raises(TooShort):
-        detect_autoregression(np.zeros(2), 2, 3.0)
+        run_detector(DetectorParams(AR, order_p=2, threshold_k=3.0), np.zeros(2))
 
 
 def test_ar_flags_spike_and_possibly_successor():
     y = np.zeros(100)
     y[50] = 100.0
-    flagged = set(detect_autoregression(y, 1, 3.0).flagged)
+    flagged = set(run_detector(DetectorParams(AR, order_p=1, threshold_k=3.0), y).flagged)
     assert 50 in flagged
     assert flagged <= {50, 51}
 
 
 def test_ar_constant_series_no_anomalies():
-    assert detect_autoregression(np.full(200, 3.25), 10, 3.0).count == 0
+    params = DetectorParams(AR, order_p=10, threshold_k=3.0)
+    assert run_detector(params, np.full(200, 3.25)).count == 0
 
 
 def test_ls_constant_series_no_anomalies():
-    assert detect_level_shift(np.full(50, 7.0), 5, 6.0).count == 0
+    params = DetectorParams(LS, window_w=5, threshold_k=6.0)
+    assert run_detector(params, np.full(50, 7.0)).count == 0
 
 
 def test_ls_flags_step_near_boundary():
     s = np.concatenate([np.zeros(100), np.full(100, 100.0)])
-    result = detect_level_shift(s, 5, 6.0)
+    result = run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), s)
     assert result.count > 0
     assert set(result.flagged) <= set(range(95, 106))
 
@@ -99,7 +100,7 @@ def test_ls_flags_step_near_boundary():
 def test_ls_ignores_isolated_spikes():
     s = np.zeros(200)
     s[[30, 90, 150]] = 50.0
-    assert detect_level_shift(s, 5, 6.0).count == 0
+    assert run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), s).count == 0
 
 
 def test_ls_scores_match_two_window_median_oracle(rng):
@@ -109,21 +110,23 @@ def test_ls_scores_match_two_window_median_oracle(rng):
 
 def test_ls_too_short():
     with pytest.raises(TooShort):
-        detect_level_shift(np.zeros(9), 5, 6.0)
+        run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), np.zeros(9))
 
 
 def test_ra_constant_series_no_anomalies():
-    assert detect_rolling_average(np.full(60, -11.0), 10, 3.0).count == 0
+    params = DetectorParams(RA, window_w=10, threshold_k=3.0)
+    assert run_detector(params, np.full(60, -11.0)).count == 0
 
 
 def test_ra_flags_spike():
     y = np.zeros(100)
     y[50] = 100.0
-    assert 50 in set(detect_rolling_average(y, 10, 3.0).flagged)
+    assert 50 in set(run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), y).flagged)
 
 
 def test_ra_linear_ramp_no_anomalies():
-    assert detect_rolling_average(np.arange(200.0), 10, 3.0).count == 0
+    params = DetectorParams(RA, window_w=10, threshold_k=3.0)
+    assert run_detector(params, np.arange(200.0)).count == 0
 
 
 def test_ra_residuals_match_windowed_mean_oracle(rng):
@@ -141,16 +144,20 @@ def test_ra_residuals_close_on_float_data(rng):
 
 def test_ra_too_short():
     with pytest.raises(TooShort):
-        detect_rolling_average(np.zeros(10), 10, 3.0)
+        run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), np.zeros(10))
 
 
 def test_zero_sets_on_lines_of_any_slope():
+    params = (
+        DetectorParams(AR, order_p=10, threshold_k=3.0),
+        DetectorParams(LS, window_w=5, threshold_k=6.0),
+        DetectorParams(RA, window_w=10, threshold_k=3.0),
+    )
     for slope in (-1e6, -7.3, -0.1, 0.0, 1e-7, 0.1, 3.7, 1e6):
         for intercept in (0.0, -42.0, 1e6):
             y = intercept + slope * np.arange(300.0)
-            assert detect_autoregression(y, 10, 3.0).count == 0, (slope, intercept)
-            assert detect_level_shift(y, 5, 6.0).count == 0, (slope, intercept)
-            assert detect_rolling_average(y, 10, 3.0).count == 0, (slope, intercept)
+            for p in params:
+                assert run_detector(p, y).count == 0, (slope, intercept, p.kind)
 
 
 def test_run_detector_dispatch_records_params():
@@ -171,12 +178,12 @@ def test_detectors_use_index_order_not_timestamps(rng):
     # same value order under wildly different (still sorted) timestamps
     t = np.sort(rng.integers(0, 10**9, 120)).astype(np.int64)
     b = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-test"), t, values)
-    for detect in (
-        lambda s: detect_autoregression(s, 5, 3.0),
-        lambda s: detect_level_shift(s, 5, 6.0),
-        lambda s: detect_rolling_average(s, 10, 3.0),
+    for params in (
+        DetectorParams(AR, order_p=5, threshold_k=3.0),
+        DetectorParams(LS, window_w=5, threshold_k=6.0),
+        DetectorParams(RA, window_w=10, threshold_k=3.0),
     ):
-        assert detect(a) == detect(b)
+        assert run_detector(params, a) == run_detector(params, b)
 
 
 def test_translation_invariance(rng):
@@ -184,43 +191,42 @@ def test_translation_invariance(rng):
         values = rng.integers(-100, 100, 150).astype(float)
         values[rng.integers(20, 130)] += 500
         shifted = values + 1000.0
-        assert np.array_equal(
-            detect_autoregression(values, 5, 3.0).flagged,
-            detect_autoregression(shifted, 5, 3.0).flagged,
-        )
-        assert np.array_equal(
-            detect_rolling_average(values, 10, 3.0).flagged,
-            detect_rolling_average(shifted, 10, 3.0).flagged,
-        )
-        assert np.array_equal(
-            detect_level_shift(values, 5, 6.0).flagged,
-            detect_level_shift(shifted, 5, 6.0).flagged,
-        )
+        for params in (
+            DetectorParams(AR, order_p=5, threshold_k=3.0),
+            DetectorParams(RA, window_w=10, threshold_k=3.0),
+            DetectorParams(LS, window_w=5, threshold_k=6.0),
+        ):
+            assert np.array_equal(
+                run_detector(params, values).flagged,
+                run_detector(params, shifted).flagged,
+            )
 
 
 def test_ls_positive_scaling_invariance(rng):
+    params = DetectorParams(LS, window_w=5, threshold_k=6.0)
     for trial in range(20):
         values = rng.integers(-100, 100, 150).astype(float)
         values[40:90] += 300  # sustained shift
         for scale in (2.0, 10.0, 1024.0):
             assert np.array_equal(
-                detect_level_shift(values, 5, 6.0).flagged,
-                detect_level_shift(values * scale, 5, 6.0).flagged,
+                run_detector(params, values).flagged,
+                run_detector(params, values * scale).flagged,
             )
 
 
 def test_detection_deterministic(rng):
     values = rng.normal(0, 1, 400)
-    first = detect_autoregression(values, 10, 3.0)
-    second = detect_autoregression(values, 10, 3.0)
+    params = DetectorParams(AR, order_p=10, threshold_k=3.0)
+    first = run_detector(params, values)
+    second = run_detector(params, values)
     assert first == second
 
 
 def test_std_rule_available(rng):
     y = np.zeros(200)
     y[100] = 100.0
-    robust = detect_rolling_average(y, 10, 3.0, use_std=False)
-    classical = detect_rolling_average(y, 10, 3.0, use_std=True)
+    robust = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0, use_std=False), y)
+    classical = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0, use_std=True), y)
     assert 100 in set(classical.flagged)
     assert robust.params.use_std is False and classical.params.use_std is True
 
@@ -247,12 +253,12 @@ def test_anomaly_csv_origin_column_for_merged_series():
         )
     )
     merged = merge_pair(ion, hist)
-    result = detect_rolling_average(merged, 10, 3.0)
+    result = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), merged)
     assert result.count > 0
     lines = anomalies_to_csv(result, merged).strip().split("\n")
     assert lines[0] == "index,timestamp,value,score,origin"
     assert all(line.endswith(("ION", "HIST")) for line in lines[1:])
 
-    plain = detect_rolling_average(hist, 10, 3.0)
+    plain = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), hist)
     plain_lines = anomalies_to_csv(plain, hist).strip().split("\n")
     assert plain_lines[0] == "index,timestamp,value,score"

@@ -144,8 +144,16 @@ def test_load_corpus_partitions(tmp_path):
 
 def test_duplicate_id_rejected(tmp_path):
     manifest = _write_corpus(tmp_path, [("ION", "ION-1"), ("ION", "ION-1")])
-    with pytest.raises(DuplicateId):
+    with pytest.raises(DuplicateId) as exc:
         load_corpus(load_manifest(manifest))
+    assert exc.value.entry == "ION-1"
+
+
+def test_empty_manifest_path_is_typed_and_named():
+    entry = ingest.ManifestEntry(MeasurementId(SystemTag.HIST, "H-2"), "")
+    with pytest.raises(ManifestError) as exc:
+        ingest.CorpusManifest((entry,))
+    assert exc.value.entry == "H-2"
 
 
 def test_missing_file_is_io_error(tmp_path):

@@ -4,17 +4,17 @@ import pytest
 from meterfuse import (
     EvalScore,
     InjectionKind,
-    detect_level_shift,
-    detect_rolling_average,
     evaluate,
     inject_gaussian_noise,
     inject_zero_run,
 )
-from meterfuse.detectors import AnomalySet, DetectorKind, DetectorParams
+from meterfuse.detectors import AnomalySet, DetectorKind, DetectorParams, run_detector
 from meterfuse.errors import EmptyWindow, SeriesMismatch, TooFewSamples
 from meterfuse.injection import label_to_json
 
 from conftest import mkvalues
+
+LS, RA = DetectorKind.LEVEL_SHIFT, DetectorKind.ROLLING_AVERAGE
 
 
 def test_zero_run_on_all_zero_series_labels_window():
@@ -137,10 +137,10 @@ def test_zero_run_end_to_end_detection():
     injected, label = inject_zero_run(s, 300_000, 7_000)
     assert len(label.affected) == 8
 
-    ls = detect_level_shift(injected, 5, 6.0)
+    ls = run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), injected)
     assert evaluate(ls, label, slack=5).recall >= 0.5
 
-    ra = detect_rolling_average(injected, 10, 3.0)
+    ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), injected)
     assert evaluate(ra, label, slack=10).true_positives >= 1
 
 
@@ -148,8 +148,8 @@ def test_sigma_zero_injection_leaves_detection_identical():
     rng = np.random.default_rng(5)
     s = mkvalues(rng.normal(0, 1, 300))
     injected, _ = inject_gaussian_noise(s, 20, 0.0, seed=3)
-    clean_ra = detect_rolling_average(s, 10, 3.0)
-    noisy_ra = detect_rolling_average(injected, 10, 3.0)
+    clean_ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), s)
+    noisy_ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), injected)
     assert clean_ra == noisy_ra
 
 
