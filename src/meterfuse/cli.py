@@ -18,6 +18,7 @@ manifest entry named by --series.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -39,6 +40,10 @@ from .sampling import SamplingKind, SamplingRecipe
 # SamplingRecipe fields with a --flag of the same name; --recipe sets `kind`.
 _RECIPE_FIELDS = [f for f in fields(SamplingRecipe) if f.name != "kind"]
 
+# demo_corpus parameters, each with a synth --flag of the same name (spike_count: --spikes)
+# that defaults to the parameter's default.
+_SYNTH_PARAMS = inspect.signature(synth.demo_corpus).parameters
+
 
 def _json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -47,10 +52,11 @@ def _json(doc) -> str:
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:
     """argparse dest -> DetectorParams field of one detector's flags (--ar-order, --ar-k, ...).
 
-    The size flag is named after its field: --ar-order sets order_p, --ra-window window_w.
+    The size flag is named after what the size means: --ar-order for order_p,
+    --ra-window for window_w.
     """
-    tag, _, size = DETECTORS[kind]
-    return {f"{tag}_{size.split('_')[0]}": size, f"{tag}_k": "threshold_k"}
+    spec = DETECTORS[kind]
+    return {f"{spec.tag}_{spec.size.split('_')[0]}": "size", f"{spec.tag}_k": "threshold_k"}
 
 
 def _detector_params(args) -> dict[DetectorKind, DetectorParams]:
@@ -143,7 +149,7 @@ def cmd_pipeline(args) -> dict[str, str]:
 
     report_doc = {
         "detector_params": {
-            kind.value: {f: v for f, v in asdict(p).items() if f != "kind"}
+            kind.value: {DETECTORS[kind].size: p.size, "threshold_k": p.threshold_k}
             for kind, p in params.items()
         },
         "top_n": top_n,
@@ -193,7 +199,7 @@ def cmd_evaluate(args) -> dict[str, str]:
     for kind, spec in DETECTORS.items():
         p = params[kind]
         result = run_detector(p, injected)
-        slack = getattr(p, spec.size) if args.slack is None else args.slack
+        slack = p.size if args.slack is None else args.slack
         score = injection.evaluate(result, label, slack=slack)
         files[f"eval.{spec.tag}.json"] = _json(asdict(score))
         print(
@@ -219,14 +225,7 @@ def cmd_ingest(args) -> dict[str, str]:
 
 
 def cmd_synth(args) -> dict[str, str]:
-    corpus = synth.demo_corpus(
-        seed=args.seed,
-        hist_points=args.hist_points,
-        spike_count=args.spikes,
-        spike_magnitude=args.spike_magnitude,
-        hist_cadence_ms=args.hist_cadence_ms,
-        ion_cadence_ms=args.ion_cadence_ms,
-    )
+    corpus = synth.demo_corpus(**{name: getattr(args, name) for name in _SYNTH_PARAMS})
     print(f"wrote {len(corpus)} series and {Path(args.out) / 'manifest.json'}")
     return synth.corpus_files(corpus)
 
@@ -291,12 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic two-system corpus", manifest=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hist-points", type=int, default=17_280)
-    p.add_argument("--spikes", type=int, default=20)
-    p.add_argument("--spike-magnitude", type=float, default=100.0)
-    p.add_argument("--hist-cadence-ms", type=int, default=synth.HIST_CADENCE_MS)
-    p.add_argument("--ion-cadence-ms", type=int, default=synth.ION_CADENCE_MS)
+    for name, param in _SYNTH_PARAMS.items():
+        flag = "--spikes" if name == "spike_count" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, type=type(param.default), default=param.default)
 
     add("ingest", cmd_ingest, "load and validate a corpus", out_required=False)
     add("match", cmd_match, "rank all cross-system pairs by warped distance",

@@ -6,8 +6,7 @@ its score deviates from the median score by more than ``k`` times the
 scores' interquartile range.  The IQR is floored at a small fraction of
 the series' own spread, so constant and straight-line inputs never flag
 on numerical noise, while a spike among otherwise-identical residuals
-(which leaves the IQR at exactly zero) is still caught.  The
-``DetectorParams`` field ``use_std`` selects a mean/std rule instead.
+(which leaves the IQR at exactly zero) is still caught.
 
 ``DETECTORS`` holds each kind's facts; `run_detector` is the one entry point.
 
@@ -45,35 +44,29 @@ class DetectorKind(Enum):
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Knobs for one detector run.
+    """Settings for one detector run.
 
-    ``DETECTORS`` names the field that sizes each kind (``window_w`` is per
-    side for LS); ``threshold_k`` applies to all.  ``use_std`` switches the
-    robust median/IQR rule to a classical mean/std rule.
+    ``size`` is the AR order or the RA/LS window (per side for LS), as
+    ``DETECTORS[kind].size`` names it; ``threshold_k`` is the multiplier of
+    the outlier rule.
     """
 
     kind: DetectorKind
-    order_p: int = 10
-    window_w: int = 10
-    threshold_k: float = 3.0
-    use_std: bool = False
+    size: int
+    threshold_k: float
 
     def __post_init__(self):
         kind = self.kind.value
-        if self.order_p < 1:
-            raise InvalidArgument(f"{kind} order_p must be >= 1, got {self.order_p}")
-        if self.window_w < 1:
-            raise InvalidArgument(f"{kind} window_w must be >= 1, got {self.window_w}")
+        if self.size < 1:
+            name = DETECTORS[self.kind].size
+            raise InvalidArgument(f"{kind} {name} must be >= 1, got {self.size}")
         if self.threshold_k <= 0:
             raise InvalidArgument(f"{kind} threshold_k must be > 0, got {self.threshold_k}")
 
 
 def default_params(kind: DetectorKind) -> DetectorParams:
-    # LS gets a larger multiplier: median windows absorb spikes, so its
-    # score distribution is tighter and noisier shifts would over-flag.
-    if kind is DetectorKind.LEVEL_SHIFT:
-        return DetectorParams(kind, window_w=5, threshold_k=6.0)
-    return DetectorParams(kind)
+    spec = DETECTORS[kind]
+    return DetectorParams(kind, spec.default_size, spec.default_k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,17 +105,13 @@ def _values_and_name(s: SeriesLike) -> tuple[np.ndarray, str]:
 
 
 def _flag_outliers(
-    scores: np.ndarray, values: np.ndarray, k: float, use_std: bool
+    scores: np.ndarray, values: np.ndarray, k: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Positions (into `scores`) whose deviation exceeds the threshold."""
     if len(scores) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    if use_std:
-        dev = np.abs(scores - scores.mean())
-        spread = scores.std()
-    else:
-        dev = np.abs(scores - np.median(scores))
-        spread = np.percentile(scores, 75) - np.percentile(scores, 25)
+    dev = np.abs(scores - np.median(scores))
+    spread = np.percentile(scores, 75) - np.percentile(scores, 25)
     if len(values):
         centered = values - np.median(values)
         floor = RELATIVE_NOISE_FLOOR * np.max(np.abs(centered))
@@ -187,33 +176,35 @@ def rolling_average_residuals(values: np.ndarray, w: int) -> np.ndarray:
 class DetectorSpec(NamedTuple):
     tag: str  # names the kind's CLI flags (--ra-window) and files (eval.ra.json)
     score: Callable[[np.ndarray, int], np.ndarray]
-    size: str  # the DetectorParams field passed to `score`
+    size: str  # what DetectorParams.size means here: "order_p" or "window_w"
+    default_size: int
+    default_k: float
 
 
-# Every detector kind, in report-column order.
+# Every detector kind, in report-column order, with its default settings.
+# LS gets a larger multiplier: median windows absorb spikes, so its score
+# distribution is tighter and noisier shifts would over-flag.
 DETECTORS = {
-    DetectorKind.ROLLING_AVERAGE: DetectorSpec("ra", rolling_average_residuals, "window_w"),
-    DetectorKind.AR: DetectorSpec("ar", fit_ar_predict, "order_p"),
-    DetectorKind.LEVEL_SHIFT: DetectorSpec("ls", level_shift_scores, "window_w"),
+    DetectorKind.ROLLING_AVERAGE: DetectorSpec("ra", rolling_average_residuals, "window_w", 10, 3.0),
+    DetectorKind.AR: DetectorSpec("ar", fit_ar_predict, "order_p", 10, 3.0),
+    DetectorKind.LEVEL_SHIFT: DetectorSpec("ls", level_shift_scores, "window_w", 5, 6.0),
 }
 
 
 def run_detector(params: DetectorParams, s: SeriesLike) -> AnomalySet:
     """Flag the outliers of the scores of the detector named in params.
 
-    The kind's size field is also the first index it scores, so it offsets
-    the flagged positions.  TooShort names the series as its ``entry``.
+    The size is also the first index the kind scores, so it offsets the
+    flagged positions.  TooShort names the series as its ``entry``.
     """
     values, name = _values_and_name(s)
-    spec = DETECTORS[params.kind]
-    size = getattr(params, spec.size)
     try:
-        scores = spec.score(values, size)
+        scores = DETECTORS[params.kind].score(values, params.size)
     except TooShort as err:
         err.entry = name or None
         raise
-    positions, deviations = _flag_outliers(scores, values, params.threshold_k, params.use_std)
-    return AnomalySet(name, params, positions + size, deviations)
+    positions, deviations = _flag_outliers(scores, values, params.threshold_k)
+    return AnomalySet(name, params, positions + params.size, deviations)
 
 
 def anomalies_to_csv(anomalies: AnomalySet, s: TimeSeries | MergedSeries) -> str:

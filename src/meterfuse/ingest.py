@@ -76,20 +76,22 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class CorpusManifest:
+    """Entries with names unique across both systems, since a series is addressed by name alone."""
+
     entries: tuple[ManifestEntry, ...]
 
     def __post_init__(self):
-        seen: set[MeasurementId] = set()
+        seen: set[str] = set()
         for e in self.entries:
-            if not e.path or e.id in seen:
+            if not e.path or e.id.name in seen:
                 err = (DuplicateId(e.id.name) if e.path
                        else ManifestError(f"entry {e.id} has an empty path"))
                 err.entry = e.id.name
                 raise err
-            seen.add(e.id)
+            seen.add(e.id.name)
 
     def select(self, name: str) -> CorpusManifest:
-        """The one-entry manifest of the first entry called name."""
+        """The one-entry manifest of the entry called name."""
         for e in self.entries:
             if e.id.name == name:
                 return CorpusManifest((e,))
@@ -143,8 +145,8 @@ def _parse_time(cell: str, fmt: TimeFormat, row: int) -> int:
 def parse_csv(
     data: bytes | str | io.IOBase,
     id: MeasurementId,
-    columns: ColumnMap = ColumnMap(),
-    time_format: TimeFormat = TimeFormat.EPOCH_MILLIS,
+    columns: ColumnMap = ManifestEntry.columns,
+    time_format: TimeFormat = ManifestEntry.time_format,
 ) -> TimeSeries:
     """Parse one measurement's CSV into a validated series.
 
@@ -246,14 +248,15 @@ def _parse_rows(
     return np.array(ts, dtype=np.int64), np.array(vs, dtype=np.float64)
 
 
-# Manifest entry keys: the required ones, then the optional ones with their defaults.
+# Manifest entry keys: the required ones, then the optional ones with their defaults,
+# which are ColumnMap's and ManifestEntry's.
 _ENTRY_KEYS = {
     "system": None,
     "name": None,
     "path": None,
-    "time_column": "timestamp",
-    "value_column": "value",
-    "time_format": "EPOCH_MILLIS",
+    "time_column": ColumnMap.time_column,
+    "value_column": ColumnMap.value_column,
+    "time_format": ManifestEntry.time_format.value,
 }
 
 

@@ -132,9 +132,9 @@ def test_criterion_05_detector_zero_sets():
     slopes = (-1e6, -3.7, -0.1, 0.0, 1e-7, 0.1, 7.25, 1e6)
     intercepts = (0.0, -42.0, 1e6)
     params = (
-        DetectorParams(AR, order_p=10, threshold_k=3.0),
-        DetectorParams(LS, window_w=5, threshold_k=6.0),
-        DetectorParams(RA, window_w=10, threshold_k=3.0),
+        DetectorParams(AR, size=10, threshold_k=3.0),
+        DetectorParams(LS, size=5, threshold_k=6.0),
+        DetectorParams(RA, size=10, threshold_k=3.0),
     )
     checked = 0
     for value in constants:
@@ -193,19 +193,19 @@ def test_criterion_08_injection_end_to_end():
     series = mkvalues(np.full(600, 100.0), name="HIST-C", cadence=1_000)
     injected, label = inject_zero_run(series, int(series.t[300]), 7_000)
 
-    ls = run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), injected)
+    ls = run_detector(DetectorParams(LS, size=5, threshold_k=6.0), injected)
     ls_score = evaluate(ls, label, slack=5)
     assert ls_score.recall >= 0.5
 
-    ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), injected)
+    ra = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), injected)
     ra_score = evaluate(ra, label, slack=10)
     assert ra_score.true_positives >= 1
 
     noisy, _ = inject_gaussian_noise(series, 25, 0.0, seed=8)
     for params in (
-        DetectorParams(AR, order_p=10, threshold_k=3.0),
-        DetectorParams(LS, window_w=5, threshold_k=6.0),
-        DetectorParams(RA, window_w=10, threshold_k=3.0),
+        DetectorParams(AR, size=10, threshold_k=3.0),
+        DetectorParams(LS, size=5, threshold_k=6.0),
+        DetectorParams(RA, size=10, threshold_k=3.0),
     ):
         assert run_detector(params, noisy) == run_detector(params, series)
     _passed(8, f"zero-run: LS recall {ls_score.recall:.2f} >= 0.5, RA TP {ra_score.true_positives}; "

@@ -120,7 +120,7 @@ def test_coverage_ratio_cases():
 
 
 def _anomaly_set(name, count):
-    params = DetectorParams(DetectorKind.ROLLING_AVERAGE)
+    params = DetectorParams(DetectorKind.ROLLING_AVERAGE, size=10, threshold_k=3.0)
     return AnomalySet(name, params, np.arange(count), np.ones(count))
 
 

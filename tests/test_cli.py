@@ -22,7 +22,7 @@ from meterfuse import (
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_match, cmd_report, main
 from meterfuse.errors import InvalidArgument, IoError
 from meterfuse.sampling import apply_recipe
-from meterfuse.synth import demo_corpus
+from meterfuse.synth import corpus_files, demo_corpus
 
 from conftest import mkvalues
 
@@ -61,6 +61,15 @@ def test_synth_writes_manifest_and_series(corpus_dir):
     assert len(manifest["entries"]) == 5
     for entry in manifest["entries"]:
         assert (corpus_dir / entry["path"]).exists()
+
+
+def test_synth_defaults_are_demo_corpus_defaults(tmp_path):
+    out = tmp_path / "demo"
+    assert main(["synth", "--out", str(out)]) == 0
+    files = corpus_files(demo_corpus())
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    # one flag per file: pytest's diff of two day-long CSVs takes minutes
+    assert [name for name, text in files.items() if (out / name).read_text() != text] == []
 
 
 def test_ingest_reports_counts(corpus_dir, capsys):
@@ -176,6 +185,12 @@ def test_pipeline_outputs(corpus_dir, tmp_path):
     )
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
+    # each kind's size under the name it has for that kind, and nothing else
+    assert report["detector_params"] == {
+        "rolling_average": {"window_w": 5, "threshold_k": 3.0},
+        "autoregression": {"order_p": 5, "threshold_k": 3.0},
+        "level_shift": {"window_w": 3, "threshold_k": 6.0},
+    }
     assert len(report["pairs"]) == 2
     for pair in report["pairs"]:
         assert set(pair["detectors"]) == {"rolling_average", "autoregression", "level_shift"}
@@ -432,11 +447,11 @@ def _scored_with_slack(s, slack):
     "command, flags, named, library_call",
     [
         ("detect", ["--ar-order", "0"], "autoregression order_p must be >= 1, got 0",
-         lambda s: DetectorParams(DetectorKind.AR, order_p=0)),
+         lambda s: DetectorParams(DetectorKind.AR, size=0, threshold_k=3.0)),
         ("pipeline", ["--ls-window", "0"], "level_shift window_w must be >= 1, got 0",
-         lambda s: DetectorParams(DetectorKind.LEVEL_SHIFT, window_w=0)),
+         lambda s: DetectorParams(DetectorKind.LEVEL_SHIFT, size=0, threshold_k=3.0)),
         ("evaluate", ["--ra-k", "0"], "rolling_average threshold_k must be > 0, got 0.0",
-         lambda s: DetectorParams(DetectorKind.ROLLING_AVERAGE, threshold_k=0.0)),
+         lambda s: DetectorParams(DetectorKind.ROLLING_AVERAGE, size=10, threshold_k=0.0)),
         ("inject", ["--duration-ms", "0"], "duration_ms must be > 0, got 0",
          lambda s: inject_zero_run(s, int(s.t[0]), 0)),
         ("inject", ["--kind", "gaussian", "--noise-count", "0"],
@@ -553,9 +568,9 @@ def test_detector_flags_set_their_fields():
     params = _detector_params(args)
     ar, ra, ls = (params[k] for k in (DetectorKind.AR, DetectorKind.ROLLING_AVERAGE,
                                       DetectorKind.LEVEL_SHIFT))
-    assert (ar.order_p, ar.threshold_k) == (5, 2.5)
-    assert (ra.window_w, ra.threshold_k) == (7, 2.0)
-    assert (ls.window_w, ls.threshold_k) == (3, 4.0)
+    assert (ar.size, ar.threshold_k) == (5, 2.5)
+    assert (ra.size, ra.threshold_k) == (7, 2.0)
+    assert (ls.size, ls.threshold_k) == (3, 4.0)
 
 
 @pytest.mark.parametrize(
@@ -603,6 +618,20 @@ def test_manifest_error_names_entry_index(tmp_path, capsys):
     assert main(["ingest", "--manifest", str(path)]) == 1
     err = capsys.readouterr().err
     assert "missing key 'name'" in err and "(entry 0)" in err
+
+
+@pytest.mark.parametrize("command", [["ingest"], ["inject", "--series", "X"]],
+                         ids=["ingest", "inject"])
+def test_name_shared_across_systems_is_rejected(tmp_path, capsys, command):
+    (tmp_path / "x.csv").write_text("timestamp,value\n1000,1\n2000,2\n3000,3\n")
+    entries = [{"system": system, "name": "X", "path": "x.csv"} for system in ("ION", "HIST")]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": entries}))
+    out = tmp_path / "out"
+    assert main([*command, "--manifest", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate measurement id 'X'" in err and "(entry X)" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [None, "{not json", '{"no_pairs": []}'],

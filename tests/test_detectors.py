@@ -10,7 +10,12 @@ from meterfuse import (
     fit_ar_predict,
     run_detector,
 )
-from meterfuse.detectors import level_shift_scores, rolling_average_residuals
+from meterfuse.detectors import (
+    DETECTORS,
+    default_params,
+    level_shift_scores,
+    rolling_average_residuals,
+)
 from meterfuse.errors import TooShort
 
 from conftest import mkvalues
@@ -69,30 +74,30 @@ def test_ar_too_short():
     with pytest.raises(TooShort):
         fit_ar_predict(np.zeros(3), 3)
     with pytest.raises(TooShort):
-        run_detector(DetectorParams(AR, order_p=2, threshold_k=3.0), np.zeros(2))
+        run_detector(DetectorParams(AR, size=2, threshold_k=3.0), np.zeros(2))
 
 
 def test_ar_flags_spike_and_possibly_successor():
     y = np.zeros(100)
     y[50] = 100.0
-    flagged = set(run_detector(DetectorParams(AR, order_p=1, threshold_k=3.0), y).flagged)
+    flagged = set(run_detector(DetectorParams(AR, size=1, threshold_k=3.0), y).flagged)
     assert 50 in flagged
     assert flagged <= {50, 51}
 
 
 def test_ar_constant_series_no_anomalies():
-    params = DetectorParams(AR, order_p=10, threshold_k=3.0)
+    params = DetectorParams(AR, size=10, threshold_k=3.0)
     assert run_detector(params, np.full(200, 3.25)).count == 0
 
 
 def test_ls_constant_series_no_anomalies():
-    params = DetectorParams(LS, window_w=5, threshold_k=6.0)
+    params = DetectorParams(LS, size=5, threshold_k=6.0)
     assert run_detector(params, np.full(50, 7.0)).count == 0
 
 
 def test_ls_flags_step_near_boundary():
     s = np.concatenate([np.zeros(100), np.full(100, 100.0)])
-    result = run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), s)
+    result = run_detector(DetectorParams(LS, size=5, threshold_k=6.0), s)
     assert result.count > 0
     assert set(result.flagged) <= set(range(95, 106))
 
@@ -100,7 +105,7 @@ def test_ls_flags_step_near_boundary():
 def test_ls_ignores_isolated_spikes():
     s = np.zeros(200)
     s[[30, 90, 150]] = 50.0
-    assert run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), s).count == 0
+    assert run_detector(DetectorParams(LS, size=5, threshold_k=6.0), s).count == 0
 
 
 def test_ls_scores_match_two_window_median_oracle(rng):
@@ -110,22 +115,22 @@ def test_ls_scores_match_two_window_median_oracle(rng):
 
 def test_ls_too_short():
     with pytest.raises(TooShort):
-        run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), np.zeros(9))
+        run_detector(DetectorParams(LS, size=5, threshold_k=6.0), np.zeros(9))
 
 
 def test_ra_constant_series_no_anomalies():
-    params = DetectorParams(RA, window_w=10, threshold_k=3.0)
+    params = DetectorParams(RA, size=10, threshold_k=3.0)
     assert run_detector(params, np.full(60, -11.0)).count == 0
 
 
 def test_ra_flags_spike():
     y = np.zeros(100)
     y[50] = 100.0
-    assert 50 in set(run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), y).flagged)
+    assert 50 in set(run_detector(DetectorParams(RA, size=10, threshold_k=3.0), y).flagged)
 
 
 def test_ra_linear_ramp_no_anomalies():
-    params = DetectorParams(RA, window_w=10, threshold_k=3.0)
+    params = DetectorParams(RA, size=10, threshold_k=3.0)
     assert run_detector(params, np.arange(200.0)).count == 0
 
 
@@ -144,14 +149,14 @@ def test_ra_residuals_close_on_float_data(rng):
 
 def test_ra_too_short():
     with pytest.raises(TooShort):
-        run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), np.zeros(10))
+        run_detector(DetectorParams(RA, size=10, threshold_k=3.0), np.zeros(10))
 
 
 def test_zero_sets_on_lines_of_any_slope():
     params = (
-        DetectorParams(AR, order_p=10, threshold_k=3.0),
-        DetectorParams(LS, window_w=5, threshold_k=6.0),
-        DetectorParams(RA, window_w=10, threshold_k=3.0),
+        DetectorParams(AR, size=10, threshold_k=3.0),
+        DetectorParams(LS, size=5, threshold_k=6.0),
+        DetectorParams(RA, size=10, threshold_k=3.0),
     )
     for slope in (-1e6, -7.3, -0.1, 0.0, 1e-7, 0.1, 3.7, 1e6):
         for intercept in (0.0, -42.0, 1e6):
@@ -161,14 +166,14 @@ def test_zero_sets_on_lines_of_any_slope():
 
 
 def test_run_detector_dispatch_records_params():
-    params = DetectorParams(DetectorKind.LEVEL_SHIFT, window_w=5, threshold_k=6.0)
+    params = DetectorParams(DetectorKind.LEVEL_SHIFT, size=5, threshold_k=6.0)
     s = np.concatenate([np.zeros(100), np.full(100, 100.0)])
     result = run_detector(params, s)
     assert result.params == params
     assert result.count > 0
 
     constant = np.full(50, 2.0)
-    assert run_detector(DetectorParams(DetectorKind.AR, order_p=1), constant).count == 0
+    assert run_detector(DetectorParams(AR, size=1, threshold_k=3.0), constant).count == 0
 
 
 def test_detectors_use_index_order_not_timestamps(rng):
@@ -179,9 +184,9 @@ def test_detectors_use_index_order_not_timestamps(rng):
     t = np.sort(rng.integers(0, 10**9, 120)).astype(np.int64)
     b = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-test"), t, values)
     for params in (
-        DetectorParams(AR, order_p=5, threshold_k=3.0),
-        DetectorParams(LS, window_w=5, threshold_k=6.0),
-        DetectorParams(RA, window_w=10, threshold_k=3.0),
+        DetectorParams(AR, size=5, threshold_k=3.0),
+        DetectorParams(LS, size=5, threshold_k=6.0),
+        DetectorParams(RA, size=10, threshold_k=3.0),
     ):
         assert run_detector(params, a) == run_detector(params, b)
 
@@ -192,9 +197,9 @@ def test_translation_invariance(rng):
         values[rng.integers(20, 130)] += 500
         shifted = values + 1000.0
         for params in (
-            DetectorParams(AR, order_p=5, threshold_k=3.0),
-            DetectorParams(RA, window_w=10, threshold_k=3.0),
-            DetectorParams(LS, window_w=5, threshold_k=6.0),
+            DetectorParams(AR, size=5, threshold_k=3.0),
+            DetectorParams(RA, size=10, threshold_k=3.0),
+            DetectorParams(LS, size=5, threshold_k=6.0),
         ):
             assert np.array_equal(
                 run_detector(params, values).flagged,
@@ -203,7 +208,7 @@ def test_translation_invariance(rng):
 
 
 def test_ls_positive_scaling_invariance(rng):
-    params = DetectorParams(LS, window_w=5, threshold_k=6.0)
+    params = DetectorParams(LS, size=5, threshold_k=6.0)
     for trial in range(20):
         values = rng.integers(-100, 100, 150).astype(float)
         values[40:90] += 300  # sustained shift
@@ -216,26 +221,26 @@ def test_ls_positive_scaling_invariance(rng):
 
 def test_detection_deterministic(rng):
     values = rng.normal(0, 1, 400)
-    params = DetectorParams(AR, order_p=10, threshold_k=3.0)
+    params = DetectorParams(AR, size=10, threshold_k=3.0)
     first = run_detector(params, values)
     second = run_detector(params, values)
     assert first == second
 
 
-def test_std_rule_available(rng):
-    y = np.zeros(200)
-    y[100] = 100.0
-    robust = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0, use_std=False), y)
-    classical = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0, use_std=True), y)
-    assert 100 in set(classical.flagged)
-    assert robust.params.use_std is False and classical.params.use_std is True
+@pytest.mark.parametrize("kind, size, k", [(RA, 10, 3.0), (AR, 10, 3.0), (LS, 5, 6.0)])
+def test_default_params_are_the_detectors_entry(kind, size, k):
+    spec = DETECTORS[kind]
+    assert (spec.default_size, spec.default_k) == (size, k)
+    assert default_params(kind) == DetectorParams(kind, size=size, threshold_k=k)
+    with pytest.raises(TypeError):
+        DetectorParams(kind)  # no field defaults: a kind's defaults live in DETECTORS only
 
 
 def test_param_validation():
     with pytest.raises(ValueError):
-        DetectorParams(DetectorKind.AR, order_p=0)
+        DetectorParams(DetectorKind.AR, size=0, threshold_k=3.0)
     with pytest.raises(ValueError):
-        DetectorParams(DetectorKind.AR, threshold_k=0.0)
+        DetectorParams(DetectorKind.AR, size=10, threshold_k=0.0)
 
 
 def test_anomaly_csv_origin_column_for_merged_series():
@@ -253,12 +258,12 @@ def test_anomaly_csv_origin_column_for_merged_series():
         )
     )
     merged = merge_pair(ion, hist)
-    result = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), merged)
+    result = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), merged)
     assert result.count > 0
     lines = anomalies_to_csv(result, merged).strip().split("\n")
     assert lines[0] == "index,timestamp,value,score,origin"
     assert all(line.endswith(("ION", "HIST")) for line in lines[1:])
 
-    plain = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), hist)
+    plain = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), hist)
     plain_lines = anomalies_to_csv(plain, hist).strip().split("\n")
     assert plain_lines[0] == "index,timestamp,value,score"

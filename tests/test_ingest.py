@@ -149,6 +149,14 @@ def test_duplicate_id_rejected(tmp_path):
     assert exc.value.entry == "ION-1"
 
 
+def test_name_shared_across_systems_rejected(tmp_path):
+    # --series, Corpus.get and every output address a series by name alone
+    manifest = _write_corpus(tmp_path, [("ION", "X"), ("HIST", "X")])
+    with pytest.raises(DuplicateId) as exc:
+        load_manifest(manifest)
+    assert exc.value.entry == "X"
+
+
 def test_empty_manifest_path_is_typed_and_named():
     entry = ingest.ManifestEntry(MeasurementId(SystemTag.HIST, "H-2"), "")
     with pytest.raises(ManifestError) as exc:

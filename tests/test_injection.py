@@ -86,7 +86,7 @@ def test_gaussian_too_few_samples():
 
 
 def _detected(indices, name="HIST-test"):
-    params = DetectorParams(DetectorKind.ROLLING_AVERAGE)
+    params = DetectorParams(DetectorKind.ROLLING_AVERAGE, size=10, threshold_k=3.0)
     idx = np.array(sorted(indices), dtype=np.int64)
     return AnomalySet(name, params, idx, np.ones(len(idx)))
 
@@ -137,10 +137,10 @@ def test_zero_run_end_to_end_detection():
     injected, label = inject_zero_run(s, 300_000, 7_000)
     assert len(label.affected) == 8
 
-    ls = run_detector(DetectorParams(LS, window_w=5, threshold_k=6.0), injected)
+    ls = run_detector(DetectorParams(LS, size=5, threshold_k=6.0), injected)
     assert evaluate(ls, label, slack=5).recall >= 0.5
 
-    ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), injected)
+    ra = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), injected)
     assert evaluate(ra, label, slack=10).true_positives >= 1
 
 
@@ -148,8 +148,8 @@ def test_sigma_zero_injection_leaves_detection_identical():
     rng = np.random.default_rng(5)
     s = mkvalues(rng.normal(0, 1, 300))
     injected, _ = inject_gaussian_noise(s, 20, 0.0, seed=3)
-    clean_ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), s)
-    noisy_ra = run_detector(DetectorParams(RA, window_w=10, threshold_k=3.0), injected)
+    clean_ra = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), s)
+    noisy_ra = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), injected)
     assert clean_ra == noisy_ra
 
 
