@@ -21,6 +21,8 @@ RUNS = {
     "pipeline": ["pipeline", "--recipe", "step", "--hist-step", "100", "--ion-step", "2",
                  "--top-n", "4"],
     "detect": ["detect", "--series", "HIST-44-S"],
+    # full resolution: the only run whose lattices have rows wide enough to scan
+    "match": ["match", "--recipe", "step", "--hist-step", "1", "--ion-step", "1"],
     "evaluate": ["evaluate", "--series", "HIST-44-S", "--kind", "gaussian", "--seed", "3"],
 }
 
