@@ -30,7 +30,7 @@ import numpy as np
 from . import analysis, detectors, injection, synth
 from .detectors import DETECTORS, DetectorKind, DetectorParams, default_params, run_detector
 from .dtw import MatchRun, Metric, match_all
-from .errors import IoError, MeterFuseError
+from .errors import EmptyWindow, InvalidArgument, IoError, MeterFuseError
 from .ingest import Corpus, load_corpus, load_manifest, series_to_csv
 from .merge import merge_pair
 from .model import SystemTag, TimeSeries
@@ -123,7 +123,7 @@ def cmd_match(args) -> dict[str, str]:
 
 def cmd_pipeline(args) -> dict[str, str]:
     if args.top_n < 1:
-        raise MeterFuseError("--top-n must be >= 1")
+        raise InvalidArgument(f"--top-n must be >= 1, got {args.top_n}")
     params = _detector_params(args)
     corpus, run, files = _run_match(args)
 
@@ -176,13 +176,20 @@ def cmd_detect(args) -> dict[str, str]:
 
 
 def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLabel]:
-    if args.kind == "zero-run":
-        at = args.at if args.at is not None else int(series.t[len(series) // 2])
-        duration = args.duration_ms
-        if duration is None:
-            duration = injection.draw_zero_run_duration_ms(np.random.default_rng(args.seed))
-        return injection.inject_zero_run(series, at, duration)
-    return injection.inject_gaussian_noise(series, args.noise_count, args.sigma, args.seed)
+    """Inject --kind into the --series entry; EmptyWindow names the entry."""
+    try:
+        if len(series) == 0:  # before the zero run's default --at reads the middle sample
+            raise EmptyWindow("series is empty")
+        if args.kind == "zero-run":
+            at = args.at if args.at is not None else int(series.t[len(series) // 2])
+            duration = args.duration_ms
+            if duration is None:
+                duration = injection.draw_zero_run_duration_ms(np.random.default_rng(args.seed))
+            return injection.inject_zero_run(series, at, duration)
+        return injection.inject_gaussian_noise(series, args.noise_count, args.sigma, args.seed)
+    except EmptyWindow as err:
+        err.entry = args.series
+        raise
 
 
 def cmd_inject(args) -> dict[str, str]:

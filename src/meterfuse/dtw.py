@@ -27,12 +27,13 @@ monotone, so ``fl(min(x, y) + c) == min(fl(x + c), fl(y + c))``, and a cell
 ``D = min(diag, up) + cost`` computed for the whole row at once.  The row is
 then runs that keep ``D`` and chains from the left, each summed by
 ``np.add.accumulate``, which adds in sequence and so rounds as the loop
-does.  A row whose chains come shorter than `_SCAN_CELLS_PER_CHAIN` cells
-on average finishes on the scalar loop, and the next `_SCAN_RETRY` rows
-take it too.  The walk back needs only each row's first and last path
-column (`_spans`): the coarse levels hand those straight to
-`_projected_band`, and in a scanned row one vectorised search
-(`_skip_columns`) finds where the column steps end.
+does.  Row width alone picks the fill.  The walk back needs only each
+row's first and last path column (`_spans`): the coarse levels hand those
+straight to `_projected_band`, and in a scanned row one vectorised search
+(`_skip_columns`) finds where the column steps end.  One recursive
+function (`_level`) solves a level: it bands it by the coarser level's
+spans, runs the program, and returns the total, the cells of it and every
+coarser level, and, when asked, its own spans.
 
 `match_all` ranks pairs by distance alone, so it builds no path at the
 finest level.  It groups the pairs whose lattice is solved exactly by
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, product
@@ -69,27 +71,18 @@ from .sampling import SamplingRecipe, apply_recipe
 
 _BASE_CASE_MIN = 16
 # Mean cells per anti-diagonal from which one batched wavefront beats a
-# `_warp_distance` call per pair.  A diagonal costs a few numpy calls; on
-# random walks 8 pairs of 16 x 2,000 (127 cells per diagonal) took 0.95x
+# distance-only `_level` call per pair.  A diagonal costs a few numpy calls;
+# on random walks 8 pairs of 16 x 2,000 (127 cells per diagonal) took 0.95x
 # the wavefront's time per pair, and 16 such pairs 1.4x (2 vCPUs, numpy 2.4).
 _WAVEFRONT_MIN_WIDTH = 128
 # Rows at least this wide are scanned by `_scan`, narrower ones take the
-# scalar loop.  `_warp_distance` at radius 1 with every row scanned took,
-# as a share of the time with none scanned: on a 48-point line against the
+# scalar loop.  A distance-only `_level` at radius 1 with every row scanned
+# took, as a share of the time with none scanned: on a 48-point line against the
 # line it samples every B-th point of (the `fullres` twin pairs' shape)
 # 1.47x, 0.88x, 0.59x and 0.26x at finest rows of 65, 127, 253 and 1,005
 # cells on average; on a random walk against those points 1.21x at 99
 # cells and 0.82x at 195 and 387 (2 vCPUs, numpy 2.4).
 _SCAN_MIN_WIDTH = 256
-# A scan gives up once its chains average fewer than `_SCAN_CELLS_PER_CHAIN`
-# cells, as one chain costs a few numpy calls, and the next `_SCAN_RETRY`
-# rows then take the scalar loop: a row that gives up has paid for its
-# whole-row numpy passes for nothing.  On white noise 48 x 34,560
-# `_warp_distance` took 49 and 251 ms at radius 1 and 10 with no rows
-# skipped, 43 and 202 ms with 8; integer ties 48 x 34,560, which give up in
-# fewer rows, 47 and 57 ms (medians of 9 runs, 2 vCPUs, numpy 2.4).
-_SCAN_CELLS_PER_CHAIN = 64
-_SCAN_RETRY = 8
 # Chain ends, and where a wide row's column steps end, are searched over
 # windows that start `_SCAN_WINDOW` cells wide and double.
 _SCAN_WINDOW = 128
@@ -172,17 +165,16 @@ def _banded(
     row splits into three runs that need no range test: cells with a
     neighbour above, the one cell just past the row above, and a tail
     reached only from the left.  Cells outside the band read as infinite.
-    A row `_scan` fills is an array, a row from a scalar loop a list.
+    A row `_scan` fills is an array, a row from the scalar loop a list.
     Only the row above is held, so a caller that needs only the total
     keeps two rows live.
     """
     l1 = metric is Metric.L1
     prev: list[float] | np.ndarray = []
-    resume = 0  # rows before this one take the scalar loop after a scan gave up
     for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
         d = a[i] - b[lo_i : hi_i + 1]
         cost = np.abs(d) if l1 else d * d
-        wide = len(cost) >= _SCAN_MIN_WIDTH and i >= resume
+        wide = len(cost) >= _SCAN_MIN_WIDTH
         if not i:
             prev = np.add.accumulate(cost) if wide else list(accumulate(cost.tolist()))
             yield prev
@@ -190,8 +182,6 @@ def _banded(
         prev_lo, prev_hi = lo[i - 1], hi[i - 1]
         if wide:
             prev = _scan(np.asarray(prev), cost, lo_i - prev_lo, prev_hi - lo_i + 1)
-            if isinstance(prev, list):
-                resume = i + 1 + _SCAN_RETRY
         else:
             prev, cost = (prev if isinstance(prev, list) else prev.tolist()), cost.tolist()
             row: list[float] = []
@@ -216,7 +206,7 @@ def _banded(
         yield prev
 
 
-def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray | list[float]:
+def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray:
     """One wide row of `_banded`, from the row above (``prev``) and the row's costs.
 
     The row's first ``n`` cells lie under ``prev[s:]``.  A cell's value is
@@ -226,9 +216,7 @@ def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray | li
     neighbour above); the row is then runs that keep ``D`` and runs where
     the chain from the left wins, summed by ``np.add.accumulate`` in the
     loop's order.  A chain's end is searched over a window that doubles
-    while it holds none.  Once the chains so far average fewer than
-    `_SCAN_CELLS_PER_CHAIN` cells, the rest of the row takes a scalar loop
-    over ``D`` and the row comes back as a list.
+    while it holds none.
     """
     w = len(cost)
     m = min(n + 1, w)  # cells with a neighbour above or diagonally above
@@ -241,22 +229,12 @@ def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray | li
     out[:m] += cost[:m]
     # stop[k]: cell k + 1 is taken by the left chain when cell k kept D
     stop = out[1:] > out[:-1] + cost[1:]
-    k, chains = 0, 0
+    k = 0
     while k < w - 1:
         t = int(stop[k:].argmax())
         if not stop[k + t]:
             break
         k += t  # cell k keeps D; a chain from it takes cell k + 1
-        chains += 1
-        if chains * _SCAN_CELLS_PER_CHAIN > k + _SCAN_CELLS_PER_CHAIN:
-            row = out[: k + 1].tolist()
-            left = row[-1]
-            for dk, c in zip(out[k + 1 :].tolist(), cost[k + 1 :].tolist()):
-                left += c
-                if dk < left:
-                    left = dk
-                row.append(left)
-            return row
         win = _SCAN_WINDOW
         while True:
             e = min(k + win, w - 1)  # the chain's cells k + 1..e, summed on from out[k]
@@ -461,56 +439,35 @@ def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) ->
     if flip:
         av, bv = bv, av
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, lo, cells = _rows(av, bv, radius, metric, flip)
-    first, last = _spans(rows, lo, len(bv), flip)
+        total, cells, (first, last) = _level(av, bv, radius, metric, flip, True)
     pairs = [(i, j) for i, (f, l) in enumerate(zip(first, last)) for j in range(f, l + 1)]
     path = WarpPath(tuple((j, i) for i, j in pairs) if flip else tuple(pairs))
-    return DtwResult(float(_distance(rows[-1][-1], metric)), path, metric, cells)
+    return DtwResult(float(_distance(total, metric)), path, metric, cells)
 
 
-def _band(
-    av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric, flip: bool
-) -> tuple[list[int], list[int], int]:
-    """Row bounds of the finest level's band, and the cells of it and every coarser level."""
+def _level(
+    av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric, flip: bool, spans: bool
+) -> tuple[float, int, tuple[list[int], list[int]] | None]:
+    """One level of `_warp`: its total, the cells of it and every coarser level, and its spans.
+
+    The band is the full lattice when the level is solved exactly, else the
+    projection of the coarser level's spans.  The spans (`_spans`) come
+    only when ``spans`` is set; otherwise only the last row is kept.
+    `CostOverflow` unless the total is finite.
+    """
     la, lb = len(av), len(bv)
     if _is_exact(la, lb, radius):
         lo, hi, cells = [0] * la, [lb - 1] * la, 0
     else:
-        half_b = _halve(bv)
-        rows, c_lo, cells = _rows(_halve(av), half_b, radius, metric, flip)
-        lo, hi = _projected_band(*_spans(rows, c_lo, len(half_b), flip), la, lb, radius)
-    return lo, hi, cells + sum(hi) - sum(lo) + la
-
-
-def _rows(
-    av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric, flip: bool
-) -> tuple[list[list[float] | np.ndarray], list[int], int]:
-    """Every row of one level's DP, their ``lo`` bounds, and the cells of it and every coarser level."""
-    lo, hi, cells = _band(av, bv, radius, metric, flip)
-    rows = list(_banded(av, bv, lo, hi, metric))
-    _total(rows[-1])
-    return rows, lo, cells
-
-
-def _total(row: list[float] | np.ndarray) -> float:
-    """A level's accumulated total, the last cell of its last row; CostOverflow unless finite."""
-    total = float(row[-1])
+        _, cells, coarse = _level(_halve(av), _halve(bv), radius, metric, flip, True)
+        lo, hi = _projected_band(*coarse, la, lb, radius)
+    rows = _banded(av, bv, lo, hi, metric)
+    kept = list(rows) if spans else deque(rows, maxlen=1)
+    total = float(kept[-1][-1])
     if not math.isfinite(total):
         raise CostOverflow("warped cost overflows float64")
-    return total
-
-
-def _warp_distance(
-    av: np.ndarray, bv: np.ndarray, radius: int, metric: Metric
-) -> tuple[float, int]:
-    """`_warp`'s distance and cells, without the finest level's walk back."""
-    flip = len(av) > len(bv)
-    if flip:
-        av, bv = bv, av
-    lo, hi, cells = _band(av, bv, radius, metric, flip)
-    for row in _banded(av, bv, lo, hi, metric):
-        pass
-    return float(_distance(_total(row), metric)), cells
+    cells += sum(hi) - sum(lo) + la
+    return total, cells, _spans(kept, lo, lb, flip) if spans else None
 
 
 def z_normalize(values: np.ndarray) -> np.ndarray:
@@ -539,7 +496,7 @@ def match_all(
     Pairs whose lattice FastDTW solves exactly are grouped by shape (ION
     length, HIST length), and each group with enough cells per
     anti-diagonal (`_WAVEFRONT_MIN_WIDTH`) is swept at once by
-    `_wavefront`; every other pair runs `_warp_distance`.  Distances and
+    `_wavefront`; every other pair runs `_level` without spans.  Distances and
     ``cells_evaluated`` equal `fastdtw`'s bit for bit.  Ties in distance
     break lexicographically on (ion name, hist name), making the ranking
     deterministic regardless of evaluation order.  `CostOverflow` names the
@@ -562,10 +519,9 @@ def match_all(
     hist_vals = [prep(s) for s in hist_sorted]
     for ion_s, a in zip(ion_sorted, ion_vals):
         for hist_s, b in zip(hist_sorted, hist_vals):
-            # in the order, and with the checks, of one solver call per pair
             if len(a) == 0 or len(b) == 0:
                 raise EmptyInput(f"sampled series is empty for pair ({ion_s.id}, {hist_s.id})")
-            _check_radius(radius)
+    _check_radius(radius)  # after the inputs, as `fastdtw` checks them
 
     start = time.perf_counter()
     dist = np.empty((len(ion_vals), len(hist_vals)))
@@ -573,22 +529,23 @@ def match_all(
     with np.errstate(over="ignore", invalid="ignore"):
         for la, rows in _by_length(ion_vals).items():
             for lb, cols in _by_length(hist_vals).items():
+                flip = la > lb  # rows over the shorter input, as in `_warp`
                 if _is_exact(la, lb, radius) and (
                     len(rows) * len(cols) * la * lb >= _WAVEFRONT_MIN_WIDTH * (la + lb - 1)
                 ):
                     a = np.stack([ion_vals[i] for i in rows])
                     b = np.stack([hist_vals[j] for j in cols])
-                    totals = _wavefront(a, b, metric) if la <= lb else _wavefront(b, a, metric).T
+                    totals = _wavefront(b, a, metric).T if flip else _wavefront(a, b, metric)
                     dist[np.ix_(rows, cols)] = _distance(totals, metric)
                     cells[np.ix_(rows, cols)] = la * lb
                     continue
                 for i, j in product(rows, cols):
+                    a, b = (hist_vals[j], ion_vals[i]) if flip else (ion_vals[i], hist_vals[j])
                     try:
-                        dist[i, j], cells[i, j] = _warp_distance(
-                            ion_vals[i], hist_vals[j], radius, metric
-                        )
+                        total, cells[i, j], _ = _level(a, b, radius, metric, flip, False)
                     except CostOverflow:
-                        dist[i, j] = _INF
+                        total = _INF
+                    dist[i, j] = _distance(total, metric)
     elapsed = time.perf_counter() - start
     overflow = np.flatnonzero(~np.isfinite(dist))
     if overflow.size:  # the first pair in (ion name, hist name) order

@@ -14,17 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgument
-from .ingest import Corpus, series_to_csv
+from .errors import DuplicateId, InvalidArgument
+from .ingest import ColumnMap, Corpus, ManifestEntry, series_to_csv
 from .model import MeasurementId, SystemTag, TimeSeries
 
 START_EPOCH_MS = 1_600_000_000_000
 HIST_CADENCE_MS = 5_000
 ION_CADENCE_MS = 3_600_000
-
-
-def _mid(system: SystemTag, name: str) -> MeasurementId:
-    return MeasurementId(system, name)
 
 
 def constant_series(
@@ -33,10 +29,9 @@ def constant_series(
     value: float,
     n: int,
     cadence_ms: int,
-    start_ms: int = START_EPOCH_MS,
 ) -> TimeSeries:
-    t = start_ms + cadence_ms * np.arange(n, dtype=np.int64)
-    return TimeSeries(_mid(system, name), t, np.full(n, value))
+    t = START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
+    return TimeSeries(MeasurementId(system, name), t, np.full(n, value))
 
 
 def line_series(
@@ -46,11 +41,10 @@ def line_series(
     slope_per_step: float,
     n: int,
     cadence_ms: int,
-    start_ms: int = START_EPOCH_MS,
 ) -> TimeSeries:
-    t = start_ms + cadence_ms * np.arange(n, dtype=np.int64)
+    t = START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
     v = intercept + slope_per_step * np.arange(n, dtype=np.float64)
-    return TimeSeries(_mid(system, name), t, v)
+    return TimeSeries(MeasurementId(system, name), t, v)
 
 
 def random_walk_series(
@@ -60,12 +54,11 @@ def random_walk_series(
     cadence_ms: int,
     seed: int,
     step_sigma: float = 1.0,
-    start_ms: int = START_EPOCH_MS,
 ) -> TimeSeries:
     rng = np.random.default_rng(seed)
-    t = start_ms + cadence_ms * np.arange(n, dtype=np.int64)
+    t = START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
     v = np.cumsum(rng.normal(0.0, step_sigma, size=n))
-    return TimeSeries(_mid(system, name), t, v)
+    return TimeSeries(MeasurementId(system, name), t, v)
 
 
 def add_spikes(s: TimeSeries, n_spikes: int, magnitude: float, seed: int) -> TimeSeries:
@@ -79,7 +72,7 @@ def add_spikes(s: TimeSeries, n_spikes: int, magnitude: float, seed: int) -> Tim
 
 def subsample_every(s: TimeSeries, k: int, name: str, system: SystemTag) -> TimeSeries:
     """Every k-th sample under a new identity (the low-frequency twin)."""
-    return TimeSeries(_mid(system, name), s.t[::k], s.v[::k])
+    return TimeSeries(MeasurementId(system, name), s.t[::k], s.v[::k])
 
 
 def demo_corpus(
@@ -112,9 +105,9 @@ def demo_corpus(
     drift = line_series("base-drift", SystemTag.HIST, 10.0, 0.001, hist_points, hist_cadence_ms)
 
     hist_a = add_spikes(flat, spike_count, spike_magnitude, seed)
-    hist_a = TimeSeries(_mid(SystemTag.HIST, "HIST-40-S"), hist_a.t, hist_a.v)
+    hist_a = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-40-S"), hist_a.t, hist_a.v)
     hist_b = add_spikes(drift, spike_count, spike_magnitude, seed + 1)
-    hist_b = TimeSeries(_mid(SystemTag.HIST, "HIST-44-S"), hist_b.t, hist_b.v)
+    hist_b = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-44-S"), hist_b.t, hist_b.v)
     hist_c = random_walk_series(
         "HIST-23-S", SystemTag.HIST, hist_points, hist_cadence_ms, seed + 2, step_sigma=5.0
     )
@@ -129,20 +122,28 @@ def demo_corpus(
 
 
 def corpus_files(corpus: Corpus) -> dict[str, str]:
-    """One CSV per series plus ``manifest.json``, as file name -> text."""
+    """One CSV per series plus ``manifest.json``, as file name -> text.
+
+    A file is named after its series, so a name held under both systems
+    raises DuplicateId.
+    """
     files = {}
     entries = []
     for mid in sorted(corpus.series_by_id, key=lambda m: m.name):
         filename = f"{mid.name}.csv"
+        if filename in files:
+            err = DuplicateId(mid.name)
+            err.entry = mid.name
+            raise err
         files[filename] = series_to_csv(corpus.series_by_id[mid])
         entries.append(
             {
                 "system": mid.system.value,
                 "name": mid.name,
                 "path": filename,
-                "time_column": "timestamp",
-                "value_column": "value",
-                "time_format": "EPOCH_MILLIS",
+                "time_column": ColumnMap.time_column,
+                "value_column": ColumnMap.value_column,
+                "time_format": ManifestEntry.time_format.value,
             }
         )
     files["manifest.json"] = json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n"

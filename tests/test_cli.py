@@ -19,8 +19,8 @@ from meterfuse import (
     load_manifest,
     run_detector,
 )
-from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_match, cmd_report, main
-from meterfuse.errors import InvalidArgument, IoError
+from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
+from meterfuse.errors import EmptyWindow, InvalidArgument, IoError
 from meterfuse.sampling import apply_recipe
 from meterfuse.synth import corpus_files, demo_corpus
 
@@ -323,6 +323,23 @@ def test_evaluate_writes_scores(corpus_dir, tmp_path):
         }
 
 
+def test_inject_into_header_only_series_is_typed_and_named(tmp_path, capsys):
+    (tmp_path / "E.csv").write_text("timestamp,value\n", encoding="utf-8")
+    entry = {"system": "HIST", "name": "HIST-E", "path": "E.csv"}
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    for command in ("inject", "evaluate"):
+        for kind in ("zero-run", "gaussian"):
+            argv = [command, "--manifest", str(tmp_path / "manifest.json"), "--series", "HIST-E",
+                    "--kind", kind, "--out", str(tmp_path / "o")]
+            args = build_parser().parse_args(argv)
+            with pytest.raises(EmptyWindow) as exc:
+                args.func(args)
+            assert exc.value.entry == "HIST-E"
+            assert main(argv) == 1
+            assert capsys.readouterr().err == "error: series is empty (entry HIST-E)\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_default_slack_is_each_detectors_size(corpus_dir, tmp_path, capsys):
     rc = main([
         "evaluate", "--manifest", _manifest(corpus_dir), "--series", "HIST-40-S",
@@ -424,15 +441,18 @@ def test_missing_manifest_exits_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags, named",
     [
-        (["--radius", "-1", "--hist-step", "100"], "radius must be >= 0, got -1"),
-        (["--recipe", "first-n", "--n-points", "0"], "n_points must be >= 1, got 0"),
+        (["match", "--radius", "-1", "--hist-step", "100"], "radius must be >= 0, got -1"),
+        (["match", "--recipe", "first-n", "--n-points", "0"], "n_points must be >= 1, got 0"),
+        (["pipeline", "--top-n", "0"], "--top-n must be >= 1, got 0"),
     ],
-    ids=["negative-radius", "zero-n-points"],
+    ids=["negative-radius", "zero-n-points", "zero-top-n"],
 )
 def test_out_of_range_match_argument_is_typed_error(corpus_dir, tmp_path, capsys, flags, named):
-    argv = ["match", "--manifest", _manifest(corpus_dir), "--out", str(tmp_path / "o"), *flags]
+    command, *flags = flags
+    argv = [command, "--manifest", _manifest(corpus_dir), "--out", str(tmp_path / "o"), *flags]
+    args = build_parser().parse_args(argv)
     with pytest.raises(InvalidArgument, match=named):  # a MeterFuseError, not the catch-all
-        cmd_match(build_parser().parse_args(argv))
+        args.func(args)
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
     assert not (tmp_path / "o").exists()

@@ -348,10 +348,8 @@ def assert_reference(a, b, radius, metric):
     assert (got.distance, got.path.pairs, got.cells_evaluated) == want
     flip = len(a) > len(b)
     x, y = (np.asarray(b), np.asarray(a)) if flip else (np.asarray(a), np.asarray(b))
-    rows, lo, _ = dtw._rows(x, y, radius, metric, flip)
     pairs = [(j, i) for i, j in want[1]] if flip else want[1]
-    assert dtw._spans(rows, lo, len(y), flip) == spans_of(pairs)
-    return rows
+    assert dtw._level(x, y, radius, metric, flip, True)[2] == spans_of(pairs)
 
 
 # Rows of 12 x 4,000 (solved exactly) and of 48 x 6,000 and 48 x 2,000 (at
@@ -361,20 +359,19 @@ def assert_reference(a, b, radius, metric):
                          ids=["12x4000", "4000x12", "48x6000", "6000x48"])
 @pytest.mark.parametrize("kind", ["walk", "noise", "ties", "flat"])
 def test_wide_rows_match_cell_set_reference(shape, kind):
-    scanned = []
-    for radius, metric in ((0, Metric.L1), (1, Metric.L2), (10, Metric.L1), (10, Metric.L2)):
-        la, lb = shape if radius < 10 else (min(shape[0], 2000), min(shape[1], 2000))
-        if (radius, metric) == (10, Metric.L2) and kind in ("ties", "flat"):
-            continue
-        a, b = _series(kind, la, 1), _series(kind, lb, 2)
-        rows = assert_reference(a, b, radius, metric)
-        scanned += [isinstance(row, np.ndarray) for row in rows]
-    assert any(scanned)
+    with mock.patch.object(dtw, "_scan", wraps=dtw._scan) as scan:
+        for radius, metric in ((0, Metric.L1), (1, Metric.L2), (10, Metric.L1), (10, Metric.L2)):
+            la, lb = shape if radius < 10 else (min(shape[0], 2000), min(shape[1], 2000))
+            if (radius, metric) == (10, Metric.L2) and kind in ("ties", "flat"):
+                continue
+            a, b = _series(kind, la, 1), _series(kind, lb, 2)
+            assert_reference(a, b, radius, metric)
+    assert scan.called
 
 
 def test_scan_gives_up_partway_through_a_row(rng):
     # Row 1 of a 2 x 4,000 lattice: over the ramp one long chain from the left
-    # wins; over the white noise the chains turn short until the budget trips.
+    # wins; over the white noise the chains turn short.  Both equal the loop.
     a = [1.0, 2.0]
     b = np.linspace(0, 5, 1500).tolist() + rng.normal(size=2500).tolist()
     above = np.add.accumulate((a[0] - np.asarray(b)) ** 2)
@@ -383,52 +380,16 @@ def test_scan_gives_up_partway_through_a_row(rng):
     for j, (up, c) in enumerate(zip(above.tolist(), cost.tolist())):
         left = min(above[j - 1] if j else math.inf, up, left) + c
         want.append(left)
-    head = dtw._scan(above[:2700], cost[:2700], 0, 2700)
-    assert isinstance(head, np.ndarray)  # the ramp's chain is summed by numpy
-    assert head.tolist() == want[:2700]
-    full = dtw._scan(above, cost, 0, len(b))
-    assert isinstance(full, list)  # and the noise gives up
-    assert full == want
+    assert dtw._scan(above[:2700], cost[:2700], 0, 2700).tolist() == want[:2700]
+    assert dtw._scan(above, cost, 0, len(b)).tolist() == want
     for metric in Metric:
         assert_reference(a, b, 1, metric)
 
 
-@pytest.mark.parametrize("retry", [0, 1])
-def test_rows_after_a_scan_gives_up_take_the_scalar_loop(retry):
-    # white noise: every scanned row gives up, and the next `retry` rows are not scanned
-    a, b = np.asarray(_series("noise", 12, 1)), np.asarray(_series("noise", 4000, 2))
-    with mock.patch.object(dtw, "_SCAN_RETRY", retry), \
-            mock.patch.object(dtw, "_scan", wraps=dtw._scan) as scan:
-        rows = list(dtw._banded(a, b, [0] * 12, [3999] * 12, Metric.L2))
-    assert scan.call_count == len(range(1, 12, retry + 1))
-    assert all(isinstance(row, list) for row in rows[1:])
-    for row, want in zip(rows, full_lattice_rows(a, b)):
-        assert list(row) == want
-
-
-def full_lattice_rows(a: np.ndarray, b: np.ndarray) -> list[list[float]]:
-    """The full lattice's accumulated-cost rows, by the definition, cell by cell."""
-    rows: list[list[float]] = []
-    for i, x in enumerate(a.tolist()):
-        row: list[float] = []
-        for j, y in enumerate(b.tolist()):
-            best = 0.0 if i == j == 0 else min(
-                rows[i - 1][j - 1] if i and j else math.inf,
-                rows[i - 1][j] if i else math.inf,
-                row[j - 1] if j else math.inf,
-            )
-            row.append(best + (x - y) * (x - y))
-        rows.append(row)
-    return rows
-
-
-@pytest.mark.parametrize("retry", [0, 1])
-@pytest.mark.parametrize("chain_cells", [0, 10**9], ids=["never-gives-up", "gives-up-at-once"])
 @pytest.mark.parametrize("min_width", [1, 2, 64])
-def test_scan_and_span_settings_change_no_result(min_width, chain_cells, retry):
-    # every row scanned, or none given up, or all given up: the same distances and paths
-    with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_CELLS_PER_CHAIN=chain_cells,
-                             _SCAN_WINDOW=min(min_width, 8), _SCAN_RETRY=retry):
+def test_scan_and_span_settings_change_no_result(min_width):
+    # every row scanned, or only some: the same distances and paths
+    with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_WINDOW=min(min_width, 8)):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),

@@ -1,4 +1,4 @@
-"""Byte-for-byte outputs of three CLI runs on the `synth --seed 7` demo corpus.
+"""Byte-for-byte outputs of four CLI runs on the `synth --seed 7` demo corpus.
 
 tests/golden/<run>/ holds every deterministic output of one run (the
 timing-bearing .meta sidecars are left out).  A change that moves any of

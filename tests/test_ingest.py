@@ -157,6 +157,17 @@ def test_name_shared_across_systems_rejected(tmp_path):
     assert exc.value.entry == "X"
 
 
+def test_corpus_with_a_name_shared_across_systems_is_not_written(tmp_path):
+    # one X.csv would hold only the last series' values
+    series = [synth.constant_series("X", system, value, 3, 1000)
+              for system, value in ((SystemTag.ION, 1.0), (SystemTag.HIST, 2.0))]
+    corpus = ingest.Corpus({s.id: s for s in series})
+    with pytest.raises(DuplicateId) as exc:
+        synth.write_corpus(corpus, tmp_path / "c")
+    assert exc.value.entry == "X"
+    assert not any((tmp_path / "c").iterdir())
+
+
 def test_empty_manifest_path_is_typed_and_named():
     entry = ingest.ManifestEntry(MeasurementId(SystemTag.HIST, "H-2"), "")
     with pytest.raises(ManifestError) as exc:
