@@ -386,10 +386,19 @@ def test_scan_gives_up_partway_through_a_row(rng):
         assert_reference(a, b, 1, metric)
 
 
+def _walk_every_column(row, prev, lo_i, prev_lo, j, flip):
+    return j
+
+
+@pytest.mark.parametrize("skip_columns", [0, 1])
+@pytest.mark.parametrize("window", [10**9, 1], ids=["never-gives-up", "gives-up-at-once"])
 @pytest.mark.parametrize("min_width", [1, 2, 64])
-def test_scan_and_span_settings_change_no_result(min_width):
-    # every row scanned, or only some: the same distances and paths
-    with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_WINDOW=min(min_width, 8)):
+def test_scan_and_span_settings_change_no_result(min_width, window, skip_columns):
+    # every row scanned, or only some; searches whose first window spans the
+    # row, or that give up on every window and double it; the walk back
+    # skipping column steps, or walking every cell: the same distances and paths
+    skip = dtw._skip_columns if skip_columns else _walk_every_column
+    with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_WINDOW=window, _skip_columns=skip):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),
