@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -30,8 +29,8 @@ import numpy as np
 from . import analysis, detectors, injection, synth
 from .detectors import DETECTORS, DetectorKind, DetectorParams, default_params, run_detector
 from .dtw import MatchRun, Metric, match_all
-from .errors import EmptyWindow, InvalidArgument, IoError, MeterFuseError
-from .ingest import Corpus, load_corpus, load_manifest, series_to_csv
+from .errors import EmptyWindow, InvalidArgument, IoError, MeterFuseError, TooFewSamples, naming
+from .ingest import Corpus, json_text, load_corpus, load_manifest, series_to_csv, write_outputs
 from .merge import merge_pair
 from .model import SystemTag, TimeSeries
 from .sampling import SamplingKind, SamplingRecipe
@@ -41,12 +40,9 @@ from .sampling import SamplingKind, SamplingRecipe
 _RECIPE_FIELDS = [f for f in fields(SamplingRecipe) if f.name != "kind"]
 
 # demo_corpus parameters, each with a synth --flag of the same name (spike_count: --spikes)
-# that defaults to the parameter's default.
+# that defaults to the parameter's default; --radius and --metric default to match_all's.
 _SYNTH_PARAMS = inspect.signature(synth.demo_corpus).parameters
-
-
-def _json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+_MATCH_PARAMS = inspect.signature(match_all).parameters
 
 
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:
@@ -108,7 +104,7 @@ def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
             for r in run.results
         ],
     }
-    files = {"matches.csv": "\n".join(lines) + "\n", "matches.meta.json": _json(meta)}
+    files = {"matches.csv": "\n".join(lines) + "\n", "matches.meta.json": json_text(meta)}
     return corpus, run, files
 
 
@@ -155,7 +151,7 @@ def cmd_pipeline(args) -> dict[str, str]:
         "top_n": top_n,
         "pairs": pair_docs,
     }
-    files["report.json"] = _json(report_doc)
+    files["report.json"] = json_text(report_doc)
     files["report.csv"] = analysis.report_csv(pair_docs)
     print(f"pipeline: {len(top)} pairs reported to {Path(args.out)}")
     return files
@@ -169,15 +165,15 @@ def cmd_detect(args) -> dict[str, str]:
         result = run_detector(params[kind], series)
         files[f"anomalies.{spec.tag}.csv"] = detectors.anomalies_to_csv(result, series)
         counts[kind.value] = result.count
-    files["detect.json"] = _json({"series": args.series, "counts": counts})
+    files["detect.json"] = json_text({"series": args.series, "counts": counts})
     for name, count in counts.items():
         print(f"{name}: {count} anomalies")
     return files
 
 
 def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLabel]:
-    """Inject --kind into the --series entry; EmptyWindow names the entry."""
-    try:
+    """Inject --kind into the --series entry; EmptyWindow and TooFewSamples name the entry."""
+    with naming(args.series, EmptyWindow, TooFewSamples):
         if len(series) == 0:  # before the zero run's default --at reads the middle sample
             raise EmptyWindow("series is empty")
         if args.kind == "zero-run":
@@ -187,9 +183,6 @@ def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLa
                 duration = injection.draw_zero_run_duration_ms(np.random.default_rng(args.seed))
             return injection.inject_zero_run(series, at, duration)
         return injection.inject_gaussian_noise(series, args.noise_count, args.sigma, args.seed)
-    except EmptyWindow as err:
-        err.entry = args.series
-        raise
 
 
 def cmd_inject(args) -> dict[str, str]:
@@ -208,7 +201,7 @@ def cmd_evaluate(args) -> dict[str, str]:
         result = run_detector(p, injected)
         slack = p.size if args.slack is None else args.slack
         score = injection.evaluate(result, label, slack=slack)
-        files[f"eval.{spec.tag}.json"] = _json(asdict(score))
+        files[f"eval.{spec.tag}.json"] = json_text(asdict(score))
         print(
             f"{kind.value}: precision {score.precision:.3f} recall {score.recall:.3f} "
             f"f1 {score.f1:.3f} (slack {slack})"
@@ -228,7 +221,7 @@ def cmd_ingest(args) -> dict[str, str]:
     for name, count in sorted(summary["entries"].items()):
         print(f"{name}: {count} samples")
     print(f"{len(ion)} ION series, {len(hist)} HIST series")
-    return {"ingest.json": _json(summary)}
+    return {"ingest.json": json_text(summary)}
 
 
 def cmd_synth(args) -> dict[str, str]:
@@ -255,8 +248,9 @@ def _add_recipe_flags(p: argparse.ArgumentParser):
 
 
 def _add_dtw_flags(p: argparse.ArgumentParser):
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.L2.value)
+    p.add_argument("--radius", type=int, default=_MATCH_PARAMS["radius"].default)
+    p.add_argument("--metric", choices=[m.value for m in Metric],
+                   default=_MATCH_PARAMS["metric"].default.value)
     p.add_argument("--z-normalize", action="store_true")
 
 
@@ -323,38 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outputs(out_dir: Path, files: dict[str, str]):
-    """Write every file under out_dir, or none and leave the files there as they were.
-
-    Each file is staged as a temporary file beside its target, and the
-    targets are replaced only once every file is staged.  A target that is
-    a directory is refused up front: its os.replace would fail after the
-    earlier targets were replaced.
-    """
-    targets = [out_dir / name for name in files]
-    for path in targets:
-        if path.is_dir():
-            raise IoError(str(path), IsADirectoryError("is a directory"), action="write")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staged: list[Path] = []
-    try:
-        for path, text in zip(targets, files.values()):
-            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
-            staged[-1].write_text(text, encoding="utf-8")
-    except BaseException:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
-        raise
-    for tmp, path in zip(staged, targets):
-        os.replace(tmp, path)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         files = args.func(args)
         if args.out:  # optional only for ingest
-            _write_outputs(Path(args.out), files)
+            write_outputs(Path(args.out), files)
     except MeterFuseError as e:
         entry = f" (entry {e.entry})" if e.entry is not None else ""
         print(f"error: {e}{entry}", file=sys.stderr)

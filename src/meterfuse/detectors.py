@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import InvalidArgument, TooShort
+from .errors import InvalidArgument, TooShort, naming
 from .merge import ORIGIN_NAMES, MergedSeries
 from .model import TimeSeries
 
@@ -198,11 +198,8 @@ def run_detector(params: DetectorParams, s: SeriesLike) -> AnomalySet:
     flagged positions.  TooShort names the series as its ``entry``.
     """
     values, name = _values_and_name(s)
-    try:
+    with naming(name or None, TooShort):
         scores = DETECTORS[params.kind].score(values, params.size)
-    except TooShort as err:
-        err.entry = name or None
-        raise
     positions, deviations = _flag_outliers(scores, values, params.threshold_k)
     return AnomalySet(name, params, positions + params.size, deviations)
 

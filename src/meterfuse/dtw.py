@@ -65,8 +65,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CostOverflow, EmptyInput, EmptyPartition, InvalidArgument, NonFiniteValue, TooShort
-from .model import MeasurementId, TimeSeries
+from .errors import (
+    CostOverflow, EmptyInput, EmptyPartition, InvalidArgument, NonFiniteValue, TooShort, naming,
+)
+from .model import MeasurementId, TimeSeries, finite_values
 from .sampling import SamplingRecipe, apply_recipe
 
 _BASE_CASE_MIN = 16
@@ -143,15 +145,6 @@ class MatchRun:
     @property
     def cells_evaluated(self) -> int:
         return sum(r.cells_evaluated for r in self.results)
-
-
-def _values(a: Sequence[float]) -> np.ndarray:
-    """``a`` as float64; NonFiniteValue names the first NaN or infinite value."""
-    v = np.asarray(a, dtype=np.float64)
-    finite = np.isfinite(v)
-    if not finite.all():
-        raise NonFiniteValue(int(np.argmin(finite)))
-    return v
 
 
 def _banded(
@@ -363,10 +356,7 @@ def _distance(total: float | np.ndarray, metric: Metric) -> float | np.ndarray:
 
 def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.L2) -> DtwResult:
     """Globally minimal warped distance: the banded program over the full lattice."""
-    av, bv = _values(a), _values(b)
-    if len(av) == 0 or len(bv) == 0:
-        raise EmptyInput("both sequences must be non-empty")
-    return _warp(av, bv, None, metric)
+    return _warp(a, b, None, metric)
 
 
 def _halve(v: np.ndarray) -> np.ndarray:
@@ -416,10 +406,7 @@ def fastdtw(
     raised when the accumulated cost of this or a coarser level overflows
     float64.
     """
-    av, bv = _values(a), _values(b)
-    if len(av) == 0 or len(bv) == 0:
-        raise EmptyInput("both sequences must be non-empty")
-    return _warp(av, bv, radius, metric)
+    return _warp(a, b, radius, metric)
 
 
 def _check_radius(radius: int | None) -> None:
@@ -432,8 +419,11 @@ def _is_exact(la: int, lb: int, radius: int | None) -> bool:
     return radius is None or min(la, lb) <= max(radius + 2, _BASE_CASE_MIN)
 
 
-def _warp(av: np.ndarray, bv: np.ndarray, radius: int | None, metric: Metric) -> DtwResult:
+def _warp(a: Sequence[float], b: Sequence[float], radius: int | None, metric: Metric) -> DtwResult:
     """FastDTW, or the exact distance when ``radius`` is None, rows over the shorter input."""
+    av, bv = finite_values(a), finite_values(b)
+    if len(av) == 0 or len(bv) == 0:
+        raise EmptyInput("both sequences must be non-empty")
     _check_radius(radius)
     flip = len(av) > len(bv)
     if flip:
@@ -490,8 +480,8 @@ def match_all(
 ) -> MatchRun:
     """Rank every cross-system pair by warped distance, ascending.
 
-    Series are sampled per the recipe, and every pair is checked, before
-    the recorded wall time starts, so it covers the distance loop only.
+    Series are sampled per the recipe and checked before the recorded
+    wall time starts, so it covers the distance loop only.
     The ranking reads no path, so none is built at the finest level.
     Pairs whose lattice FastDTW solves exactly are grouped by shape (ION
     length, HIST length), and each group with enough cells per
@@ -506,21 +496,16 @@ def match_all(
         raise EmptyPartition("both corpus partitions must contain at least one series")
 
     def prep(s: TimeSeries) -> np.ndarray:
-        sampled = apply_recipe(s, recipe)
-        try:
-            return _values(z_normalize(sampled.v) if normalize else sampled.v)
-        except NonFiniteValue as err:
-            err.entry = s.id.name
-            raise
+        with naming(s.id.name, EmptyInput, NonFiniteValue):
+            sampled = apply_recipe(s, recipe)
+            if len(sampled) == 0:
+                raise EmptyInput("sampled series is empty")
+            return finite_values(z_normalize(sampled.v) if normalize else sampled.v)
 
     ion_sorted = sorted(ion, key=lambda s: s.id.name)
     hist_sorted = sorted(hist, key=lambda s: s.id.name)
     ion_vals = [prep(s) for s in ion_sorted]
     hist_vals = [prep(s) for s in hist_sorted]
-    for ion_s, a in zip(ion_sorted, ion_vals):
-        for hist_s, b in zip(hist_sorted, hist_vals):
-            if len(a) == 0 or len(b) == 0:
-                raise EmptyInput(f"sampled series is empty for pair ({ion_s.id}, {hist_s.id})")
     _check_radius(radius)  # after the inputs, as `fastdtw` checks them
 
     start = time.perf_counter()

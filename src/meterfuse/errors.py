@@ -1,12 +1,18 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on a per-corpus-entry basis carries an optional
-``entry`` attribute naming the offending measurement, filled in by the
-manifest and corpus loaders: the entry's name, or its index in the
-manifest when it has no usable name.
+An error raised for one corpus entry carries an ``entry`` attribute naming
+it: the entry's name, or its manifest index when it has no usable name.
+`naming` sets it on the errors raised inside a block; `DuplicateId` sets it
+itself.  Errors that name their entry: every error of loading an entry's
+manifest record or file, `DuplicateId`, `EmptyInput` and `NonFiniteValue`
+of a series `match_all` samples, `TooShort` of a named series a detector
+scores, and `EmptyWindow` and `TooFewSamples` of the CLI's injection.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class MeterFuseError(Exception):
@@ -15,16 +21,22 @@ class MeterFuseError(Exception):
     entry: str | int | None = None
 
 
+@contextmanager
+def naming(entry: str | int | None, *kinds: type[MeterFuseError]) -> Iterator[None]:
+    """Set ``entry`` on an error of ``kinds`` (any MeterFuseError if none) raised in the block."""
+    try:
+        yield
+    except kinds or MeterFuseError as err:
+        err.entry = entry
+        raise
+
+
 class NonFiniteValue(MeterFuseError):
     """A sample value is NaN or infinite."""
 
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"non-finite value at sample index {index}")
-
-
-class InvalidRange(MeterFuseError):
-    """A time range with start > end."""
 
 
 class MissingColumn(MeterFuseError):
@@ -61,16 +73,12 @@ class ManifestError(MeterFuseError):
 
 class DuplicateId(MeterFuseError):
     def __init__(self, name: str):
-        self.name = name
+        self.name = self.entry = name
         super().__init__(f"duplicate measurement id {name!r}")
 
 
 class InvalidArgument(MeterFuseError, ValueError):
-    """A numeric argument outside its allowed range, such as a negative radius."""
-
-
-class ZeroStep(MeterFuseError):
-    """Sampling step below 1."""
+    """An argument outside its allowed range, such as a negative radius or a zero step."""
 
 
 class EmptyInput(MeterFuseError):

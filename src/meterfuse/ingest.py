@@ -12,7 +12,8 @@ Manifest JSON::
                      "time_format": "EPOCH_MILLIS"|"EPOCH_SECONDS"|"ISO8601" } ] }
 
 Series CSV (canonical export): header ``timestamp,value``, LF endings,
-value as decimal text.
+value as decimal text.  `series_to_csv` and `json_text` render the
+package's files, and `write_outputs` writes a directory's files whole.
 
 An ``EPOCH_MILLIS`` file of plain shape, as every canonical export is,
 is parsed column-wise: split on commas and converted with ``int``/``float``
@@ -30,6 +31,7 @@ import csv
 import io
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -46,6 +48,7 @@ from .errors import (
     MissingColumn,
     UnparseableTime,
     UnparseableValue,
+    naming,
 )
 from .model import MeasurementId, SystemTag, TimeSeries, validate_series
 
@@ -83,11 +86,11 @@ class CorpusManifest:
     def __post_init__(self):
         seen: set[str] = set()
         for e in self.entries:
-            if not e.path or e.id.name in seen:
-                err = (DuplicateId(e.id.name) if e.path
-                       else ManifestError(f"entry {e.id} has an empty path"))
-                err.entry = e.id.name
-                raise err
+            with naming(e.id.name):
+                if not e.path:
+                    raise ManifestError(f"entry {e.id} has an empty path")
+                if e.id.name in seen:
+                    raise DuplicateId(e.id.name)
             seen.add(e.id.name)
 
     def select(self, name: str) -> CorpusManifest:
@@ -297,12 +300,9 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         raise ManifestError(f"{path} has no 'entries' list")
     entries = []
     for index, raw in enumerate(doc["entries"]):
-        try:
+        name = raw.get("name") if isinstance(raw, dict) else None
+        with naming(name if isinstance(name, str) and name else index, ManifestError):
             entries.append(_manifest_entry(raw, path.parent))
-        except ManifestError as e:
-            name = raw.get("name") if isinstance(raw, dict) else None
-            e.entry = name if isinstance(name, str) and name else index
-            raise
     return CorpusManifest(tuple(entries))
 
 
@@ -310,19 +310,16 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
     """Load and validate every manifest entry.
 
     Deterministic: the same manifest and files produce an identical
-    corpus.  Parse errors are re-raised tagged with the offending entry.
+    corpus.  Read and parse errors name the offending entry.
     """
     corpus = Corpus()
     for entry in manifest.entries:
-        try:
-            blob = Path(entry.path).read_bytes()
-        except OSError as e:
-            raise IoError(entry.path, e) from None
-        try:
+        with naming(entry.id.name):
+            try:
+                blob = Path(entry.path).read_bytes()
+            except OSError as e:
+                raise IoError(entry.path, e) from None
             series = parse_csv(blob, entry.id, entry.columns, entry.time_format)
-        except MeterFuseError as e:
-            e.entry = entry.id.name
-            raise
         log.info("%s: loaded %d samples from %s", entry.id, len(series), entry.path)
         corpus.series_by_id[entry.id] = series
     return corpus
@@ -338,3 +335,34 @@ def _format_value(v: float) -> str:
     if v.is_integer() and abs(v) < 1e16:  # False for NaN and infinities
         return str(int(v))
     return repr(v)
+
+
+def json_text(doc) -> str:
+    """The package's JSON file form: sorted keys, indent 2, a trailing newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def write_outputs(out_dir: Path, files: dict[str, str]):
+    """Write every file under out_dir, or none and leave the files there as they were.
+
+    Each file is staged as a temporary file beside its target, and the
+    targets are replaced only once every file is staged.  A target that is
+    a directory is refused up front: its os.replace would fail after the
+    earlier targets were replaced.
+    """
+    targets = [out_dir / name for name in files]
+    for path in targets:
+        if path.is_dir():
+            raise IoError(str(path), IsADirectoryError("is a directory"), action="write")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged: list[Path] = []
+    try:
+        for path, text in zip(targets, files.values()):
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            staged[-1].write_text(text, encoding="utf-8")
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in zip(staged, targets):
+        os.replace(tmp, path)

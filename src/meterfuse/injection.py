@@ -14,7 +14,6 @@ and labels bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .detectors import AnomalySet
 from .errors import EmptyWindow, InvalidArgument, SeriesMismatch, TooFewSamples
+from .ingest import json_text
 from .model import TimeSeries
 
 # The zero-run duration, when not chosen by the caller, is drawn from
@@ -162,5 +162,5 @@ def label_to_json(label: InjectionLabel) -> str:
         "seed": label.seed,
         "series": label.series_name,
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json_text(doc)
 

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidRange, NonFiniteValue
+from .errors import InvalidArgument, NonFiniteValue
 
 log = logging.getLogger(__name__)
 
@@ -111,9 +111,7 @@ def validate_series(raw: TimeSeries) -> TimeSeries:
     Raises NonFiniteValue with the index (in input order) of the first
     NaN/Inf value.
     """
-    finite = np.isfinite(raw.v)
-    if not finite.all():
-        raise NonFiniteValue(int(np.argmin(finite)))
+    finite_values(raw.v)
     if len(raw) == 0:
         log.warning("series %s is empty", raw.id)
         return raw
@@ -123,10 +121,19 @@ def validate_series(raw: TimeSeries) -> TimeSeries:
     return TimeSeries(raw.id, raw.t[order], raw.v[order])
 
 
+def finite_values(a) -> np.ndarray:
+    """``a`` as float64; NonFiniteValue names the index of the first NaN or infinite value."""
+    v = np.asarray(a, dtype=np.float64)
+    finite = np.isfinite(v)
+    if not finite.all():
+        raise NonFiniteValue(int(np.argmin(finite)))
+    return v
+
+
 def slice_by_range(s: TimeSeries, start: int, end: int) -> TimeSeries:
     """Samples with start <= t <= end, order and identity preserved."""
     if start > end:
-        raise InvalidRange(f"start {start} > end {end}")
+        raise InvalidArgument(f"start {start} > end {end}")
     lo = int(np.searchsorted(s.t, start, side="left"))
     hi = int(np.searchsorted(s.t, end, side="right"))
     return TimeSeries(s.id, s.t[lo:hi], s.v[lo:hi])

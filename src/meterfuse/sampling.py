@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidArgument, ZeroStep
+from .errors import InvalidArgument
 from .model import SystemTag, TimeSeries, slice_by_range
 
 
@@ -37,10 +37,9 @@ class SamplingRecipe:
     range_end: int = 0
 
     def __post_init__(self):
-        if self.hist_step < 1 or self.ion_step < 1:
-            raise ZeroStep("steps must be >= 1")
-        if self.n_points < 1:
-            raise InvalidArgument(f"n_points must be >= 1, got {self.n_points}")
+        for name in ("hist_step", "ion_step", "n_points"):
+            if getattr(self, name) < 1:
+                raise InvalidArgument(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.kind is SamplingKind.DATE_RANGE and self.range_start > self.range_end:
             raise InvalidArgument(
                 f"range_start must be <= range_end, got {self.range_start} > {self.range_end}"
@@ -53,7 +52,7 @@ class SamplingRecipe:
 def sample_step(s: TimeSeries, k: int) -> TimeSeries:
     """Samples at indices 0, k, 2k, ... of s; length ceil(len(s)/k)."""
     if k < 1:
-        raise ZeroStep(f"step must be >= 1, got {k}")
+        raise InvalidArgument(f"step must be >= 1, got {k}")
     return TimeSeries(s.id, s.t[::k], s.v[::k])
 
 

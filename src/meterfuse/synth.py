@@ -9,13 +9,12 @@ planted at seeded positions to give detectors something to find.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DuplicateId, InvalidArgument
-from .ingest import ColumnMap, Corpus, ManifestEntry, series_to_csv
+from .ingest import ColumnMap, Corpus, ManifestEntry, json_text, series_to_csv, write_outputs
 from .model import MeasurementId, SystemTag, TimeSeries
 
 START_EPOCH_MS = 1_600_000_000_000
@@ -132,9 +131,7 @@ def corpus_files(corpus: Corpus) -> dict[str, str]:
     for mid in sorted(corpus.series_by_id, key=lambda m: m.name):
         filename = f"{mid.name}.csv"
         if filename in files:
-            err = DuplicateId(mid.name)
-            err.entry = mid.name
-            raise err
+            raise DuplicateId(mid.name)
         files[filename] = series_to_csv(corpus.series_by_id[mid])
         entries.append(
             {
@@ -146,14 +143,13 @@ def corpus_files(corpus: Corpus) -> dict[str, str]:
                 "time_format": ManifestEntry.time_format.value,
             }
         )
-    files["manifest.json"] = json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n"
+    files["manifest.json"] = json_text({"entries": entries})
     return files
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
-    """Write one CSV per series plus a manifest; returns the manifest path."""
+    """Write one CSV per series plus a manifest, all or none; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in corpus_files(corpus).items():
-        (out / name).write_text(text, encoding="utf-8")
+    write_outputs(out, corpus_files(corpus))
     return out / "manifest.json"

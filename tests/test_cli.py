@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from meterfuse import (
     DetectorKind,
     DetectorParams,
+    Metric,
     SamplingKind,
     SamplingRecipe,
     default_params,
@@ -17,6 +19,7 @@ from meterfuse import (
     inject_zero_run,
     load_corpus,
     load_manifest,
+    match_all,
     run_detector,
 )
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
@@ -340,6 +343,16 @@ def test_inject_into_header_only_series_is_typed_and_named(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["inject", "evaluate"])
+def test_noise_count_past_series_length_names_entry(corpus_dir, tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([command, "--manifest", _manifest(corpus_dir), "--series", "HIST-44-S",
+                 "--kind", "gaussian", "--noise-count", "2401", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: requested 2401 injections into 2400 samples (entry HIST-44-S)\n"
+    assert not out.exists()
+
+
 def test_evaluate_default_slack_is_each_detectors_size(corpus_dir, tmp_path, capsys):
     rc = main([
         "evaluate", "--manifest", _manifest(corpus_dir), "--series", "HIST-40-S",
@@ -444,8 +457,10 @@ def test_missing_manifest_exits_nonzero(tmp_path, capsys):
         (["match", "--radius", "-1", "--hist-step", "100"], "radius must be >= 0, got -1"),
         (["match", "--recipe", "first-n", "--n-points", "0"], "n_points must be >= 1, got 0"),
         (["pipeline", "--top-n", "0"], "--top-n must be >= 1, got 0"),
+        (["match", "--hist-step", "0"], "hist_step must be >= 1, got 0"),
+        (["pipeline", "--ion-step", "0"], "ion_step must be >= 1, got 0"),
     ],
-    ids=["negative-radius", "zero-n-points", "zero-top-n"],
+    ids=["negative-radius", "zero-n-points", "zero-top-n", "zero-hist-step", "zero-ion-step"],
 )
 def test_out_of_range_match_argument_is_typed_error(corpus_dir, tmp_path, capsys, flags, named):
     command, *flags = flags
@@ -622,14 +637,28 @@ def test_single_series_commands_ignore_broken_unrelated_entry(corpus_dir, tmp_pa
     assert main(["inject", *base, "--duration-ms", "7000", "--out", str(tmp_path / "inj")]) == 0
     assert main(["evaluate", *base, "--duration-ms", "7000", "--out", str(tmp_path / "ev"),
                  *FAST_DETECTORS]) == 0
-    # commands over the whole corpus still fail on it
+    # commands over the whole corpus still fail on it, and name it
     assert main(["ingest", "--manifest", str(path)]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {broken['path']}: ")
+    assert err.endswith(" (entry HIST-broken)\n")
     # an unknown name lists every manifest entry, the broken one included
     assert main(["detect", "--manifest", str(path), "--series", "NOPE",
                  "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert "HIST-40-S" in err and "HIST-broken" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--z-normalize"]], ids=["raw", "z-normalized"])
+def test_empty_sampled_series_names_entry(corpus_dir, tmp_path, capsys, extra):
+    # a window between two hourly ION samples holds HIST samples only
+    start = 1_600_000_000_000 + 5_000
+    out = tmp_path / "o"
+    assert main(["match", "--manifest", _manifest(corpus_dir), "--out", str(out),
+                 "--recipe", "date-range", "--range-start", str(start),
+                 "--range-end", str(start + 60_000), *extra]) == 1
+    assert capsys.readouterr().err == "error: sampled series is empty (entry ION-4-3472)\n"
+    assert not out.exists()
 
 
 def test_manifest_error_names_entry_index(tmp_path, capsys):
@@ -678,6 +707,15 @@ def test_report_does_not_create_out_dir(tmp_path, capsys):
 def test_recipe_flags_default_to_sampling_recipe(command):
     args = build_parser().parse_args([command, "--manifest", "m.json", "--out", "o"])
     assert _recipe(args) == SamplingRecipe(SamplingKind.STEP_SIZE)
+
+
+@pytest.mark.parametrize("command", ["match", "pipeline"])
+def test_dtw_flags_default_to_match_all(command):
+    args = build_parser().parse_args([command, "--manifest", "m.json", "--out", "o"])
+    defaults = inspect.signature(match_all).parameters
+    assert (args.radius, Metric(args.metric), args.z_normalize) == tuple(
+        defaults[name].default for name in ("radius", "metric", "normalize")
+    )
 
 
 def _pipeline(corpus_dir, out, *extra) -> int:

@@ -481,7 +481,7 @@ def test_match_all_empty_sampled_series_named_in_error():
     )
     with pytest.raises(EmptyInput) as exc:
         match_all([ion], [hist], recipe)
-    assert "ION-A" in str(exc.value)
+    assert (exc.value.entry, str(exc.value)) == ("ION-A", "sampled series is empty")
 
 
 def test_match_all_non_finite_value_names_series():

@@ -168,6 +168,16 @@ def test_corpus_with_a_name_shared_across_systems_is_not_written(tmp_path):
     assert not any((tmp_path / "c").iterdir())
 
 
+def test_corpus_over_a_manifest_directory_is_not_written(tmp_path):
+    # every file is staged before any is replaced, so no CSV is left behind
+    out = tmp_path / "c"
+    (out / "manifest.json").mkdir(parents=True)
+    with pytest.raises(IoError) as exc:
+        synth.write_corpus(synth.demo_corpus(hist_points=50), out)
+    assert "cannot write" in str(exc.value)
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+
 def test_empty_manifest_path_is_typed_and_named():
     entry = ingest.ManifestEntry(MeasurementId(SystemTag.HIST, "H-2"), "")
     with pytest.raises(ManifestError) as exc:
@@ -194,8 +204,9 @@ def test_missing_file_is_io_error(tmp_path):
         ),
         encoding="utf-8",
     )
-    with pytest.raises(IoError):
+    with pytest.raises(IoError) as exc:
         load_corpus(load_manifest(manifest))
+    assert exc.value.entry == "ION-1"
 
 
 def test_parse_error_tagged_with_entry(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from meterfuse import MeasurementId, SystemTag, TimeSeries, slice_by_range, validate_series
-from meterfuse.errors import InvalidRange, NonFiniteValue
+from meterfuse.errors import InvalidArgument, NonFiniteValue
 
 from conftest import mkseries
 
@@ -77,7 +77,7 @@ def test_slice_disjoint_range_is_empty():
 
 
 def test_slice_invalid_range():
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidArgument):
         slice_by_range(mkseries([(1, 1.0)]), 5, 3)
 
 

@@ -13,7 +13,7 @@ from meterfuse import (
     sample_step,
     slice_by_range,
 )
-from meterfuse.errors import ZeroStep
+from meterfuse.errors import InvalidArgument
 from meterfuse.sampling import apply_recipe
 
 from conftest import mkseries, mkvalues
@@ -38,7 +38,7 @@ def test_step_count_on_high_frequency_corpus_size():
 
 
 def test_step_rejects_zero():
-    with pytest.raises(ZeroStep):
+    with pytest.raises(InvalidArgument):
         sample_step(mkvalues([1.0]), 0)
 
 
@@ -116,7 +116,7 @@ def test_recipe_dispatch_per_system():
 
 
 def test_recipe_validation():
-    with pytest.raises(ZeroStep):
+    with pytest.raises(InvalidArgument):
         SamplingRecipe(SamplingKind.STEP_SIZE, hist_step=0)
     with pytest.raises(ValueError):
         SamplingRecipe(SamplingKind.DATE_RANGE, range_start=10, range_end=5)
