@@ -44,9 +44,10 @@ def describe(s: Union[TimeSeries, MergedSeries, np.ndarray]) -> SummaryStats:
     n = len(values)
     if n == 0:
         return SummaryStats(0, None, None, None, None)
-    mean = math.fsum(values) / n
+    # fsum over lists: the same doubles as the arrays, without a numpy scalar per element
+    mean = math.fsum(values.tolist()) / n
     centered = values - mean
-    var = math.fsum(centered * centered) / n
+    var = math.fsum((centered * centered).tolist()) / n
     return SummaryStats(n, mean, math.sqrt(var), float(values.min()), float(values.max()))
 
 

@@ -3,8 +3,10 @@
 Subcommands: synth, ingest, match, detect, pipeline, inject, evaluate,
 report.  Each command returns its outputs by fixed filename
 (matches.csv, matches.meta.json, report.json, report.csv,
-eval.<detector>.json, ...), and `main` writes them under --out: all of
-them, or none and the files already there are left as they were.  All
+eval.<detector>.json, ...) and the line, if any, that says they were
+written.  `main` writes them under --out: all of them, or none and the
+files already there are left as they were.  It prints that line only
+once the write has succeeded.  All
 commands are deterministic for given flags; wall-clock timing appears
 only in the .meta sidecars.
 
@@ -43,6 +45,9 @@ _RECIPE_FIELDS = [f for f in fields(SamplingRecipe) if f.name != "kind"]
 # that defaults to the parameter's default; --radius and --metric default to match_all's.
 _SYNTH_PARAMS = inspect.signature(synth.demo_corpus).parameters
 _MATCH_PARAMS = inspect.signature(match_all).parameters
+
+# A command's outputs by file name, and the line to print once they are written.
+Outputs = tuple[dict[str, str], str | None]
 
 
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:
@@ -108,16 +113,16 @@ def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
     return corpus, run, files
 
 
-def cmd_match(args) -> dict[str, str]:
+def cmd_match(args) -> Outputs:
     _, run, files = _run_match(args)
     print("rank  distance      ion            hist")
     for r in run.results[:10]:
         print(f"{r.rank:<5d} {r.distance:<13.6g} {r.ion_id.name:<14s} {r.hist_id.name}")
     print(f"match loop: {run.elapsed_seconds:.3f} s over {len(run.results)} pairs")
-    return files
+    return files, None
 
 
-def cmd_pipeline(args) -> dict[str, str]:
+def cmd_pipeline(args) -> Outputs:
     if args.top_n < 1:
         raise InvalidArgument(f"--top-n must be >= 1, got {args.top_n}")
     params = _detector_params(args)
@@ -153,11 +158,10 @@ def cmd_pipeline(args) -> dict[str, str]:
     }
     files["report.json"] = json_text(report_doc)
     files["report.csv"] = analysis.report_csv(pair_docs)
-    print(f"pipeline: {len(top)} pairs reported to {Path(args.out)}")
-    return files
+    return files, f"pipeline: {len(top)} pairs reported to {Path(args.out)}"
 
 
-def cmd_detect(args) -> dict[str, str]:
+def cmd_detect(args) -> Outputs:
     params = _detector_params(args)
     series = _load_series(args)
     files, counts = {}, {}
@@ -168,7 +172,7 @@ def cmd_detect(args) -> dict[str, str]:
     files["detect.json"] = json_text({"series": args.series, "counts": counts})
     for name, count in counts.items():
         print(f"{name}: {count} anomalies")
-    return files
+    return files, None
 
 
 def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLabel]:
@@ -185,13 +189,14 @@ def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLa
         return injection.inject_gaussian_noise(series, args.noise_count, args.sigma, args.seed)
 
 
-def cmd_inject(args) -> dict[str, str]:
+def cmd_inject(args) -> Outputs:
     injected, label = _inject(args, _load_series(args))
     print(f"injected {label.kind.value} into {args.series}: {len(label.affected)} samples")
-    return {"injected.csv": series_to_csv(injected), "label.json": injection.label_to_json(label)}
+    files = {"injected.csv": series_to_csv(injected), "label.json": injection.label_to_json(label)}
+    return files, None
 
 
-def cmd_evaluate(args) -> dict[str, str]:
+def cmd_evaluate(args) -> Outputs:
     params = _detector_params(args)
     injected, label = _inject(args, _load_series(args))
 
@@ -206,10 +211,10 @@ def cmd_evaluate(args) -> dict[str, str]:
             f"{kind.value}: precision {score.precision:.3f} recall {score.recall:.3f} "
             f"f1 {score.f1:.3f} (slack {slack})"
         )
-    return files
+    return files, None
 
 
-def cmd_ingest(args) -> dict[str, str]:
+def cmd_ingest(args) -> Outputs:
     corpus = load_corpus(load_manifest(args.manifest))
     ion = corpus.partition(SystemTag.ION)
     hist = corpus.partition(SystemTag.HIST)
@@ -221,23 +226,22 @@ def cmd_ingest(args) -> dict[str, str]:
     for name, count in sorted(summary["entries"].items()):
         print(f"{name}: {count} samples")
     print(f"{len(ion)} ION series, {len(hist)} HIST series")
-    return {"ingest.json": json_text(summary)}
+    return {"ingest.json": json_text(summary)}, None
 
 
-def cmd_synth(args) -> dict[str, str]:
+def cmd_synth(args) -> Outputs:
     corpus = synth.demo_corpus(**{name: getattr(args, name) for name in _SYNTH_PARAMS})
-    print(f"wrote {len(corpus)} series and {Path(args.out) / 'manifest.json'}")
-    return synth.corpus_files(corpus)
+    written = f"wrote {len(corpus)} series and {Path(args.out) / 'manifest.json'}"
+    return synth.corpus_files(corpus), written
 
 
-def cmd_report(args) -> dict[str, str]:
+def cmd_report(args) -> Outputs:
     report_path = Path(args.out) / "report.json"
     try:
         text = analysis.report_csv(json.loads(report_path.read_text(encoding="utf-8"))["pairs"])
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise IoError(str(report_path), e) from None
-    print(f"rebuilt report.csv from {report_path}")
-    return {"report.csv": text}
+    return {"report.csv": text}, f"rebuilt report.csv from {report_path}"
 
 
 def _add_recipe_flags(p: argparse.ArgumentParser):
@@ -320,9 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        files = args.func(args)
+        files, written = args.func(args)
         if args.out:  # optional only for ingest
             write_outputs(Path(args.out), files)
+        if written:
+            print(written)
     except MeterFuseError as e:
         entry = f" (entry {e.entry})" if e.entry is not None else ""
         print(f"error: {e}{entry}", file=sys.stderr)

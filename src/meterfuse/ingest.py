@@ -23,6 +23,17 @@ else (quoted cells, CRLF, blank or ragged lines, blank values, cells that
 do not convert, out-of-range millis, the other time formats) goes through
 the csv.DictReader row loop, the only source of skip counts and of errors
 that name a row.  Both give the same series.
+
+`load_corpus` parses each series file once.  It keeps every series it
+parsed, with its skip count, in ``.meterfuse-cache/<file name>.columns``
+beside the file, as ``__pycache__`` sits beside Python sources, and a
+later load reads the arrays back when the cache entry's key matches:
+the file's byte length and zlib CRC-32, the entry's time and value
+columns and time format, the csv field limit, the Python version and
+`_CACHE_VERSION`.  A changed file overwrites its one cache file.  A file
+that fails to parse or validate is never cached, a cache that cannot be
+written is left out, and an unusable cache file is a miss, so no output
+depends on the cache.  Deleting the directory is always safe.
 """
 
 from __future__ import annotations
@@ -32,6 +43,8 @@ import io
 import json
 import logging
 import os
+import sys
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -55,6 +68,9 @@ from .model import MeasurementId, SystemTag, TimeSeries, validate_series
 log = logging.getLogger(__name__)
 
 _CHUNK_ROWS = 2048  # data rows split and converted at once by the column-wise path
+
+_CACHE_DIR = ".meterfuse-cache"  # beside each series file, as __pycache__ beside sources
+_CACHE_VERSION = 1  # bump whenever the parser's output for some bytes and settings could change
 
 
 class TimeFormat(Enum):
@@ -159,17 +175,30 @@ def parse_csv(
     zero-filled); the skip count is logged.  Row numbers in errors are
     1-based over data rows.
     """
+    return _validated(id, *_parse_columns(data, columns, time_format))
+
+
+def _parse_columns(
+    data: bytes | str | io.IOBase, columns: ColumnMap, time_format: TimeFormat
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Time and value columns of a CSV, and the number of rows skipped for a blank value."""
     try:
         if not isinstance(data, (bytes, str)):
             data = data.read()
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        plain = None
         if time_format is TimeFormat.EPOCH_MILLIS:
             raw = data if isinstance(data, bytes) else text.encode("utf-8", "surrogatepass")
             plain = _parse_plain(text, raw, columns)
-        t, v = plain if plain is not None else _parse_rows(text, id, columns, time_format)
+            if plain is not None:
+                return (*plain, 0)
+        return _parse_rows(text, columns, time_format)
     except (UnicodeDecodeError, csv.Error) as e:
         raise MalformedCsv(f"malformed CSV: {e}") from None
+
+
+def _validated(id: MeasurementId, t: np.ndarray, v: np.ndarray, skipped: int) -> TimeSeries:
+    if skipped:
+        log.warning("%s: skipped %d rows with empty value cells", id, skipped)
     return validate_series(TimeSeries(id, t, v))
 
 
@@ -220,9 +249,9 @@ def _parse_plain(
 
 
 def _parse_rows(
-    text: str, id: MeasurementId, columns: ColumnMap, time_format: TimeFormat
-) -> tuple[np.ndarray, np.ndarray]:
-    """Time and value columns read one csv.DictReader row at a time."""
+    text: str, columns: ColumnMap, time_format: TimeFormat
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Time and value columns read one csv.DictReader row at a time, and the rows skipped."""
     ts: list[int] = []
     vs: list[float] = []
     skipped = 0
@@ -246,9 +275,7 @@ def _parse_rows(
         ts.append(t)
         vs.append(v)
 
-    if skipped:
-        log.warning("%s: skipped %d rows with empty value cells", id, skipped)
-    return np.array(ts, dtype=np.int64), np.array(vs, dtype=np.float64)
+    return np.array(ts, dtype=np.int64), np.array(vs, dtype=np.float64), skipped
 
 
 # Manifest entry keys: the required ones, then the optional ones with their defaults,
@@ -310,19 +337,82 @@ def load_corpus(manifest: CorpusManifest) -> Corpus:
     """Load and validate every manifest entry.
 
     Deterministic: the same manifest and files produce an identical
-    corpus.  Read and parse errors name the offending entry.
+    corpus, whether each series is parsed or read from the parse cache
+    (module docstring).  Read and parse errors name the offending entry.
     """
     corpus = Corpus()
     for entry in manifest.entries:
         with naming(entry.id.name):
-            try:
-                blob = Path(entry.path).read_bytes()
-            except OSError as e:
-                raise IoError(entry.path, e) from None
-            series = parse_csv(blob, entry.id, entry.columns, entry.time_format)
-        log.info("%s: loaded %d samples from %s", entry.id, len(series), entry.path)
+            series, source = _load_entry(entry)
+        log.info("%s: loaded %d samples from %s (%s)", entry.id, len(series), entry.path, source)
         corpus.series_by_id[entry.id] = series
     return corpus
+
+
+def _load_entry(entry: ManifestEntry) -> tuple[TimeSeries, str]:
+    """The entry's series, and whether it was "parsed" or read from the cache ("cached")."""
+    path = Path(entry.path)
+    try:
+        blob = path.read_bytes()
+    except OSError as e:
+        raise IoError(entry.path, e) from None
+    # Everything the parser's output depends on: the csv module's field limit
+    # and the Python version (datetime.fromisoformat, csv's NUL rule) too.
+    key = [
+        _CACHE_VERSION, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit(),
+        len(blob), zlib.crc32(blob),
+        entry.columns.time_column, entry.columns.value_column, entry.time_format.value,
+    ]
+    cache = path.parent / _CACHE_DIR / f"{path.name}.columns"
+    cached = _read_cache(cache, key)
+    if cached is not None:
+        return _validated(entry.id, *cached), "cached"
+    t, v, skipped = _parse_columns(blob, entry.columns, entry.time_format)
+    series = _validated(entry.id, t, v, skipped)  # a failed parse raises before any write
+    _write_cache(cache, key, series, skipped)
+    return series, "parsed"
+
+
+def _read_cache(path: Path, key: list) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The columns and skip count cached at path under key; None if path holds no such entry.
+
+    The file is one JSON header line, [*key, skipped, rows], padded to a
+    multiple of 8 bytes, then the rows' little-endian int64 times and their
+    float64 values.  A missing, truncated or foreign file is a miss.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None
+    end = data.find(b"\n") + 1
+    try:
+        *stored, skipped, rows = json.loads(data[:end])
+        if stored != key or type(skipped) is not int or len(data) != end + 16 * rows:
+            return None
+        t = np.frombuffer(data, "<i8", rows, end)
+        v = np.frombuffer(data, "<f8", rows, end + 8 * rows)
+    except (ValueError, TypeError):  # not a header _write_cache wrote
+        return None
+    return t, v, skipped
+
+
+def _write_cache(path: Path, key: list, series: TimeSeries, skipped: int):
+    """Store a parsed series for _read_cache; a cache that cannot be written is left out."""
+    header = json.dumps([*key, skipped, len(series)]).encode()
+    header += b" " * (-(len(header) + 1) % 8) + b"\n"  # the arrays start 8-byte aligned
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        try:
+            with open(tmp, "wb") as f:
+                f.write(header)
+                f.write(series.t.astype("<i8", copy=False))
+                f.write(series.v.astype("<f8", copy=False))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as e:  # a read-only directory, a full disk
+        log.debug("%s: not cached: %s", path, e)
 
 
 def series_to_csv(s: TimeSeries) -> str:

@@ -22,8 +22,10 @@ from meterfuse import (
     match_all,
     run_detector,
 )
+from meterfuse import cli
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
 from meterfuse.errors import EmptyWindow, InvalidArgument, IoError
+from meterfuse.ingest import write_outputs
 from meterfuse.sampling import apply_recipe
 from meterfuse.synth import corpus_files, demo_corpus
 
@@ -784,3 +786,38 @@ def test_failed_synth_leaves_no_files(tmp_path, monkeypatch):
     _fail_nth_write(monkeypatch, 3, OSError("disk full"))
     assert main(["synth", "--out", str(out), "--hist-points", "100"]) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline", "report"])
+def test_failed_write_prints_no_success_line(corpus_dir, tmp_path, capsys, command):
+    # an output name that is a directory fails the write, after the command ran
+    out = tmp_path / "out"
+    if command == "synth":
+        (out / "manifest.json").mkdir(parents=True)
+        argv = ["synth", "--out", str(out), "--hist-points", "50"]
+    else:
+        assert _pipeline(corpus_dir, out) == 0
+        (out / "report.csv").unlink()
+        (out / "report.csv").mkdir()
+        argv = ["pipeline", "--manifest", _manifest(corpus_dir), "--out", str(out),
+                "--top-n", "2", *MATCH_FLAGS, *FAST_DETECTORS]
+        if command == "report":
+            argv = ["report", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write")
+
+
+def test_success_line_follows_the_write(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "corpus"
+    real = write_outputs
+
+    def write_then_say(*args):
+        real(*args)
+        print("written")
+
+    monkeypatch.setattr(cli, "write_outputs", write_then_say)
+    assert main(["synth", "--out", str(out), "--hist-points", "50"]) == 0
+    assert capsys.readouterr().out == f"written\nwrote 5 series and {out / 'manifest.json'}\n"

@@ -1,5 +1,11 @@
 import csv
+import errno
 import json
+import logging
+import os
+from contextlib import contextmanager
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +29,7 @@ from meterfuse.errors import (
     ManifestError,
     MeterFuseError,
     MissingColumn,
+    NonFiniteValue,
     UnparseableTime,
     UnparseableValue,
 )
@@ -462,3 +469,203 @@ def test_parse_csv_matches_reference_on_edge_files(body):
         assert _outcome(parse_csv, data, COLS, TimeFormat.EPOCH_MILLIS) == _outcome(
             reference_ingest.parse_csv, data, COLS, TimeFormat.EPOCH_MILLIS
         )
+
+
+# Parse cache: load_corpus keeps each parsed series beside its file.
+CACHE = ".meterfuse-cache"
+
+
+def _manifest_for(directory, files):
+    """A manifest over (file name, text, time format, columns) tuples, one HIST entry each."""
+    entries = []
+    for name, text, time_format, columns in files:
+        (directory / name).write_bytes(text.encode("utf-8"))
+        entries.append({"system": "HIST", "name": f"H-{name}", "path": name,
+                        "time_column": columns.time_column, "value_column": columns.value_column,
+                        "time_format": time_format.value})
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    return manifest
+
+
+def _contents(corpus):
+    """Each series' name, times and value bytes: equal only if bit-identical."""
+    return {mid.name: (s.t.tolist(), s.v.tobytes()) for mid, s in corpus.series_by_id.items()}
+
+
+@contextmanager
+def _read_only(directory):
+    """directory made read-only for the block; for root, whom its mode does not stop, mkdir fails."""
+    directory.chmod(0o555)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            if os.geteuid() == 0:
+                real = Path.mkdir
+
+                def mkdir(self, *args, **kwargs):
+                    if self.parent == directory:
+                        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+                    return real(self, *args, **kwargs)
+
+                mp.setattr(Path, "mkdir", mkdir)
+            yield
+    finally:
+        directory.chmod(0o755)
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("parsed although the cache holds the entry")
+
+
+@st.composite
+def series_files(draw):
+    """A series file: a plain export, or one only the row loop reads (ISO8601 or
+    epoch-seconds times, quoted cells, blank values, CRLF, an extra column)."""
+    time_format = draw(st.sampled_from(TimeFormat))
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 4 * 10**12), st.none() | st.floats(-1e9, 1e9, allow_nan=False)
+    ), max_size=12))
+    quoting, extra = draw(st.booleans()), draw(st.booleans())
+
+    def cell(text):
+        return f'"{text}"' if quoting and draw(st.booleans()) else text
+
+    def time_cell(ms):
+        if time_format is TimeFormat.EPOCH_MILLIS:
+            return str(ms)
+        if time_format is TimeFormat.EPOCH_SECONDS:
+            return repr(ms / 1000)
+        return datetime.fromtimestamp(ms / 1000, timezone.utc).isoformat().replace("+00:00", "Z")
+
+    lines = ["ts,val,note" if extra else "ts,val"]
+    for ms, value in rows:
+        cells = [cell(time_cell(ms)), cell("" if value is None else repr(value))]
+        lines.append(",".join(cells + [cell("x")] * extra))
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return eol.join(lines) + eol, time_format
+
+
+@settings(max_examples=60, deadline=None)
+@given(files=st.lists(series_files(), min_size=1, max_size=3))
+def test_cold_warm_and_read_only_loads_are_identical(tmp_path_factory, files):
+    named = [(f"s{i}.csv", text, fmt, COLS) for i, (text, fmt) in enumerate(files)]
+    cold_dir, ro_dir = tmp_path_factory.mktemp("cold"), tmp_path_factory.mktemp("ro")
+    manifest = _manifest_for(cold_dir, named)
+    cold = load_corpus(load_manifest(manifest))
+    assert sorted(p.name for p in (cold_dir / CACHE).iterdir()) == [f"{n}.columns" for n, *_ in named]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_parse_columns", _no_parse)
+        warm = load_corpus(load_manifest(manifest))
+    ro_manifest = _manifest_for(ro_dir, named)
+    with _read_only(ro_dir):
+        read_only = load_corpus(load_manifest(ro_manifest))
+    assert not (ro_dir / CACHE).exists()
+    parsed = {f"H-{n}": parse_csv(text, ION_X, cols, fmt) for n, text, fmt, cols in named}
+    assert _contents(cold) == _contents(warm) == _contents(read_only) == {
+        name: (s.t.tolist(), s.v.tobytes()) for name, s in parsed.items()
+    }
+
+
+def test_same_length_edit_invalidates_the_entry(tmp_path):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    assert load_corpus(load_manifest(manifest)).get("H-1").v.tolist() == [1.0, 2.0]
+    path = tmp_path / "H-1.csv"
+    path.write_text(path.read_text().replace("2.0", "2.5"), encoding="utf-8")
+    assert load_corpus(load_manifest(manifest)).get("H-1").v.tolist() == [1.0, 2.5]
+
+
+def _good_cache(tmp_path):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    want = _contents(load_corpus(load_manifest(manifest)))
+    cache = tmp_path / CACHE / "H-1.csv.columns"
+    return manifest, want, cache, cache.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda good: good[:-3],  # truncated in the values
+        lambda good: good[: good.index(b"\n") + 1],  # header only
+        lambda good: b"",
+        lambda good: b"\x93NUMPY\x01\x00garbage\n" + good,
+        lambda good: good.replace(b"[", b"{", 1),  # a header that is not JSON
+        lambda good: good + b"\0" * 16,  # one row more than the header says
+        lambda good: good.replace(b'"EPOCH_MILLIS", 0, 2]', b'"EPOCH_MILLIS", 0, "2"]'),
+    ],
+    ids=["truncated", "header-only", "empty", "garbage", "bad-header", "too-long", "row-count-text"],
+)
+def test_unusable_cache_file_is_reparsed_and_rewritten(tmp_path, caplog, damage):
+    manifest, want, cache, good = _good_cache(tmp_path)
+    cache.write_bytes(damage(good))
+    caplog.set_level(logging.INFO, logger="meterfuse.ingest")
+    assert _contents(load_corpus(load_manifest(manifest))) == want
+    assert "H-1: loaded 2 samples from" in caplog.text and caplog.text.endswith("(parsed)\n")
+    assert cache.read_bytes() == good
+
+
+@pytest.mark.parametrize("kept", [1, 0])
+def test_skipped_row_warning_repeats_on_a_hit(tmp_path, caplog, kept):
+    # with no row kept, validate_series also warns of an empty series on both loads
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    body = "timestamp,value\n1,\n2,5.0\n3, \n" if kept else "timestamp,value\n1,\n3, \n"
+    (tmp_path / "H-1.csv").write_text(body, encoding="utf-8")
+    caplog.set_level(logging.INFO, logger="meterfuse.ingest")
+    logs = []
+    for _ in range(2):
+        caplog.clear()
+        load_corpus(load_manifest(manifest))
+        logs.append([(r.levelname, r.getMessage()) for r in caplog.records])
+    path = tmp_path / "H-1.csv"
+    empty = [] if kept else [("WARNING", "series H-1 is empty")]
+    assert logs == [
+        [("WARNING", "H-1: skipped 2 rows with empty value cells"), *empty,
+         ("INFO", f"H-1: loaded {kept} samples from {path} ({how})")]
+        for how in ("parsed", "cached")
+    ]
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [(b"timestamp,value\n1000,abc\n", UnparseableValue), (b"timestamp,value\n1000,nan\n", NonFiniteValue)],
+    ids=["unparseable", "non-finite"],
+)
+def test_failed_parse_is_never_cached(tmp_path, body, error):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    (tmp_path / "H-1.csv").write_bytes(body)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            load_corpus(load_manifest(manifest))
+        raised.append((str(exc.value), exc.value.entry))
+        assert not (tmp_path / CACHE).exists()
+    assert raised[0] == raised[1] == (raised[0][0], "H-1")
+
+
+def test_changed_column_map_misses_the_cache(tmp_path):
+    text = "timestamp,a,b\n1000,1.0,10.0\n2000,2.0,20.0\n"
+    values = {}
+    for column in ("a", "b", "a"):
+        manifest = _manifest_for(tmp_path, [("s.csv", text, TimeFormat.EPOCH_MILLIS,
+                                            ColumnMap("timestamp", column))])
+        values[column] = load_corpus(load_manifest(manifest)).get("H-s.csv").v.tolist()
+    assert values == {"a": [1.0, 2.0], "b": [10.0, 20.0]}
+
+
+@pytest.mark.parametrize("setting", ["field-limit", "python-version"])
+def test_parser_settings_are_part_of_the_key(tmp_path, monkeypatch, caplog, setting):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    # a 30-character cell parses under the default csv field limit, not under 24
+    (tmp_path / "H-1.csv").write_text("timestamp,value\n1000,1." + "0" * 28 + "\n", encoding="utf-8")
+    load_corpus(load_manifest(manifest))
+    if setting == "field-limit":
+        old_limit = csv.field_size_limit(24)
+        try:
+            with pytest.raises(MalformedCsv):
+                load_corpus(load_manifest(manifest))
+        finally:
+            csv.field_size_limit(old_limit)
+    else:
+        monkeypatch.setattr(ingest.sys, "version_info", (3, 99, 0))
+        caplog.set_level(logging.INFO, logger="meterfuse.ingest")
+        load_corpus(load_manifest(manifest))
+        assert caplog.text.endswith("(parsed)\n")
