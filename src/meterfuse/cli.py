@@ -10,6 +10,11 @@ once the write has succeeded.  All
 commands are deterministic for given flags; wall-clock timing appears
 only in the .meta sidecars.
 
+--out is not the only directory written: loading a manifest (ingest,
+match, detect, pipeline, inject, evaluate) also writes the parse cache,
+.meterfuse-cache/, beside the series files (`ingest` module docstring).
+No output depends on it, and a directory that cannot be written gets none.
+
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
 --seed on synth, inject and evaluate.  Detector flags default to

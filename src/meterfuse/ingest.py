@@ -30,10 +30,13 @@ beside the file, as ``__pycache__`` sits beside Python sources, and a
 later load reads the arrays back when the cache entry's key matches:
 the file's byte length and zlib CRC-32, the entry's time and value
 columns and time format, the csv field limit, the Python version and
-`_CACHE_VERSION`.  A changed file overwrites its one cache file.  A file
-that fails to parse or validate is never cached, a cache that cannot be
-written is left out, and an unusable cache file is a miss, so no output
-depends on the cache.  Deleting the directory is always safe.
+the CRC-32 of this module's source, so editing the parser needs no
+version to be bumped by hand.  A changed file overwrites its one cache
+file.  A file that fails to parse or validate is never cached, a cache
+that cannot be written is left out, and an unusable cache file is a
+miss, so no output depends on the cache.  Deleting the directory is
+always safe.  The cache is the one thing a load writes, and it writes
+it beside the series files, not under a command's --out.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ log = logging.getLogger(__name__)
 _CHUNK_ROWS = 2048  # data rows split and converted at once by the column-wise path
 
 _CACHE_DIR = ".meterfuse-cache"  # beside each series file, as __pycache__ beside sources
-_CACHE_VERSION = 1  # bump whenever the parser's output for some bytes and settings could change
+# This module's own bytes: any edit to the parser or to the cache file's
+# form changes the key, so no entry outlives the code that wrote it.
+_CODE_CRC = zlib.crc32(Path(__file__).read_bytes())
 
 
 class TimeFormat(Enum):
@@ -359,7 +364,7 @@ def _load_entry(entry: ManifestEntry) -> tuple[TimeSeries, str]:
     # Everything the parser's output depends on: the csv module's field limit
     # and the Python version (datetime.fromisoformat, csv's NUL rule) too.
     key = [
-        _CACHE_VERSION, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit(),
+        _CODE_CRC, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit(),
         len(blob), zlib.crc32(blob),
         entry.columns.time_column, entry.columns.value_column, entry.time_format.value,
     ]

@@ -1,8 +1,10 @@
 import csv
 import errno
+import importlib.util
 import json
 import logging
 import os
+import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -669,3 +671,36 @@ def test_parser_settings_are_part_of_the_key(tmp_path, monkeypatch, caplog, sett
         caplog.set_level(logging.INFO, logger="meterfuse.ingest")
         load_corpus(load_manifest(manifest))
         assert caplog.text.endswith("(parsed)\n")
+
+
+def _edited_ingest(tmp_path, monkeypatch, old, new):
+    """A copy of meterfuse.ingest whose source has old replaced by new, imported under another name."""
+    source = Path(ingest.__file__).read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    path = tmp_path / "edited_ingest.py"
+    path.write_text(source.replace(old, new), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("meterfuse.edited_ingest", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "old, new, time_format",
+    [
+        ("    return t, v\n\n\ndef _parse_rows", "    return t, v + 1\n\n\ndef _parse_rows",
+         TimeFormat.EPOCH_MILLIS),
+        ("v = float(value_cell)\n", "v = float(value_cell) + 1\n", TimeFormat.EPOCH_SECONDS),
+    ],
+    ids=["column-wise", "row-loop"],
+)
+def test_edited_parser_misses_a_warm_cache(tmp_path, monkeypatch, old, new, time_format):
+    # no version is bumped by hand: the key holds the CRC of the module's source
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    manifest = _manifest_for(corpus_dir, [("s.csv", "ts,val\n1000,1.5\n2000,2.5\n", time_format, COLS)])
+    assert load_corpus(load_manifest(manifest)).get("H-s.csv").v.tolist() == [1.5, 2.5]
+    edited = _edited_ingest(tmp_path, monkeypatch, old, new)
+    assert edited.load_corpus(edited.load_manifest(manifest)).get("H-s.csv").v.tolist() == [2.5, 3.5]
+    assert load_corpus(load_manifest(manifest)).get("H-s.csv").v.tolist() == [1.5, 2.5]
