@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,11 @@ from .dtw import MatchResult
 from .errors import UndefinedBaseline
 from .merge import MergedSeries
 from .model import TimeSeries
+
+
+# `describe` scales values below 2**_SCALED_EXPONENT when their squares
+# overflow: their squares, summed over any array that fits in memory, stay finite.
+_SCALED_EXPONENT = 256
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,30 @@ def describe(s: Union[TimeSeries, MergedSeries, np.ndarray]) -> SummaryStats:
     n = len(values)
     if n == 0:
         return SummaryStats(0, None, None, None, None)
+    lo, hi = float(values.min()), float(values.max())
+    with np.errstate(over="ignore"):
+        try:
+            mean, var = _mean_var(values)
+        except OverflowError:  # fsum's partial sums passed float64's range
+            mean, var = math.inf, math.inf
+    if math.isinf(var) and math.isfinite(lo) and math.isfinite(hi):
+        # Finite values past about 1e154 from their mean square past float64's
+        # range: scale them down by a power of two, which rounds nothing unless
+        # it takes a value below the normal range, and the results back up.
+        shift = max(math.frexp(lo)[1], math.frexp(hi)[1]) - _SCALED_EXPONENT
+        mean, var = _mean_var(values * 2.0**-shift)
+        mean, std = mean * 2.0**shift, math.sqrt(var) * 2.0**shift
+    else:
+        std = math.sqrt(var)
+    return SummaryStats(n, mean, std, lo, hi)
+
+
+def _mean_var(values: np.ndarray) -> tuple[float, float]:
+    """The mean and population variance of values, each sum compensated by fsum."""
     # fsum over lists: the same doubles as the arrays, without a numpy scalar per element
-    mean = math.fsum(values.tolist()) / n
+    mean = math.fsum(values.tolist()) / len(values)
     centered = values - mean
-    var = math.fsum((centered * centered).tolist()) / n
-    return SummaryStats(n, mean, math.sqrt(var), float(values.min()), float(values.max()))
+    return mean, math.fsum((centered * centered).tolist()) / len(values)
 
 
 def percent_change(individual_total: int, merged: int) -> float:
@@ -72,18 +96,18 @@ def coverage_ratio(single: int, combined: int) -> float | None:
 
 def build_report(
     match: MatchResult,
-    ion: TimeSeries,
-    hist: TimeSeries,
-    merged: MergedSeries,
     anomaly_sets: dict[DetectorKind, tuple[AnomalySet, AnomalySet, AnomalySet]],
+    stats: Sequence[SummaryStats],
 ) -> dict:
-    """The report.json form of one matched pair from its (ion, hist, merged) anomaly sets.
+    """The report.json form of one matched pair.
 
-    One row per detector given, in DETECTORS order, beside the match's rank
-    and distance and each view's summary statistics.  A detector whose
-    merged count drops below the sum of the individual counts is flagged as
-    a merge loss; it can happen because the robust thresholds are
-    recomputed on the denser merged score distribution.
+    ``anomaly_sets`` holds each detector's (ion, hist, merged) sets and
+    ``stats`` the three views' `describe`, in the same order.  There is one
+    row per detector given, in DETECTORS order, beside the match's rank,
+    distance and names and each view's summary statistics.  A detector
+    whose merged count drops below the sum of the individual counts is
+    flagged as a merge loss; it can happen because the robust thresholds
+    are recomputed on the denser merged score distribution.
     """
     detectors = {}
     for kind in DETECTORS:
@@ -107,14 +131,10 @@ def build_report(
     return {
         "rank": match.rank,
         "distance": match.distance,
-        "ion": ion.id.name,
-        "hist": hist.id.name,
+        "ion": match.ion_id.name,
+        "hist": match.hist_id.name,
         "detectors": detectors,
-        "stats": {
-            "ion": asdict(describe(ion)),
-            "hist": asdict(describe(hist)),
-            "merged": asdict(describe(merged)),
-        },
+        "stats": {view: asdict(summary) for view, summary in zip(("ion", "hist", "merged"), stats)},
     }
 
 

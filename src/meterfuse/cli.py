@@ -34,12 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, detectors, injection, synth
-from .detectors import DETECTORS, DetectorKind, DetectorParams, default_params, run_detector
+from .detectors import (
+    DETECTORS, AnomalySet, DetectorKind, DetectorParams, default_params, run_detector,
+)
 from .dtw import MatchRun, Metric, match_all
 from .errors import EmptyWindow, InvalidArgument, IoError, MeterFuseError, TooFewSamples, naming
 from .ingest import Corpus, json_text, load_corpus, load_manifest, series_to_csv, write_outputs
-from .merge import merge_pair
-from .model import SystemTag, TimeSeries
+from .merge import MergedSeries, merge_pair
+from .model import MeasurementId, SystemTag, TimeSeries
 from .sampling import SamplingKind, SamplingRecipe
 
 
@@ -142,16 +144,20 @@ def cmd_pipeline(args) -> Outputs:
         top_n = len(run.results)
     top = run.results[:top_n]
 
+    def view(s: TimeSeries | MergedSeries):
+        return _detect(params, s), analysis.describe(s)
+
+    # each series' detector sets and summary, once however many top pairs hold it
+    seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
     pair_docs = []
     for match in top:
-        ion = corpus.series_by_id[match.ion_id]
-        hist = corpus.series_by_id[match.hist_id]
-        merged = merge_pair(ion, hist)
-        sets = {
-            kind: (run_detector(p, ion), run_detector(p, hist), run_detector(p, merged))
-            for kind, p in params.items()
-        }
-        pair_docs.append(analysis.build_report(match, ion, hist, merged, sets))
+        ion, hist = corpus.series_by_id[match.ion_id], corpus.series_by_id[match.hist_id]
+        for s in (ion, hist):
+            if s.id not in seen:
+                seen[s.id] = view(s)
+        views = (seen[ion.id], seen[hist.id], view(merge_pair(ion, hist)))
+        sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
+        pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
 
     report_doc = {
         "detector_params": {
@@ -166,12 +172,19 @@ def cmd_pipeline(args) -> Outputs:
     return files, f"pipeline: {len(top)} pairs reported to {Path(args.out)}"
 
 
+def _detect(
+    params: dict[DetectorKind, DetectorParams], series: TimeSeries | MergedSeries
+) -> dict[DetectorKind, AnomalySet]:
+    """Every detector's run on one series, in DETECTORS order, with its noise floor computed once."""
+    floor = detectors.noise_floor(series.v)
+    return {kind: run_detector(params[kind], series, floor) for kind in DETECTORS}
+
+
 def cmd_detect(args) -> Outputs:
-    params = _detector_params(args)
     series = _load_series(args)
     files, counts = {}, {}
-    for kind, spec in DETECTORS.items():
-        result = run_detector(params[kind], series)
+    for kind, result in _detect(_detector_params(args), series).items():
+        spec = DETECTORS[kind]
         files[f"anomalies.{spec.tag}.csv"] = detectors.anomalies_to_csv(result, series)
         counts[kind.value] = result.count
     files["detect.json"] = json_text({"series": args.series, "counts": counts})
@@ -206,9 +219,8 @@ def cmd_evaluate(args) -> Outputs:
     injected, label = _inject(args, _load_series(args))
 
     files = {"label.json": injection.label_to_json(label)}
-    for kind, spec in DETECTORS.items():
-        p = params[kind]
-        result = run_detector(p, injected)
+    for kind, result in _detect(params, injected).items():
+        spec, p = DETECTORS[kind], params[kind]
         slack = p.size if args.slack is None else args.slack
         score = injection.evaluate(result, label, slack=slack)
         files[f"eval.{spec.tag}.json"] = json_text(asdict(score))

@@ -8,6 +8,14 @@ the series' own spread, so constant and straight-line inputs never flag
 on numerical noise, while a spike among otherwise-identical residuals
 (which leaves the IQR at exactly zero) is still caught.
 
+The median and the quartiles of a score set come from one `np.partition`,
+with numpy's own median and linear-percentile arithmetic redone on the
+selected elements (`_order_stats`), so they equal `np.median` and
+`np.percentile` bit for bit without their extra passes; level shift's
+window medians are one `np.partition` along the windows.  The noise floor
+depends on the series alone (`noise_floor`), so a caller that runs every
+kind on one series computes it once and passes it to each run.
+
 ``DETECTORS`` holds each kind's facts; `run_detector` is the one entry point.
 
 Detectors see index order only; timestamps never enter the computation,
@@ -16,6 +24,7 @@ so a merged series is detected exactly like a plain one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Union
@@ -104,21 +113,71 @@ def _values_and_name(s: SeriesLike) -> tuple[np.ndarray, str]:
     return np.asarray(s, dtype=np.float64), ""
 
 
-def _flag_outliers(
-    scores: np.ndarray, values: np.ndarray, k: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _linear(n: int, q: float) -> tuple[int, int, float]:
+    """The two ranks numpy's linear percentile at fraction ``q`` of ``n`` values reads, and its weight.
+
+    The virtual index is ``(n-1)*q``; at or above ``n-1`` numpy reads the
+    last element twice and takes the weight against index -1.
+    """
+    v = (n - 1) * q
+    if v >= n - 1:
+        return n - 1, n - 1, v + 1
+    i = int(v)
+    return i, i + 1, v - i
+
+
+def _order_stats(x: np.ndarray, quartiles: bool) -> tuple[float, ...]:
+    """``np.median(x)``, then ``np.percentile(x, 25)`` and ``(x, 75)`` when ``quartiles``.
+
+    One `np.partition` places every element these read, and the last one:
+    NaN sorts last, so a NaN there makes every result that NaN, as numpy
+    gives it.  The median is numpy's mean of the middle one or two, a sum
+    that starts from 0.0; a percentile between ranks holding ``a`` and
+    ``b`` at weight ``t`` (`_linear`) is ``a + (b-a)*t`` below ``t = 0.5``
+    and ``b - (b-a)*(1-t)`` from it.  The arithmetic is on Python floats,
+    which round as float64 does and never warn, so the results are numpy's
+    bit for bit, NaN for NaN; only a zero percentile's sign can differ, as
+    it follows where a partition leaves equal zeros.  ``x`` is 1-D and not
+    empty.
+    """
+    n = len(x)
+    lerps = [_linear(n, q) for q in (0.25, 0.75)] if quartiles else []
+    ranks = sorted({(n - 1) // 2, n // 2, n - 1, *(r for i, j, _ in lerps for r in (i, j))})
+    at = dict(zip(ranks, np.partition(x, ranks)[ranks].tolist()))
+    if math.isnan(at[n - 1]):
+        return (at[n - 1],) * (1 + len(lerps))
+    h = n // 2
+    stats = [0.0 + at[h] if n % 2 else (0.0 + at[h - 1] + at[h]) / 2]
+    for i, j, t in lerps:
+        a, b = at[i], at[j]
+        stats.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return tuple(stats)
+
+
+def noise_floor(values: np.ndarray) -> float:
+    """The floor under the interquartile range of every score set of one series.
+
+    It is `RELATIVE_NOISE_FLOOR` of the values' largest distance from their
+    median plus `MAGNITUDE_NOISE_FLOOR` of their largest magnitude; 0 when
+    there are none.
+    """
+    if not len(values):
+        return 0.0
+    (median,) = _order_stats(values, quartiles=False)
+    centered = values - median
+    return float(
+        RELATIVE_NOISE_FLOOR * np.max(np.abs(centered))
+        + MAGNITUDE_NOISE_FLOOR * np.max(np.abs(values))
+    )
+
+
+def _flag_outliers(scores: np.ndarray, floor: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions (into `scores`) whose deviation exceeds the threshold."""
     if len(scores) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    dev = np.abs(scores - np.median(scores))
-    spread = np.percentile(scores, 75) - np.percentile(scores, 25)
-    if len(values):
-        centered = values - np.median(values)
-        floor = RELATIVE_NOISE_FLOOR * np.max(np.abs(centered))
-        floor += MAGNITUDE_NOISE_FLOOR * np.max(np.abs(values))
-    else:
-        floor = 0.0
-    threshold = k * max(spread, floor)
+    median, q1, q3 = _order_stats(scores, quartiles=True)
+    dev = np.abs(scores - median)
+    threshold = k * max(q3 - q1, floor)
     positions = np.nonzero(dev > threshold)[0]
     return positions, dev[positions]
 
@@ -151,13 +210,31 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     return target - design @ coef
 
 
+def _window_medians(values: np.ndarray, w: int) -> np.ndarray:
+    """``np.median`` of every ``w`` consecutive values, bit for bit, from one `np.partition`.
+
+    The arithmetic is `_order_stats`': the middle one or two summed from
+    0.0, and a window holding NaN, which sorts last, gets that NaN.  Only
+    input holding NaN has the last rank placed too.
+    """
+    nan = bool(np.isnan(values).any())
+    ranks = sorted({(w - 1) // 2, w // 2, *([w - 1] if nan else [])})
+    part = np.partition(np.lib.stride_tricks.sliding_window_view(values, w), ranks, axis=1)
+    h = w // 2
+    medians = 0.0 + part[:, h] if w % 2 else (0.0 + part[:, h - 1] + part[:, h]) / 2
+    if nan:
+        last = part[:, -1]
+        medians = np.where(np.isnan(last), last, medians)
+    return medians
+
+
 def level_shift_scores(values: np.ndarray, w: int) -> np.ndarray:
     """|median of the w before t - median of the w from t| for t = w .. len-w."""
     values = np.asarray(values, dtype=np.float64)
     n = len(values)
     if n < 2 * w:
         raise TooShort(f"level shift needs at least {2 * w} samples, got {n}")
-    medians = np.median(np.lib.stride_tricks.sliding_window_view(values, w), axis=1)
+    medians = _window_medians(values, w)
     # medians[i] covers values[i : i+w]; score at t pairs windows ending
     # at t-1 and starting at t.
     return np.abs(medians[: n - 2 * w + 1] - medians[w:])
@@ -191,16 +268,19 @@ DETECTORS = {
 }
 
 
-def run_detector(params: DetectorParams, s: SeriesLike) -> AnomalySet:
+def run_detector(params: DetectorParams, s: SeriesLike, floor: float | None = None) -> AnomalySet:
     """Flag the outliers of the scores of the detector named in params.
 
     The size is also the first index the kind scores, so it offsets the
-    flagged positions.  TooShort names the series as its ``entry``.
+    flagged positions.  ``floor`` is ``noise_floor`` of the series' values,
+    computed here when not given.  TooShort names the series as its ``entry``.
     """
     values, name = _values_and_name(s)
     with naming(name or None, TooShort):
         scores = DETECTORS[params.kind].score(values, params.size)
-    positions, deviations = _flag_outliers(scores, values, params.threshold_k)
+    if floor is None:
+        floor = noise_floor(values)
+    positions, deviations = _flag_outliers(scores, floor, params.threshold_k)
     return AnomalySet(name, params, positions + params.size, deviations)
 
 

@@ -39,10 +39,11 @@ coarser level, and, when asked, its own spans.
 finest level.  It groups the pairs whose lattice is solved exactly by
 shape, and sweeps each group that holds enough cells per anti-diagonal
 with one batched wavefront: three diagonals live, vectorised over the
-pairs.  Every other pair runs the banded program without the final
-walk back.  Each cell is still the minimum of the same three neighbours
-plus the same cost, so the distances and cell counts equal `fastdtw`'s
-bit for bit.
+pairs, each laid out (la + 1, n, m) with the pair axes innermost so that
+a diagonal and the neighbours it reads are contiguous blocks.  Every
+other pair runs the banded program without the final walk back.  Each
+cell is still the minimum of the same three neighbours plus the same
+cost, so the distances and cell counts equal `fastdtw`'s bit for bit.
 
 Costs are pointwise |a-b| for L1 and (a-b)^2 for L2, computed one row (or
 diagonal) at a time with numpy; an L2 distance is the square root of the
@@ -315,38 +316,42 @@ def _wavefront(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
     ``a`` is (n, la) and ``b`` is (m, lb) with la <= lb; the result is
     (n, m).  The lattices are swept one anti-diagonal at a time, all
     n * m of them at once: diagonal ``d`` holds the cells (i, d - i) at
-    position i + 1 of an (n, m, la + 1) array whose position 0 is an
-    infinite sentinel, and only the last three diagonals are live.  Each
-    cell is the minimum of the same three neighbours plus the same cost
-    as in `_banded`, and ``min`` is exact, so the totals are the same
-    floats.  Positions past a diagonal's last row are never written and
-    stay infinite; the diagonal's own cells never read a neighbour past
-    column lb - 1, so stale values below its first row go unread.
+    position i + 1 of an (la + 1, n, m) array whose position 0 is an
+    infinite sentinel, and only the last three diagonals are live.  The
+    pair axes are innermost, so a diagonal's cells, and each neighbour it
+    reads, are one contiguous block.  Each cell is the minimum of the same
+    three neighbours plus the same cost as in `_banded`, and ``min`` is
+    exact, so the totals are the same floats.  Positions past a diagonal's
+    last row are never written and stay infinite; the diagonal's own cells
+    never read a neighbour past column lb - 1, so stale values below its
+    first row go unread.
     """
     n, la = a.shape
     m, lb = b.shape
     l1 = metric is Metric.L1
-    b_rev = b[:, ::-1]  # column lb-1-j, so each diagonal's columns are one ascending slice
-    d2, d1, d0 = (np.full((n, m, la + 1), _INF) for _ in range(3))
-    cost = np.empty((n, m, la))
+    a_t = np.ascontiguousarray(a.T)
+    # column lb-1-j of b as row j, so each diagonal's columns are one ascending slice
+    b_rev = np.ascontiguousarray(b[:, ::-1].T)
+    d2, d1, d0 = (np.full((la + 1, n, m), _INF) for _ in range(3))
+    cost = np.empty((la, n, m))
     for d in range(la + lb - 1):
         i0, i1 = max(0, d - lb + 1), min(d, la - 1) + 1
-        c = cost[:, :, : i1 - i0]
-        # (n, 1, k) against (1, m, k): b is not tiled per pair
-        np.subtract(a[:, None, i0:i1], b_rev[None, :, lb - 1 - d + i0 : lb - d + i1 - 1], out=c)
+        c = cost[: i1 - i0]
+        # (k, n, 1) against (k, 1, m): b is not tiled per pair
+        np.subtract(a_t[i0:i1, :, None], b_rev[lb - 1 - d + i0 : lb - d + i1 - 1, None, :], out=c)
         if l1:
             np.abs(c, out=c)
         else:
             np.multiply(c, c, out=c)
-        cell = d0[:, :, i0 + 1 : i1 + 1]
+        cell = d0[i0 + 1 : i1 + 1]
         if d:
-            np.minimum(d2[:, :, i0:i1], d1[:, :, i0:i1], out=cell)  # diagonal, up
-            np.minimum(cell, d1[:, :, i0 + 1 : i1 + 1], out=cell)  # left
+            np.minimum(d2[i0:i1], d1[i0:i1], out=cell)  # diagonal, up
+            np.minimum(cell, d1[i0 + 1 : i1 + 1], out=cell)  # left
             np.add(cell, c, out=cell)
         else:
             cell[...] = c  # the origin has no predecessor
         d2, d1, d0 = d1, d0, d2
-    return d1[:, :, la]
+    return d1[la]
 
 
 def _distance(total: float | np.ndarray, metric: Metric) -> float | np.ndarray:

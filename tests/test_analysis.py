@@ -1,7 +1,10 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis.strategies import floats, lists
 
 from meterfuse import (
     DetectorKind,
@@ -95,6 +98,41 @@ def test_describe_pools_across_merge(rng):
     assert st.mean == pytest.approx(pooled_mean, rel=1e-12)
 
 
+finite = floats(allow_nan=False, allow_infinity=False)
+
+
+@given(lists(finite, min_size=1, max_size=50))
+def test_describe_finite_input_gives_finite_stats(values):
+    stats = describe(np.array(values))
+    assert math.isfinite(stats.mean) and math.isfinite(stats.std)
+    if all(v == 0 or abs(v) > 1e-140 for v in values):  # no square below the normal range
+        # equal values can read a std of an ulp of the mean: the mean's division rounds
+        peak = max(map(abs, values))
+        assert stats.std == pytest.approx(statistics.pstdev(values), rel=1e-9, abs=1e-15 * peak)
+
+
+@given(lists(finite, min_size=1, max_size=50))
+def test_describe_keeps_its_bits_while_squares_stay_finite(values):
+    x = np.array(values)
+    try:
+        mean = math.fsum(values) / len(x)
+        with np.errstate(over="raise"):
+            centered = x - mean
+            var = math.fsum((centered * centered).tolist()) / len(x)
+    except (OverflowError, FloatingPointError):
+        assume(False)
+    stats = describe(x)
+    assert (repr(stats.mean), repr(stats.std)) == (repr(mean), repr(math.sqrt(var)))
+
+
+def test_describe_spikes_past_1e154_give_a_finite_std():
+    values = np.zeros(1000)
+    values[::50] = 1e200
+    stats = describe(values)
+    assert stats.std == pytest.approx(statistics.pstdev(values.tolist()), rel=1e-12)
+    assert stats.mean == pytest.approx(2e198, rel=1e-15)
+
+
 def test_percent_change_published_counts():
     assert percent_change(94, 832) == pytest.approx(785.1, abs=0.5)
     assert percent_change(804, 2269) == pytest.approx(182.2, abs=0.5)
@@ -139,7 +177,7 @@ def _report(sets):
     ion = mkvalues([1.0, 2.0], name="ION-A", system=SystemTag.ION, cadence=2000)
     hist = mkvalues([1.0, 1.5, 2.0], name="HIST-B")
     match = MatchResult(ion.id, hist.id, distance=0.25, rank=1, cells_evaluated=6)
-    return build_report(match, ion, hist, merge_pair(ion, hist), sets)
+    return build_report(match, sets, [describe(s) for s in (ion, hist, merge_pair(ion, hist))])
 
 
 def test_build_report_percent_change_row():
@@ -213,7 +251,7 @@ def test_readme_library_example_renders_partial_report(tmp_path):
                           mf.run_detector(params, hist),
                           mf.run_detector(params, merged))}
 
-    doc = mf.build_report(best, ion, hist, merged, sets)
+    doc = mf.build_report(best, sets, [mf.describe(s) for s in (ion, hist, merged)])
     assert list(doc["detectors"]) == ["rolling_average"]
     counts = [s.count for s in sets[params.kind]]
     assert mf.analysis.report_csv([doc]).splitlines() == [

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from meterfuse import (
     DetectorKind,
@@ -12,8 +17,13 @@ from meterfuse import (
 )
 from meterfuse.detectors import (
     DETECTORS,
+    MAGNITUDE_NOISE_FLOOR,
+    RELATIVE_NOISE_FLOOR,
+    _order_stats,
+    _window_medians,
     default_params,
     level_shift_scores,
+    noise_floor,
     rolling_average_residuals,
 )
 from meterfuse.errors import TooShort
@@ -267,3 +277,71 @@ def test_anomaly_csv_origin_column_for_merged_series():
     plain = run_detector(DetectorParams(RA, size=10, threshold_k=3.0), hist)
     plain_lines = anomalies_to_csv(plain, hist).strip().split("\n")
     assert plain_lines[0] == "index,timestamp,value,score"
+
+
+# Ties, the ends of the float range, subnormals, infinities and NaN, among any other double.
+EDGE_DOUBLES = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                math.nan]
+doubles = st.one_of(st.sampled_from(EDGE_DOUBLES), st.floats())
+
+
+def same_bits(got, want) -> bool:
+    """Equal bit patterns, or NaN where numpy has NaN (whose payload is not compared)."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+def check_order_stats(x):
+    with np.errstate(all="ignore"):
+        median, q1, q3 = np.median(x), np.percentile(x, 25), np.percentile(x, 75)
+    got = _order_stats(x, quartiles=True)
+    assert same_bits(got[0], median)
+    assert same_bits(_order_stats(x, quartiles=False), [median])
+    # a zero percentile's sign follows where a partition leaves equal zeros,
+    # so the quartiles are held to numpy's value, not to the sign of a zero
+    for mine, theirs in zip(got[1:], (q1, q3)):
+        assert mine == theirs or (math.isnan(mine) and math.isnan(theirs)), (mine, theirs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+@given(data=st.data())
+def test_order_stats_equal_numpy_median_and_quartiles(n, data):
+    check_order_stats(np.array(data.draw(st.lists(doubles, min_size=n, max_size=n))))
+
+
+@given(st.lists(doubles, min_size=1, max_size=200))
+def test_order_stats_equal_numpy_on_any_length(values):
+    check_order_stats(np.array(values))
+
+
+@pytest.mark.parametrize("n", [10_000, 10_001, 10_002, 10_003])
+@pytest.mark.parametrize("extreme", [None, 1e308, 5e-324, math.inf, math.nan])
+def test_order_stats_equal_numpy_on_large_tied_sets(n, extreme, rng):
+    x = rng.integers(-20, 20, n) * 0.5  # ties at every rank
+    if extreme is not None:
+        x[rng.integers(0, n, 3)] = [extreme, -extreme, extreme]
+    check_order_stats(x)
+
+
+@settings(max_examples=25)
+@pytest.mark.parametrize("w", range(1, 13))
+@given(values=st.lists(doubles, min_size=12, max_size=80))
+def test_window_medians_equal_numpy(w, values):
+    x = np.array(values)
+    with np.errstate(all="ignore"):  # sums past float64's range warn, in numpy's median too
+        want = np.median(sliding_window_view(x, w), axis=1)
+        got = _window_medians(x, w)
+    assert same_bits(got, want)
+
+
+@given(st.lists(doubles, min_size=1, max_size=80))
+def test_noise_floor_equals_its_numpy_formula(values):
+    x = np.array(values)
+    with np.errstate(all="ignore"):  # inf - inf warns, as it did in numpy's median
+        want = RELATIVE_NOISE_FLOOR * np.max(np.abs(x - np.median(x)))
+        want += MAGNITUDE_NOISE_FLOOR * np.max(np.abs(x))
+        got = noise_floor(x)
+    assert same_bits(got, want)

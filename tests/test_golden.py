@@ -7,13 +7,21 @@ these bytes must say why.  Regenerate every directory from RUNS with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import meterfuse
+from meterfuse import cli
 from meterfuse.cli import main
+from meterfuse.detectors import DETECTORS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,11 +40,15 @@ def _synth_demo(out: Path) -> Path:
     return out
 
 
+def _argv(run: str, demo: Path, out: Path) -> list[str]:
+    """The CLI arguments of RUNS[run] on the demo corpus, writing into out."""
+    argv = RUNS[run]
+    return [argv[0], "--manifest", str(demo / "manifest.json"), "--out", str(out), *argv[1:]]
+
+
 def _run(run: str, demo: Path, out: Path) -> list[str]:
     """Run RUNS[run] on the demo corpus into out; the names of its deterministic outputs."""
-    argv = RUNS[run]
-    assert main([argv[0], "--manifest", str(demo / "manifest.json"), "--out", str(out),
-                 *argv[1:]]) == 0
+    assert main(_argv(run, demo, out)) == 0
     return sorted(p.name for p in out.iterdir() if ".meta." not in p.name)
 
 
@@ -53,6 +65,47 @@ def test_outputs_match_golden_bytes(demo_dir, tmp_path, run):
     assert written == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDEN / run / name).read_bytes(), name
+
+
+def test_pipeline_detects_each_distinct_series_once(demo_dir, tmp_path, monkeypatch):
+    calls = Counter()
+    run_detector = cli.run_detector
+
+    def counted(params, series, *args):
+        result = run_detector(params, series, *args)
+        calls[result.series_name, params.kind] += 1
+        return result
+
+    monkeypatch.setattr(cli, "run_detector", counted)
+    _run("pipeline", demo_dir, tmp_path)
+    report = (tmp_path / "report.json").read_bytes()
+    pairs = [(p["ion"], p["hist"]) for p in json.loads(report)["pairs"]]
+    ions, hists = {ion for ion, _ in pairs}, {hist for _, hist in pairs}
+    assert len(ions) + len(hists) < 2 * len(pairs)  # ranks 3 and 4 pair series of ranks 1 and 2
+    views = ions | hists | {f"{ion}+{hist}" for ion, hist in pairs}
+    assert calls == Counter({(view, kind): 1 for view in views for kind in DETECTORS})
+    assert report == (GOLDEN / "pipeline" / "report.json").read_bytes()
+
+
+def test_commands_never_import_numpy_ma(demo_dir, tmp_path):
+    # np.median and np.percentile import numpy.ma on first use (about 15 ms
+    # and 0.7 MB); the detectors select their order statistics themselves.
+    script = """
+import json, sys
+from meterfuse.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+    runs = [_argv(run, demo_dir, tmp_path / run) for run in ("pipeline", "detect", "evaluate")]
+    src = str(Path(meterfuse.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def regenerate():
