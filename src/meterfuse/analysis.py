@@ -2,7 +2,9 @@
 
 Summation is compensated (math.fsum) so means and standard deviations on
 million-point series agree with a naive oracle to full precision.  The
-standard deviation is the population one.
+standard deviation is the population one.  Values whose centred squares
+overflow float64's range, or underflow its normal range, are summed scaled
+by a power of two.
 
 The comparison arithmetic is deliberately explicit about undefined
 cases: percent change has no value when the individual baseline is zero,
@@ -16,6 +18,7 @@ form, a plain dict, and `report_csv` renders those dicts as report.csv.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence, Union
 
@@ -28,8 +31,10 @@ from .merge import MergedSeries
 from .model import TimeSeries
 
 
-# `describe` scales values below 2**_SCALED_EXPONENT when their squares
-# overflow: their squares, summed over any array that fits in memory, stay finite.
+# `describe` scales values by a power of two to below 2**_SCALED_EXPONENT when
+# their centred squares overflow or underflow: the squares of values that size,
+# summed over any array that fits in memory, stay finite, and those of centred
+# values down to 2**(_SCALED_EXPONENT - 1074) stay in float64's normal range.
 _SCALED_EXPONENT = 256
 
 
@@ -55,13 +60,16 @@ def describe(s: Union[TimeSeries, MergedSeries, np.ndarray]) -> SummaryStats:
             mean, var = _mean_var(values)
         except OverflowError:  # fsum's partial sums passed float64's range
             mean, var = math.inf, math.inf
-    if math.isinf(var) and math.isfinite(lo) and math.isfinite(hi):
+    overflow = math.isinf(var) and math.isfinite(lo) and math.isfinite(hi)
+    if overflow or (var < sys.float_info.min and lo < hi):
         # Finite values past about 1e154 from their mean square past float64's
-        # range: scale them down by a power of two, which rounds nothing unless
-        # it takes a value below the normal range, and the results back up.
-        shift = max(math.frexp(lo)[1], math.frexp(hi)[1]) - _SCALED_EXPONENT
-        mean, var = _mean_var(values * 2.0**-shift)
-        mean, std = mean * 2.0**shift, math.sqrt(var) * 2.0**shift
+        # range.  Values that differ but whose variance is below its normal
+        # range lost bits when squared, or rounded to 0.  Scale them by a
+        # power of two, which rounds nothing unless it takes a value below the
+        # normal range, and the results back.
+        shift = math.frexp(max(-lo, hi))[1] - _SCALED_EXPONENT
+        mean, var = _mean_var(np.ldexp(values, -shift))
+        mean, std = math.ldexp(mean, shift), math.ldexp(math.sqrt(var), shift)
     else:
         std = math.sqrt(var)
     return SummaryStats(n, mean, std, lo, hi)
@@ -69,10 +77,10 @@ def describe(s: Union[TimeSeries, MergedSeries, np.ndarray]) -> SummaryStats:
 
 def _mean_var(values: np.ndarray) -> tuple[float, float]:
     """The mean and population variance of values, each sum compensated by fsum."""
-    # fsum over lists: the same doubles as the arrays, without a numpy scalar per element
-    mean = math.fsum(values.tolist()) / len(values)
+    # fsum over a memoryview: the same doubles as the array, without a numpy scalar per element
+    mean = math.fsum(memoryview(values)) / len(values)
     centered = values - mean
-    return mean, math.fsum((centered * centered).tolist()) / len(values)
+    return mean, math.fsum(memoryview(centered * centered)) / len(values)
 
 
 def percent_change(individual_total: int, merged: int) -> float:

@@ -15,6 +15,14 @@ match, detect, pipeline, inject, evaluate) also writes the parse cache,
 .meterfuse-cache/, beside the series files (`ingest` module docstring).
 No output depends on it, and a directory that cannot be written gets none.
 
+pipeline detects each distinct ION and HIST series once.  When the
+process may use at least 2 CPUs, it builds every top pair's merged view
+(all of them live at the fork) and detects them in one forked worker
+(`_forked`) while it detects the single series, so its own peak memory
+no longer includes the merged views' detection.  A worker that fails or
+dies leaves that work to the CLI process, with the outputs and first
+error of a run on one CPU.
+
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
 --seed on synth, inject and evaluate.  Detector flags default to
@@ -27,9 +35,15 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import os
+import pickle
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -55,6 +69,8 @@ _MATCH_PARAMS = inspect.signature(match_all).parameters
 
 # A command's outputs by file name, and the line to print once they are written.
 Outputs = tuple[dict[str, str], str | None]
+
+T = TypeVar("T")
 
 
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:
@@ -143,21 +159,33 @@ def cmd_pipeline(args) -> Outputs:
         )
         top_n = len(run.results)
     top = run.results[:top_n]
+    pairs = [(corpus.series_by_id[m.ion_id], corpus.series_by_id[m.hist_id]) for m in top]
 
     def view(s: TimeSeries | MergedSeries):
         return _detect(params, s), analysis.describe(s)
 
-    # each series' detector sets and summary, once however many top pairs hold it
-    seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
-    pair_docs = []
-    for match in top:
-        ion, hist = corpus.series_by_id[match.ion_id], corpus.series_by_id[match.hist_id]
-        for s in (ion, hist):
-            if s.id not in seen:
-                seen[s.id] = view(s)
-        views = (seen[ion.id], seen[hist.id], view(merge_pair(ion, hist)))
-        sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
-        pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
+    merged = [merge_pair(ion, hist) for ion, hist in pairs]
+    with _forked(lambda: [view(m) for m in merged]) as merged_views:
+        del merged  # the worker holds them; a parent that must redo one merges again
+        # each series' detector sets and summary, once however many top pairs hold it
+        seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
+        failed = None
+        try:
+            for pair in pairs:
+                for s in pair:
+                    if s.id not in seen:
+                        seen[s.id] = view(s)
+        except Exception as e:  # noqa: BLE001 - raised below, where a serial run raises it
+            failed = e
+        pair_docs = []
+        for i, (match, (ion, hist)) in enumerate(zip(top, pairs)):
+            if ion.id not in seen or hist.id not in seen:
+                raise failed
+            done = merged_views()
+            merged_view = done[i] if done is not None else view(merge_pair(ion, hist))
+            views = (seen[ion.id], seen[hist.id], merged_view)
+            sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
+            pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
 
     report_doc = {
         "detector_params": {
@@ -170,6 +198,67 @@ def cmd_pipeline(args) -> Outputs:
     files["report.json"] = json_text(report_doc)
     files["report.csv"] = analysis.report_csv(pair_docs)
     return files, f"pipeline: {len(top)} pairs reported to {Path(args.out)}"
+
+
+@contextmanager
+def _forked(compute: Callable[[], T]) -> Iterator[Callable[[], T | None]]:
+    """Run ``compute`` in a forked worker while the block runs; yields its result's getter.
+
+    The getter waits for the worker and returns its result, or None when
+    the worker raised or died: the caller then computes it itself.  No
+    worker is forked, and the getter returns None at once, unless this
+    process may use at least 2 CPUs (`os.sched_getaffinity`) and runs no
+    other Python thread, which a fork would leave without its locks'
+    owners; nor when the fork fails.  The worker sends its result pickled
+    over a pipe and leaves by `os._exit`, so it never runs the caller's
+    code past ``compute``.  Leaving the block kills a worker still
+    running, and reaps it.
+    """
+    pid = -1
+    if (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    ):
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid < 0:
+        yield lambda: None
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(compute(), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    reaped, value = False, None
+
+    def result() -> T | None:
+        nonlocal reaped, value
+        if not reaped:
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            reaped = True
+            if os.waitstatus_to_exitcode(status) == 0:
+                value = pickle.loads(data)
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _detect(

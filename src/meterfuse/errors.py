@@ -4,9 +4,11 @@ An error raised for one corpus entry carries an ``entry`` attribute naming
 it: the entry's name, or its manifest index when it has no usable name.
 `naming` sets it on the errors raised inside a block; `DuplicateId` sets it
 itself.  Errors that name their entry: every error of loading an entry's
-manifest record or file, `DuplicateId`, `EmptyInput` and `NonFiniteValue`
-of a series `match_all` samples, `TooShort` of a named series a detector
-scores, and `EmptyWindow` and `TooFewSamples` of the CLI's injection.
+manifest record or file, the `ManifestError` of a name that
+`CorpusManifest.select` does not find, `DuplicateId`, `EmptyInput` and
+`NonFiniteValue` of a series `match_all` samples, `TooShort` of a named
+series a detector scores, and `EmptyWindow` and `TooFewSamples` of the
+CLI's injection.
 """
 
 from __future__ import annotations

@@ -60,7 +60,6 @@ from .errors import (
     IoError,
     MalformedCsv,
     ManifestError,
-    MeterFuseError,
     MissingColumn,
     UnparseableTime,
     UnparseableValue,
@@ -120,7 +119,8 @@ class CorpusManifest:
             if e.id.name == name:
                 return CorpusManifest((e,))
         available = ", ".join(sorted(e.id.name for e in self.entries))
-        raise MeterFuseError(f"no series named {name!r}; available: {available}")
+        with naming(name, ManifestError):
+            raise ManifestError(f"no series named {name!r}; available: {available}")
 
 
 @dataclass

@@ -139,19 +139,25 @@ def evaluate(detected: AnomalySet, label: InjectionLabel, slack: int = 0) -> Eva
         raise SeriesMismatch(
             f"anomalies are for {detected.series_name!r}, label for {label.series_name!r}"
         )
-    detected_idx = np.asarray(detected.flagged, dtype=np.int64)
-    labeled_idx = np.asarray(label.affected, dtype=np.int64)
-
-    tp = 0
-    for li in labeled_idx:
-        if len(detected_idx) and np.min(np.abs(detected_idx - li)) <= slack:
-            tp += 1
-    fp = 0
-    for di in detected_idx:
-        if len(labeled_idx) == 0 or np.min(np.abs(labeled_idx - di)) > slack:
-            fp += 1
+    detected_idx = np.sort(np.asarray(detected.flagged, dtype=np.int64))
+    labeled_idx = np.sort(np.asarray(label.affected, dtype=np.int64))
+    if len(detected_idx) and len(labeled_idx):
+        tp = int(np.count_nonzero(_nearest_gap(labeled_idx, detected_idx) <= slack))
+        fp = int(np.count_nonzero(_nearest_gap(detected_idx, labeled_idx) > slack))
+    else:
+        tp, fp = 0, len(detected_idx)
     fn = len(labeled_idx) - tp
     return EvalScore.from_counts(tp, fp, fn)
+
+
+def _nearest_gap(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """The distance from each x to the nearest value of ``ref``, which is sorted and not empty.
+
+    That value is the last of ``ref`` at or below x or the first above it.
+    """
+    i = np.searchsorted(ref, x)
+    below, above = ref[np.maximum(i - 1, 0)], ref[np.minimum(i, len(ref) - 1)]
+    return np.minimum(np.abs(x - below), np.abs(above - x))
 
 
 def label_to_json(label: InjectionLabel) -> str:

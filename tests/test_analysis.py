@@ -1,9 +1,11 @@
 import math
 import statistics
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis.strategies import floats, lists
 
 from meterfuse import (
@@ -121,8 +123,28 @@ def test_describe_keeps_its_bits_while_squares_stay_finite(values):
             var = math.fsum((centered * centered).tolist()) / len(x)
     except (OverflowError, FloatingPointError):
         assume(False)
+    # values that differ with a variance below the normal range underflowed when squared
+    assume(var >= sys.float_info.min or min(values) == max(values))
     stats = describe(x)
     assert (repr(stats.mean), repr(stats.std)) == (repr(mean), repr(math.sqrt(var)))
+
+
+@given(lists(floats(-(2.0**-480), 2.0**-480), min_size=1, max_size=50))
+@example([0.0, 1.746053992308445e-302])
+@example([1e-160, 3e-160])
+def test_describe_matches_exact_rational_oracle_on_tiny_values(values):
+    # Centred squares of these values fall below float64's normal range.  The
+    # oracle scales the exact variance by 2**1200 into that range, takes the
+    # root there and scales it back.
+    stats = describe(np.array(values))
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    var = sum((v - mean) ** 2 for v in exact) / len(exact)
+    std = math.ldexp(math.sqrt(var * 2**1200), -600)
+    assert math.isclose(stats.mean, mean, rel_tol=2**-51, abs_tol=2**-1074)
+    # a two-pass std is off by up to its mean's rounding, |mean| * 2**-53
+    assert abs(stats.std - std) <= 1e-15 * std + 2**-52 * abs(float(mean)) + 2**-1074
+    assert (stats.min, stats.max) == (min(values), max(values))
 
 
 def test_describe_spikes_past_1e154_give_a_finite_std():

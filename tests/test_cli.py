@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 from pathlib import Path
 
@@ -24,8 +25,9 @@ from meterfuse import (
 )
 from meterfuse import cli
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
-from meterfuse.errors import EmptyWindow, InvalidArgument, IoError
+from meterfuse.errors import EmptyWindow, InvalidArgument, IoError, TooShort
 from meterfuse.ingest import write_outputs
+from meterfuse.merge import MergedSeries
 from meterfuse.sampling import apply_recipe
 from meterfuse.synth import corpus_files, demo_corpus
 
@@ -445,6 +447,7 @@ def test_unknown_series_lists_available(corpus_dir, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "NOPE" in err and "HIST-40-S" in err
+    assert err.endswith("(entry NOPE)\n")
 
 
 def test_missing_manifest_exits_nonzero(tmp_path, capsys):
@@ -723,6 +726,136 @@ def test_dtw_flags_default_to_match_all(command):
 def _pipeline(corpus_dir, out, *extra) -> int:
     return main(["pipeline", "--manifest", _manifest(corpus_dir), "--out", str(out),
                  "--top-n", "2", *MATCH_FLAGS, *FAST_DETECTORS, *extra])
+
+
+def _usable_cpus(monkeypatch, n: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork starts from now on in this process."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _view_name(series) -> str:
+    return series.name if isinstance(series, MergedSeries) else series.id.name
+
+
+def _outputs(out) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".meta.json")}
+
+
+@pytest.mark.parametrize("metric", ["l1", "l2"])
+def test_pipeline_detects_merged_views_in_a_worker_with_two_cpus(
+    corpus_dir, tmp_path, monkeypatch, metric
+):
+    log = tmp_path / "views.log"
+    detect = cli._detect
+
+    def logged(params, series):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\t{_view_name(series)}\n")
+        return detect(params, series)
+
+    monkeypatch.setattr(cli, "_detect", logged)
+    outputs, worker_views = {}, {}
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        log.unlink(missing_ok=True)
+        assert _pipeline(corpus_dir, tmp_path / str(cpus), "--metric", metric) == 0
+        _assert_no_child_left()
+        outputs[cpus] = _outputs(tmp_path / str(cpus))
+        views = [line.split("\t") for line in log.read_text().splitlines()]
+        worker_views[cpus] = {name for pid, name in views if int(pid) != os.getpid()}
+    assert outputs[1] == outputs[2]
+    merged = {f"{p['ion']}+{p['hist']}" for p in json.loads(outputs[2]["report.json"])["pairs"]}
+    assert worker_views == {1: set(), 2: merged}
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
+def test_failed_worker_gives_the_serial_outputs(corpus_dir, tmp_path, monkeypatch, failure):
+    _usable_cpus(monkeypatch, 1)
+    assert _pipeline(corpus_dir, tmp_path / "serial") == 0
+    parent, detect = os.getpid(), cli._detect
+
+    def fails_in_worker(params, series):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("worker failed")
+            os._exit(3)
+        return detect(params, series)
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_detect", fails_in_worker)
+    if failure == "cannot fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    _usable_cpus(monkeypatch, 2)
+    assert _pipeline(corpus_dir, tmp_path / "fallback") == 0
+    _assert_no_child_left()
+    assert _outputs(tmp_path / "fallback") == _outputs(tmp_path / "serial")
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits"])
+def test_failed_worker_gives_the_serial_first_error(
+    corpus_dir, tmp_path, monkeypatch, capsys, failure
+):
+    # Rank 1's merged view and a series first met after rank 1 both fail.  A
+    # serial run meets the merged view first; the CLI process meets the
+    # series first, while the worker fails.
+    _usable_cpus(monkeypatch, 1)
+    assert _pipeline(corpus_dir, tmp_path / "ok", "--top-n", "4") == 0
+    report = json.loads((tmp_path / "ok" / "report.json").read_text())
+    pairs = [(p["ion"], p["hist"]) for p in report["pairs"]]
+    later = next(name for pair in pairs[1:] for name in pair if name not in pairs[0])
+    failing = {"+".join(pairs[0]), later}
+    parent, detect = os.getpid(), cli._detect
+
+    def fails(params, series):
+        if os.getpid() != parent and failure == "exits":
+            os._exit(3)
+        if _view_name(series) in failing:
+            raise TooShort(f"{_view_name(series)} fails")
+        return detect(params, series)
+
+    monkeypatch.setattr(cli, "_detect", fails)
+    errors = []
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        capsys.readouterr()
+        assert _pipeline(corpus_dir, tmp_path / str(cpus), "--top-n", "4") == 1
+        _assert_no_child_left()
+        errors.append(capsys.readouterr().err)
+        assert not (tmp_path / str(cpus)).exists()
+    assert errors == [f"error: {'+'.join(pairs[0])} fails\n"] * 2
+
+
+def test_worker_is_reaped_when_the_pipeline_fails_before_its_result(tmp_path, monkeypatch, capsys):
+    # ION-4-3472's one sample fails the CLI process's first view, while the
+    # worker may still be detecting the merged views
+    assert main(["synth", "--out", str(tmp_path / "c"), "--hist-points", "10"]) == 0
+    _usable_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    assert main(["pipeline", "--manifest", str(tmp_path / "c" / "manifest.json"),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "(entry ION-4-3472)" in capsys.readouterr().err
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 def _snapshot(out) -> dict:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -19,6 +19,7 @@ from meterfuse.detectors import (
     DETECTORS,
     MAGNITUDE_NOISE_FLOOR,
     RELATIVE_NOISE_FLOOR,
+    _NETWORK_MAX_WIDTH,
     _order_stats,
     _window_medians,
     default_params,
@@ -327,8 +328,9 @@ def test_order_stats_equal_numpy_on_large_tied_sets(n, extreme, rng):
 
 
 @settings(max_examples=25)
-@pytest.mark.parametrize("w", range(1, 13))
-@given(values=st.lists(doubles, min_size=12, max_size=80))
+@pytest.mark.parametrize("w", range(1, _NETWORK_MAX_WIDTH + 4))  # the network's widths and past them
+@given(values=st.lists(doubles, min_size=_NETWORK_MAX_WIDTH + 3, max_size=80))
+@example(values=[-0.0, 0.0] * 8 + [math.nan] + [0.0, -0.0, -1.0, 1.0] * 4)
 def test_window_medians_equal_numpy(w, values):
     x = np.array(values)
     with np.errstate(all="ignore"):  # sums past float64's range warn, in numpy's median too

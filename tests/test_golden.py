@@ -21,7 +21,7 @@ import pytest
 import meterfuse
 from meterfuse import cli
 from meterfuse.cli import main
-from meterfuse.detectors import DETECTORS
+from meterfuse.detectors import DETECTORS, DetectorKind
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,17 +68,22 @@ def test_outputs_match_golden_bytes(demo_dir, tmp_path, run):
 
 
 def test_pipeline_detects_each_distinct_series_once(demo_dir, tmp_path, monkeypatch):
-    calls = Counter()
+    # one line per call, appended by the CLI process and by the worker it forks
+    log = tmp_path / "calls.log"
     run_detector = cli.run_detector
 
     def counted(params, series, *args):
         result = run_detector(params, series, *args)
-        calls[result.series_name, params.kind] += 1
+        with open(log, "a") as f:
+            f.write(f"{result.series_name}\t{params.kind.value}\n")
         return result
 
     monkeypatch.setattr(cli, "run_detector", counted)
-    _run("pipeline", demo_dir, tmp_path)
-    report = (tmp_path / "report.json").read_bytes()
+    out = tmp_path / "out"
+    _run("pipeline", demo_dir, out)
+    lines = log.read_text().splitlines()
+    calls = Counter((name, DetectorKind(kind)) for name, kind in (line.split("\t") for line in lines))
+    report = (out / "report.json").read_bytes()
     pairs = [(p["ion"], p["hist"]) for p in json.loads(report)["pairs"]]
     ions, hists = {ion for ion, _ in pairs}, {hist for _, hist in pairs}
     assert len(ions) + len(hists) < 2 * len(pairs)  # ranks 3 and 4 pair series of ranks 1 and 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meterfuse import (
     EvalScore,
@@ -119,6 +121,24 @@ def test_evaluate_counts_false_positives():
     score = evaluate(_detected({10, 90}), _label({10}), slack=0)
     assert (score.true_positives, score.false_positives, score.false_negatives) == (1, 1, 0)
     assert score.precision == 0.5
+
+
+def loop_counts(detected, labeled, slack):
+    """(tp, fp, fn) by scanning every index against the other side: the reference for `evaluate`."""
+    detected, labeled = np.asarray(detected, dtype=np.int64), np.asarray(labeled, dtype=np.int64)
+    tp = sum(1 for li in labeled if len(detected) and np.min(np.abs(detected - li)) <= slack)
+    fp = sum(1 for di in detected if len(labeled) == 0 or np.min(np.abs(labeled - di)) > slack)
+    return tp, fp, len(labeled) - tp
+
+
+indices = st.sets(st.integers(0, 300), max_size=40)
+
+
+@given(indices, indices, st.one_of(st.integers(0, 40), st.just(10**30)))
+def test_evaluate_counts_equal_the_loop(detected, labeled, slack):
+    score = evaluate(_detected(detected), _label(labeled), slack=slack)
+    counts = (score.true_positives, score.false_positives, score.false_negatives)
+    assert counts == loop_counts(sorted(detected), sorted(labeled), slack)
 
 
 def test_evaluate_series_mismatch():
