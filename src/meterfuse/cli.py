@@ -209,10 +209,13 @@ def _forked(compute: Callable[[], T]) -> Iterator[Callable[[], T | None]]:
     worker is forked, and the getter returns None at once, unless this
     process may use at least 2 CPUs (`os.sched_getaffinity`) and runs no
     other Python thread, which a fork would leave without its locks'
-    owners; nor when the fork fails.  The worker sends its result pickled
+    owners (OpenBLAS stops its own threads in a fork handler); nor when
+    the fork fails.  The worker sends its result pickled
     over a pipe and leaves by `os._exit`, so it never runs the caller's
     code past ``compute``.  Leaving the block kills a worker still
-    running, and reaps it.
+    running, and reaps it.  The worker is forked rather than spawned: it
+    starts with the caller's data and imported modules, where a spawned
+    one would import numpy and meterfuse again (about 0.15 s).
     """
     pid = -1
     if (
