@@ -21,7 +21,11 @@ process may use at least 2 CPUs, it builds every top pair's merged view
 (`_forked`) while it detects the single series, so its own peak memory
 no longer includes the merged views' detection.  A worker that fails or
 dies leaves that work to the CLI process, with the outputs and first
-error of a run on one CPU.
+error of a run on one CPU.  What pipeline holds, stage by stage: ranking
+holds the whole corpus; `_run_match` returns only the top pairs' series,
+so every other series is freed before any merge; the merged views are
+held until the fork, and the worker inherits only those and the top
+pairs' series.
 
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
@@ -53,7 +57,7 @@ from .detectors import (
 )
 from .dtw import MatchRun, Metric, match_all
 from .errors import EmptyWindow, InvalidArgument, IoError, MeterFuseError, TooFewSamples, naming
-from .ingest import Corpus, json_text, load_corpus, load_manifest, series_to_csv, write_outputs
+from .ingest import json_text, load_corpus, load_manifest, series_to_csv, write_outputs
 from .merge import MergedSeries, merge_pair
 from .model import MeasurementId, SystemTag, TimeSeries
 from .sampling import SamplingKind, SamplingRecipe
@@ -104,8 +108,15 @@ def _load_series(args) -> TimeSeries:
     return load_corpus(load_manifest(args.manifest).select(args.series)).get(args.series)
 
 
-def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
-    """Rank every cross-system pair; returns the corpus, the run and the matches.* texts."""
+def _run_match(
+    args, top_n: int = 0
+) -> tuple[MatchRun, list[tuple[TimeSeries, TimeSeries]], dict[str, str]]:
+    """Rank every cross-system pair.
+
+    Returns the run, the (ION, HIST) series of its first ``top_n`` pairs
+    and the matches.* texts.  The corpus is dropped on return, so every
+    series outside those pairs is freed then.
+    """
     recipe = _recipe(args)
     corpus = load_corpus(load_manifest(args.manifest))
     run = match_all(
@@ -116,6 +127,10 @@ def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
         metric=Metric(args.metric),
         normalize=args.z_normalize,
     )
+    pairs = [
+        (corpus.series_by_id[m.ion_id], corpus.series_by_id[m.hist_id])
+        for m in run.results[:top_n]
+    ]
     lines = ["rank,ion_name,hist_name,distance"]
     for r in run.results:
         lines.append(f"{r.rank},{r.ion_id.name},{r.hist_id.name},{r.distance!r}")
@@ -133,11 +148,11 @@ def _run_match(args) -> tuple[Corpus, MatchRun, dict[str, str]]:
         ],
     }
     files = {"matches.csv": "\n".join(lines) + "\n", "matches.meta.json": json_text(meta)}
-    return corpus, run, files
+    return run, pairs, files
 
 
 def cmd_match(args) -> Outputs:
-    _, run, files = _run_match(args)
+    run, _, files = _run_match(args)
     print("rank  distance      ion            hist")
     for r in run.results[:10]:
         print(f"{r.rank:<5d} {r.distance:<13.6g} {r.ion_id.name:<14s} {r.hist_id.name}")
@@ -149,17 +164,13 @@ def cmd_pipeline(args) -> Outputs:
     if args.top_n < 1:
         raise InvalidArgument(f"--top-n must be >= 1, got {args.top_n}")
     params = _detector_params(args)
-    corpus, run, files = _run_match(args)
-
-    top_n = args.top_n
-    if top_n > len(run.results):
+    run, pairs, files = _run_match(args, args.top_n)
+    top = run.results[: args.top_n]
+    if len(top) < args.top_n:
         print(
-            f"warning: top-n {top_n} exceeds {len(run.results)} pairs; using all",
+            f"warning: top-n {args.top_n} exceeds {len(run.results)} pairs; using all",
             file=sys.stderr,
         )
-        top_n = len(run.results)
-    top = run.results[:top_n]
-    pairs = [(corpus.series_by_id[m.ion_id], corpus.series_by_id[m.hist_id]) for m in top]
 
     def view(s: TimeSeries | MergedSeries):
         return _detect(params, s), analysis.describe(s)
@@ -192,7 +203,7 @@ def cmd_pipeline(args) -> Outputs:
             kind.value: {DETECTORS[kind].size: p.size, "threshold_k": p.threshold_k}
             for kind, p in params.items()
         },
-        "top_n": top_n,
+        "top_n": len(top),
         "pairs": pair_docs,
     }
     files["report.json"] = json_text(report_doc)
@@ -215,7 +226,10 @@ def _forked(compute: Callable[[], T]) -> Iterator[Callable[[], T | None]]:
     code past ``compute``.  Leaving the block kills a worker still
     running, and reaps it.  The worker is forked rather than spawned: it
     starts with the caller's data and imported modules, where a spawned
-    one would import numpy and meterfuse again (about 0.15 s).
+    one would import numpy and meterfuse again (about 0.15 s).  It holds
+    what the caller holds at the fork; in `cmd_pipeline` that is the top
+    pairs' series and their merged views, the rest of the corpus being
+    freed after ranking.
     """
     pid = -1
     if (

@@ -115,9 +115,9 @@ def validate_series(raw: TimeSeries) -> TimeSeries:
     if len(raw) == 0:
         log.warning("series %s is empty", raw.id)
         return raw
-    order = np.argsort(raw.t, kind="stable")
-    if np.array_equal(order, np.arange(len(order))):
+    if (raw.t[1:] >= raw.t[:-1]).all():  # sorted already: the stable sort is the identity
         return raw
+    order = np.argsort(raw.t, kind="stable")
     return TimeSeries(raw.id, raw.t[order], raw.v[order])
 
 

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -856,6 +857,35 @@ def test_worker_is_reaped_when_the_pipeline_fails_before_its_result(tmp_path, mo
     assert "(entry ION-4-3472)" in capsys.readouterr().err
     assert len(forks) == 1
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_detects_holding_only_the_top_pairs_series(
+    corpus_dir, tmp_path, monkeypatch, cpus
+):
+    # --top-n 2 takes the two twin pairs, so HIST-23-S is in none
+    loaded, alive = [], []
+    parent, load, detect = os.getpid(), cli.load_corpus, cli._detect
+
+    def tracked(manifest):
+        corpus = load(manifest)
+        loaded.extend(weakref.ref(s) for s in corpus.series_by_id.values())
+        return corpus
+
+    def recorded(params, series):
+        if os.getpid() == parent and not alive:
+            alive.append({s.id.name for s in (ref() for ref in loaded) if s is not None})
+        return detect(params, series)
+
+    monkeypatch.setattr(cli, "load_corpus", tracked)
+    monkeypatch.setattr(cli, "_detect", recorded)
+    _usable_cpus(monkeypatch, cpus)
+    assert _pipeline(corpus_dir, tmp_path / "o") == 0
+    _assert_no_child_left()
+    pairs = json.loads((tmp_path / "o" / "report.json").read_text())["pairs"]
+    held = {name for p in pairs for name in (p["ion"], p["hist"])}
+    assert len(loaded) > len(held)
+    assert alive == [held]
 
 
 def _snapshot(out) -> dict:

@@ -59,6 +59,22 @@ def test_validated_timestamps_non_decreasing(pairs):
     assert np.all(np.diff(s.t) >= 0)
 
 
+@given(
+    st.lists(st.tuples(st.integers(0, 5), st.floats(allow_nan=False, allow_infinity=False))),
+    st.booleans(),
+)
+def test_validate_equals_stable_argsort(pairs, presorted):
+    # few distinct timestamps, so most lists hold duplicates; presorted lists take the no-sort path
+    if presorted:
+        pairs = sorted(pairs, key=lambda p: p[0])
+    raw = mkseries(pairs)
+    order = np.argsort(raw.t, kind="stable")
+    s = validate_series(raw)
+    assert s.id == raw.id
+    assert s.t.tobytes() == raw.t[order].tobytes()
+    assert s.v.tobytes() == raw.v[order].tobytes()
+
+
 def test_slice_inclusive_bounds():
     s = mkseries([(t, float(t)) for t in range(1, 11)])
     out = slice_by_range(s, 3, 5)
