@@ -15,13 +15,14 @@ match, detect, pipeline, inject, evaluate) also writes the parse cache,
 .meterfuse-cache/, beside the series files (`ingest` module docstring).
 No output depends on it, and a directory that cannot be written gets none.
 
-pipeline detects each distinct ION and HIST series once.  When the
+pipeline detects each distinct series in pair order, then the merged
+views in pair order, and raises the first error in that order.  When the
 process may use at least 2 CPUs, it builds every top pair's merged view
 (all of them live at the fork) and detects them in one forked worker
 (`_forked`) while it detects the single series, so its own peak memory
-no longer includes the merged views' detection.  A worker that fails or
-dies leaves that work to the CLI process, with the outputs and first
-error of a run on one CPU.  What pipeline holds, stage by stage: ranking
+no longer includes the merged views' detection.  Without the worker's
+result (one CPU, a failed fork, a worker that raised or died) it merges
+and detects each pair itself.  What pipeline holds, stage by stage: ranking
 holds the whole corpus; `_run_match` returns only the top pairs' series,
 so every other series is freed before any merge; the merged views are
 held until the fork, and the worker inherits only those and the top
@@ -56,7 +57,9 @@ from .detectors import (
     DETECTORS, AnomalySet, DetectorKind, DetectorParams, default_params, run_detector,
 )
 from .dtw import MatchRun, Metric, match_all
-from .errors import EmptyWindow, InvalidArgument, IoError, MeterFuseError, TooFewSamples, naming
+from .errors import (
+    EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
+)
 from .ingest import json_text, load_corpus, load_manifest, series_to_csv, write_outputs
 from .merge import MergedSeries, merge_pair
 from .model import MeasurementId, SystemTag, TimeSeries
@@ -177,26 +180,21 @@ def cmd_pipeline(args) -> Outputs:
 
     merged = [merge_pair(ion, hist) for ion, hist in pairs]
     with _forked(lambda: [view(m) for m in merged]) as merged_views:
-        del merged  # the worker holds them; a parent that must redo one merges again
+        del merged  # the worker holds them; without its result each pair is merged again
         # each series' detector sets and summary, once however many top pairs hold it
         seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
-        failed = None
-        try:
-            for pair in pairs:
-                for s in pair:
-                    if s.id not in seen:
-                        seen[s.id] = view(s)
-        except Exception as e:  # noqa: BLE001 - raised below, where a serial run raises it
-            failed = e
-        pair_docs = []
-        for i, (match, (ion, hist)) in enumerate(zip(top, pairs)):
-            if ion.id not in seen or hist.id not in seen:
-                raise failed
-            done = merged_views()
-            merged_view = done[i] if done is not None else view(merge_pair(ion, hist))
-            views = (seen[ion.id], seen[hist.id], merged_view)
-            sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
-            pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
+        for pair in pairs:
+            for s in pair:
+                if s.id not in seen:
+                    seen[s.id] = view(s)
+        merged_done = merged_views()
+    if merged_done is None:
+        merged_done = [view(merge_pair(ion, hist)) for ion, hist in pairs]
+    pair_docs = []
+    for match, (ion, hist), merged_view in zip(top, pairs, merged_done):
+        views = (seen[ion.id], seen[hist.id], merged_view)
+        sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
+        pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
 
     report_doc = {
         "detector_params": {
@@ -215,15 +213,15 @@ def cmd_pipeline(args) -> Outputs:
 def _forked(compute: Callable[[], T]) -> Iterator[Callable[[], T | None]]:
     """Run ``compute`` in a forked worker while the block runs; yields its result's getter.
 
-    The getter waits for the worker and returns its result, or None when
-    the worker raised or died: the caller then computes it itself.  No
-    worker is forked, and the getter returns None at once, unless this
-    process may use at least 2 CPUs (`os.sched_getaffinity`) and runs no
-    other Python thread, which a fork would leave without its locks'
-    owners (OpenBLAS stops its own threads in a fork handler); nor when
-    the fork fails.  The worker sends its result pickled
-    over a pipe and leaves by `os._exit`, so it never runs the caller's
-    code past ``compute``.  Leaving the block kills a worker still
+    The getter, called at most once, waits for the worker and returns its
+    result, or None when the worker raised or died: the caller then
+    computes it itself.  No worker is forked, and the getter returns None
+    at once, unless this process may use at least 2 CPUs
+    (`os.sched_getaffinity`) and runs no other Python thread, which a fork
+    would leave without its locks' owners (OpenBLAS stops its own threads
+    in a fork handler); nor when the fork fails.  The worker sends its
+    result pickled over a pipe and leaves by `os._exit`, so it never runs
+    the caller's code past ``compute``.  Leaving the block kills a worker still
     running, and reaps it.  The worker is forked rather than spawned: it
     starts with the caller's data and imported modules, where a spawned
     one would import numpy and meterfuse again (about 0.15 s).  It holds
@@ -257,17 +255,14 @@ def _forked(compute: Callable[[], T]) -> Iterator[Callable[[], T | None]]:
             os._exit(code)
     os.close(write_fd)
     pipe = open(read_fd, "rb")
-    reaped, value = False, None
+    reaped = False
 
     def result() -> T | None:
-        nonlocal reaped, value
-        if not reaped:
-            data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            reaped = True
-            if os.waitstatus_to_exitcode(status) == 0:
-                value = pickle.loads(data)
-        return value
+        nonlocal reaped
+        data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
 
     try:
         yield result
@@ -300,8 +295,8 @@ def cmd_detect(args) -> Outputs:
 
 
 def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLabel]:
-    """Inject --kind into the --series entry; EmptyWindow and TooFewSamples name the entry."""
-    with naming(args.series, EmptyWindow, TooFewSamples):
+    """Inject --kind into --series; EmptyWindow, TooFewSamples and NonFiniteValue name it."""
+    with naming(args.series, EmptyWindow, TooFewSamples, NonFiniteValue):
         if len(series) == 0:  # before the zero run's default --at reads the middle sample
             raise EmptyWindow("series is empty")
         if args.kind == "zero-run":

@@ -81,6 +81,8 @@ class DetectorParams:
         if self.size < 1:
             name = DETECTORS[self.kind].size
             raise InvalidArgument(f"{kind} {name} must be >= 1, got {self.size}")
+        if not math.isfinite(self.threshold_k):
+            raise InvalidArgument(f"{kind} threshold_k must be finite, got {self.threshold_k}")
         if self.threshold_k <= 0:
             raise InvalidArgument(f"{kind} threshold_k must be > 0, got {self.threshold_k}")
 

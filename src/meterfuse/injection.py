@@ -22,7 +22,7 @@ import numpy as np
 from .detectors import AnomalySet
 from .errors import EmptyWindow, InvalidArgument, SeriesMismatch, TooFewSamples
 from .ingest import json_text
-from .model import TimeSeries
+from .model import TimeSeries, finite_values
 
 # The zero-run duration, when not chosen by the caller, is drawn from
 # this interval (milliseconds): long enough to span a few samples at a
@@ -100,10 +100,14 @@ def inject_gaussian_noise(
     """Perturb n uniformly-chosen samples by Normal(0, sigma^2) draws.
 
     Indices are chosen without replacement from a PCG64 stream seeded
-    with ``seed``; the perturbations come from the same stream.
+    with ``seed``; the perturbations come from the same stream.  A finite
+    sigma can still draw a value past float64's range: NonFiniteValue then
+    names the first non-finite sample of the result.
     """
     if n < 1:
         raise InvalidArgument(f"noise count n must be >= 1, got {n}")
+    if not np.isfinite(sigma):
+        raise InvalidArgument(f"sigma must be finite, got {sigma}")
     if sigma < 0:
         raise InvalidArgument(f"sigma must be >= 0, got {sigma}")
     if len(s) == 0:
@@ -115,6 +119,7 @@ def inject_gaussian_noise(
     noise = rng.normal(0.0, sigma, size=n)
     v = s.v.copy()
     v[chosen] += noise
+    finite_values(v)
     affected = np.sort(chosen)
     label = InjectionLabel(
         InjectionKind.GAUSSIAN_NOISE,

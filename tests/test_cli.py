@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from meterfuse import (
+    Corpus,
     DetectorKind,
     DetectorParams,
     Metric,
@@ -23,6 +24,7 @@ from meterfuse import (
     load_manifest,
     match_all,
     run_detector,
+    SystemTag,
 )
 from meterfuse import cli
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
@@ -30,7 +32,7 @@ from meterfuse.errors import EmptyWindow, InvalidArgument, IoError, TooShort
 from meterfuse.ingest import write_outputs
 from meterfuse.merge import MergedSeries
 from meterfuse.sampling import apply_recipe
-from meterfuse.synth import corpus_files, demo_corpus
+from meterfuse.synth import constant_series, corpus_files, demo_corpus, write_corpus
 
 from conftest import mkvalues
 
@@ -370,9 +372,6 @@ def test_evaluate_default_slack_is_each_detectors_size(corpus_dir, tmp_path, cap
 
 
 def test_pipeline_all_constant_corpus_reports_zero_counts(tmp_path):
-    from meterfuse import Corpus, SystemTag
-    from meterfuse.synth import constant_series, write_corpus
-
     corpus = Corpus()
     for name, system, value, n, cadence in [
         ("ION-1", SystemTag.ION, 5.0, 30, 600_000),
@@ -493,12 +492,20 @@ def _scored_with_slack(s, slack):
          lambda s: DetectorParams(DetectorKind.LEVEL_SHIFT, size=0, threshold_k=3.0)),
         ("evaluate", ["--ra-k", "0"], "rolling_average threshold_k must be > 0, got 0.0",
          lambda s: DetectorParams(DetectorKind.ROLLING_AVERAGE, size=10, threshold_k=0.0)),
+        ("pipeline", ["--ra-k", "nan"], "rolling_average threshold_k must be finite, got nan",
+         lambda s: DetectorParams(DetectorKind.ROLLING_AVERAGE, size=10, threshold_k=float("nan"))),
+        ("pipeline", ["--ls-k", "inf"], "level_shift threshold_k must be finite, got inf",
+         lambda s: DetectorParams(DetectorKind.LEVEL_SHIFT, size=5, threshold_k=float("inf"))),
         ("inject", ["--duration-ms", "0"], "duration_ms must be > 0, got 0",
          lambda s: inject_zero_run(s, int(s.t[0]), 0)),
         ("inject", ["--kind", "gaussian", "--noise-count", "0"],
          "noise count n must be >= 1, got 0", lambda s: inject_gaussian_noise(s, 0, 1.0, 0)),
         ("inject", ["--kind", "gaussian", "--sigma", "-1"], "sigma must be >= 0, got -1.0",
          lambda s: inject_gaussian_noise(s, 1, -1.0, 0)),
+        ("inject", ["--kind", "gaussian", "--sigma", "nan"], "sigma must be finite, got nan",
+         lambda s: inject_gaussian_noise(s, 1, float("nan"), 0)),
+        ("evaluate", ["--kind", "gaussian", "--sigma", "inf"], "sigma must be finite, got inf",
+         lambda s: inject_gaussian_noise(s, 1, float("inf"), 0)),
         ("evaluate", ["--slack", "-1"], "slack must be >= 0, got -1",
          lambda s: _scored_with_slack(s, -1)),
         ("synth", ["--spikes", "-1"], "spike_count must be >= 0, got -1",
@@ -516,7 +523,8 @@ def _scored_with_slack(s, slack):
         ("synth", ["--spike-magnitude", "inf"], "spike_magnitude must be finite, got inf",
          lambda s: demo_corpus(spike_magnitude=float("inf"))),
     ],
-    ids=["ar-order", "ls-window", "ra-k", "duration-ms", "noise-count", "sigma", "slack",
+    ids=["ar-order", "ls-window", "ra-k", "ra-k-nan", "ls-k-inf", "duration-ms", "noise-count",
+         "sigma", "sigma-nan", "sigma-inf", "slack",
          "spikes", "hist-cadence-ms", "ion-cadence-ms", "hist-points-0", "hist-points-neg",
          "spike-magnitude-nan", "spike-magnitude-inf"],
 )
@@ -533,6 +541,18 @@ def test_out_of_range_argument_is_typed_error(
     assert not (tmp_path / "o").exists()
     with pytest.raises(InvalidArgument, match=re.escape(named)):
         library_call(mkvalues(np.zeros(100), name="HIST-44-S"))
+
+
+@pytest.mark.parametrize("command", ["inject", "evaluate"])
+def test_overflowing_noise_draw_names_entry(corpus_dir, tmp_path, capfd, command):
+    # sigma 1e308 is finite, but draws beyond 1.8 sigma overflow float64;
+    # nothing reaches the detectors, so LAPACK prints nothing either
+    out = tmp_path / "o"
+    assert main([command, "--manifest", _manifest(corpus_dir), "--out", str(out),
+                 "--series", "HIST-44-S", "--kind", "gaussian", "--sigma", "1e308"]) == 1
+    err = capfd.readouterr().err
+    assert re.fullmatch(r"error: non-finite value at sample index \d+ \(entry HIST-44-S\)\n", err)
+    assert not out.exists()
 
 
 def test_overflowing_warped_cost_is_typed_error(tmp_path, capsys):
@@ -752,6 +772,10 @@ def _counted_forks(monkeypatch) -> list[int]:
     return forks
 
 
+def _no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
 def _view_name(series) -> str:
     return series.name if isinstance(series, MergedSeries) else series.id.name
 
@@ -800,32 +824,32 @@ def test_failed_worker_gives_the_serial_outputs(corpus_dir, tmp_path, monkeypatc
             os._exit(3)
         return detect(params, series)
 
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
     monkeypatch.setattr(cli, "_detect", fails_in_worker)
     if failure == "cannot fork":
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(os, "fork", _no_fork)
     _usable_cpus(monkeypatch, 2)
     assert _pipeline(corpus_dir, tmp_path / "fallback") == 0
     _assert_no_child_left()
     assert _outputs(tmp_path / "fallback") == _outputs(tmp_path / "serial")
 
 
-@pytest.mark.parametrize("failure", ["raises", "exits"])
+@pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
 def test_failed_worker_gives_the_serial_first_error(
     corpus_dir, tmp_path, monkeypatch, capsys, failure
 ):
-    # Rank 1's merged view and a series first met after rank 1 both fail.  A
-    # serial run meets the merged view first; the CLI process meets the
-    # series first, while the worker fails.
+    # Every route detects each distinct series in pair order, then the
+    # merged views in pair order.  When rank 1's merged view and a series
+    # first met after rank 1 both fail, the series' error is first; when
+    # only the merged view fails, the CLI process redoes it without the
+    # worker's result and its error is first.
     _usable_cpus(monkeypatch, 1)
     assert _pipeline(corpus_dir, tmp_path / "ok", "--top-n", "4") == 0
     report = json.loads((tmp_path / "ok" / "report.json").read_text())
     pairs = [(p["ion"], p["hist"]) for p in report["pairs"]]
     later = next(name for pair in pairs[1:] for name in pair if name not in pairs[0])
-    failing = {"+".join(pairs[0]), later}
+    first_merged = "+".join(pairs[0])
     parent, detect = os.getpid(), cli._detect
+    failing = set()
 
     def fails(params, series):
         if os.getpid() != parent and failure == "exits":
@@ -835,15 +859,51 @@ def test_failed_worker_gives_the_serial_first_error(
         return detect(params, series)
 
     monkeypatch.setattr(cli, "_detect", fails)
+    if failure == "cannot fork":
+        monkeypatch.setattr(os, "fork", _no_fork)
+    for failing_views, first in [({first_merged, later}, later), ({first_merged}, first_merged)]:
+        failing.clear()
+        failing.update(failing_views)
+        for cpus in (1, 2):
+            _usable_cpus(monkeypatch, cpus)
+            capsys.readouterr()
+            assert _pipeline(corpus_dir, tmp_path / str(cpus), "--top-n", "4") == 1
+            _assert_no_child_left()
+            assert capsys.readouterr().err == f"error: {first} fails\n"
+            assert not (tmp_path / str(cpus)).exists()
+
+
+def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(
+    tmp_path, monkeypatch, capsys
+):
+    # The detectors run unpatched: rank 2's ION series has 8 samples, too
+    # few for the default 10-sample rolling average, while rank 1's views
+    # are all long enough.
+    corpus = Corpus()
+    for name, system, value, n, cadence in [
+        ("ION-1", SystemTag.ION, 5.0, 30, 600_000),
+        ("ION-2", SystemTag.ION, 0.1, 8, 600_000),
+        ("HIST-1", SystemTag.HIST, 5.0, 2400, 5_000),
+        ("HIST-2", SystemTag.HIST, 0.0, 2400, 5_000),
+    ]:
+        s = constant_series(name, system, value, n, cadence)
+        corpus.series_by_id[s.id] = s
+    manifest = write_corpus(corpus, tmp_path / "c")
+    assert main(["match", "--manifest", str(manifest), "--out", str(tmp_path / "m"),
+                 *MATCH_FLAGS]) == 0
+    ranked = (tmp_path / "m" / "matches.csv").read_text().splitlines()[1:3]
+    assert [row.split(",")[1:3] for row in ranked] == [["ION-1", "HIST-1"], ["ION-2", "HIST-2"]]
     errors = []
     for cpus in (1, 2):
         _usable_cpus(monkeypatch, cpus)
         capsys.readouterr()
-        assert _pipeline(corpus_dir, tmp_path / str(cpus), "--top-n", "4") == 1
+        out = tmp_path / str(cpus)
+        assert main(["pipeline", "--manifest", str(manifest), "--out", str(out),
+                     "--top-n", "2", *MATCH_FLAGS]) == 1
         _assert_no_child_left()
         errors.append(capsys.readouterr().err)
-        assert not (tmp_path / str(cpus)).exists()
-    assert errors == [f"error: {'+'.join(pairs[0])} fails\n"] * 2
+        assert not out.exists()
+    assert errors == ["error: rolling average needs more than 10 samples, got 8 (entry ION-2)\n"] * 2
 
 
 def test_worker_is_reaped_when_the_pipeline_fails_before_its_result(tmp_path, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from meterfuse import (
     inject_zero_run,
 )
 from meterfuse.detectors import AnomalySet, DetectorKind, DetectorParams, run_detector
-from meterfuse.errors import EmptyWindow, SeriesMismatch, TooFewSamples
+from meterfuse.errors import EmptyWindow, NonFiniteValue, SeriesMismatch, TooFewSamples
 from meterfuse.injection import label_to_json
 
 from conftest import mkvalues
@@ -85,6 +85,17 @@ def test_gaussian_saturation_labels_everything():
 def test_gaussian_too_few_samples():
     with pytest.raises(TooFewSamples):
         inject_gaussian_noise(mkvalues(np.zeros(5)), 6, 1.0, seed=0)
+
+
+def test_gaussian_draw_past_float_range_is_non_finite_value():
+    # the same seed draws the same standard normals, scaled by sigma
+    s = mkvalues(np.zeros(100))
+    unit = inject_gaussian_noise(s, 10, 1.0, seed=0)[0].v
+    overflows = np.flatnonzero(np.abs(unit) > np.finfo(np.float64).max / 1e308)
+    assert len(overflows)
+    with pytest.raises(NonFiniteValue) as exc:
+        inject_gaussian_noise(s, 10, 1e308, seed=0)
+    assert exc.value.index == overflows[0]
 
 
 def _detected(indices, name="HIST-test"):
