@@ -15,18 +15,12 @@ match, detect, pipeline, inject, evaluate) also writes the parse cache,
 .meterfuse-cache/, beside the series files (`ingest` module docstring).
 No output depends on it, and a directory that cannot be written gets none.
 
-pipeline detects each distinct series in pair order, then the merged
-views in pair order, and raises the first error in that order.  When the
-process may use at least 2 CPUs, it builds every top pair's merged view
-(all of them live at the fork) and detects them in one forked worker
-(`_forked`) while it detects the single series, so its own peak memory
-no longer includes the merged views' detection.  Without the worker's
-result (one CPU, a failed fork, a worker that raised or died) it merges
-and detects each pair itself.  What pipeline holds, stage by stage: ranking
-holds the whole corpus; `_run_match` returns only the top pairs' series,
-so every other series is freed before any merge; the merged views are
-held until the fork, and the worker inherits only those and the top
-pairs' series.
+pipeline detects pair by pair, in rank order: the pair's ION series and
+then its HIST series, each only the first time a top pair holds it, then
+the pair's merged view.  The first error in that order is the one raised.
+What pipeline holds: ranking holds the whole corpus; `_run_match` returns
+only the top pairs' series, so every other series is freed before any
+merge; detection then adds one merged view at a time.
 
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
@@ -40,15 +34,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
-import pickle
-import signal
 import sys
-import threading
-from contextlib import contextmanager
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -76,8 +64,6 @@ _MATCH_PARAMS = inspect.signature(match_all).parameters
 
 # A command's outputs by file name, and the line to print once they are written.
 Outputs = tuple[dict[str, str], str | None]
-
-T = TypeVar("T")
 
 
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:
@@ -178,21 +164,14 @@ def cmd_pipeline(args) -> Outputs:
     def view(s: TimeSeries | MergedSeries):
         return _detect(params, s), analysis.describe(s)
 
-    merged = [merge_pair(ion, hist) for ion, hist in pairs]
-    with _forked(lambda: [view(m) for m in merged]) as merged_views:
-        del merged  # the worker holds them; without its result each pair is merged again
-        # each series' detector sets and summary, once however many top pairs hold it
-        seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
-        for pair in pairs:
-            for s in pair:
-                if s.id not in seen:
-                    seen[s.id] = view(s)
-        merged_done = merged_views()
-    if merged_done is None:
-        merged_done = [view(merge_pair(ion, hist)) for ion, hist in pairs]
+    # each series' detector sets and summary, once however many top pairs hold it
+    seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
     pair_docs = []
-    for match, (ion, hist), merged_view in zip(top, pairs, merged_done):
-        views = (seen[ion.id], seen[hist.id], merged_view)
+    for match, (ion, hist) in zip(top, pairs):
+        for s in (ion, hist):
+            if s.id not in seen:
+                seen[s.id] = view(s)
+        views = (seen[ion.id], seen[hist.id], view(merge_pair(ion, hist)))
         sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
         pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
 
@@ -207,70 +186,6 @@ def cmd_pipeline(args) -> Outputs:
     files["report.json"] = json_text(report_doc)
     files["report.csv"] = analysis.report_csv(pair_docs)
     return files, f"pipeline: {len(top)} pairs reported to {Path(args.out)}"
-
-
-@contextmanager
-def _forked(compute: Callable[[], T]) -> Iterator[Callable[[], T | None]]:
-    """Run ``compute`` in a forked worker while the block runs; yields its result's getter.
-
-    The getter, called at most once, waits for the worker and returns its
-    result, or None when the worker raised or died: the caller then
-    computes it itself.  No worker is forked, and the getter returns None
-    at once, unless this process may use at least 2 CPUs
-    (`os.sched_getaffinity`) and runs no other Python thread, which a fork
-    would leave without its locks' owners (OpenBLAS stops its own threads
-    in a fork handler); nor when the fork fails.  The worker sends its
-    result pickled over a pipe and leaves by `os._exit`, so it never runs
-    the caller's code past ``compute``.  Leaving the block kills a worker still
-    running, and reaps it.  The worker is forked rather than spawned: it
-    starts with the caller's data and imported modules, where a spawned
-    one would import numpy and meterfuse again (about 0.15 s).  It holds
-    what the caller holds at the fork; in `cmd_pipeline` that is the top
-    pairs' series and their merged views, the rest of the corpus being
-    freed after ranking.
-    """
-    pid = -1
-    if (
-        hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    ):
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare
-            os.close(read_fd)
-            os.close(write_fd)
-    if pid < 0:
-        yield lambda: None
-        return
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(compute(), pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    reaped = False
-
-    def result() -> T | None:
-        nonlocal reaped
-        data = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
-
-    try:
-        yield result
-    finally:
-        pipe.close()
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _detect(

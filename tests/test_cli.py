@@ -1,6 +1,5 @@
 import inspect
 import json
-import os
 import re
 import weakref
 from pathlib import Path
@@ -749,136 +748,46 @@ def _pipeline(corpus_dir, out, *extra) -> int:
                  "--top-n", "2", *MATCH_FLAGS, *FAST_DETECTORS, *extra])
 
 
-def _usable_cpus(monkeypatch, n: int):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _counted_forks(monkeypatch) -> list[int]:
-    """The pids of the children that os.fork starts from now on in this process."""
-    forks, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _no_fork():
-    raise BlockingIOError(11, "Resource temporarily unavailable")
-
-
 def _view_name(series) -> str:
     return series.name if isinstance(series, MergedSeries) else series.id.name
 
 
-def _outputs(out) -> dict:
-    return {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".meta.json")}
-
-
-@pytest.mark.parametrize("metric", ["l1", "l2"])
-def test_pipeline_detects_merged_views_in_a_worker_with_two_cpus(
-    corpus_dir, tmp_path, monkeypatch, metric
+def test_pipeline_raises_the_first_error_in_per_pair_order(
+    corpus_dir, tmp_path, monkeypatch, capsys
 ):
-    log = tmp_path / "views.log"
-    detect = cli._detect
-
-    def logged(params, series):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()}\t{_view_name(series)}\n")
-        return detect(params, series)
-
-    monkeypatch.setattr(cli, "_detect", logged)
-    outputs, worker_views = {}, {}
-    for cpus in (1, 2):
-        _usable_cpus(monkeypatch, cpus)
-        log.unlink(missing_ok=True)
-        assert _pipeline(corpus_dir, tmp_path / str(cpus), "--metric", metric) == 0
-        _assert_no_child_left()
-        outputs[cpus] = _outputs(tmp_path / str(cpus))
-        views = [line.split("\t") for line in log.read_text().splitlines()]
-        worker_views[cpus] = {name for pid, name in views if int(pid) != os.getpid()}
-    assert outputs[1] == outputs[2]
-    merged = {f"{p['ion']}+{p['hist']}" for p in json.loads(outputs[2]["report.json"])["pairs"]}
-    assert worker_views == {1: set(), 2: merged}
-
-
-@pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
-def test_failed_worker_gives_the_serial_outputs(corpus_dir, tmp_path, monkeypatch, failure):
-    _usable_cpus(monkeypatch, 1)
-    assert _pipeline(corpus_dir, tmp_path / "serial") == 0
-    parent, detect = os.getpid(), cli._detect
-
-    def fails_in_worker(params, series):
-        if os.getpid() != parent:
-            if failure == "raises":
-                raise RuntimeError("worker failed")
-            os._exit(3)
-        return detect(params, series)
-
-    monkeypatch.setattr(cli, "_detect", fails_in_worker)
-    if failure == "cannot fork":
-        monkeypatch.setattr(os, "fork", _no_fork)
-    _usable_cpus(monkeypatch, 2)
-    assert _pipeline(corpus_dir, tmp_path / "fallback") == 0
-    _assert_no_child_left()
-    assert _outputs(tmp_path / "fallback") == _outputs(tmp_path / "serial")
-
-
-@pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
-def test_failed_worker_gives_the_serial_first_error(
-    corpus_dir, tmp_path, monkeypatch, capsys, failure
-):
-    # Every route detects each distinct series in pair order, then the
-    # merged views in pair order.  When rank 1's merged view and a series
-    # first met after rank 1 both fail, the series' error is first; when
-    # only the merged view fails, the CLI process redoes it without the
-    # worker's result and its error is first.
-    _usable_cpus(monkeypatch, 1)
+    # Each pair's ION series, then its HIST series (each the first time a
+    # pair holds it), then its merged view.  A failing merged view whose
+    # series both passed needs the patched _detect: real detectors fail
+    # only on length, and a merged view is as long as its two series.
     assert _pipeline(corpus_dir, tmp_path / "ok", "--top-n", "4") == 0
     report = json.loads((tmp_path / "ok" / "report.json").read_text())
     pairs = [(p["ion"], p["hist"]) for p in report["pairs"]]
     later = next(name for pair in pairs[1:] for name in pair if name not in pairs[0])
     first_merged = "+".join(pairs[0])
-    parent, detect = os.getpid(), cli._detect
+    detect = cli._detect
     failing = set()
 
     def fails(params, series):
-        if os.getpid() != parent and failure == "exits":
-            os._exit(3)
         if _view_name(series) in failing:
             raise TooShort(f"{_view_name(series)} fails")
         return detect(params, series)
 
     monkeypatch.setattr(cli, "_detect", fails)
-    if failure == "cannot fork":
-        monkeypatch.setattr(os, "fork", _no_fork)
-    for failing_views, first in [({first_merged, later}, later), ({first_merged}, first_merged)]:
+    # rank 1's merged view comes before every series first met after rank 1
+    for failing_views in ({first_merged, later}, {first_merged}):
         failing.clear()
         failing.update(failing_views)
-        for cpus in (1, 2):
-            _usable_cpus(monkeypatch, cpus)
-            capsys.readouterr()
-            assert _pipeline(corpus_dir, tmp_path / str(cpus), "--top-n", "4") == 1
-            _assert_no_child_left()
-            assert capsys.readouterr().err == f"error: {first} fails\n"
-            assert not (tmp_path / str(cpus)).exists()
+        capsys.readouterr()
+        assert _pipeline(corpus_dir, tmp_path / "o", "--top-n", "4") == 1
+        assert capsys.readouterr().err == f"error: {first_merged} fails\n"
+        assert not (tmp_path / "o").exists()
 
 
-def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(
-    tmp_path, monkeypatch, capsys
-):
+def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(tmp_path, capsys):
     # The detectors run unpatched: rank 2's ION series has 8 samples, too
     # few for the default 10-sample rolling average, while rank 1's views
-    # are all long enough.
+    # are all long enough.  No code reads the CPU count; CI runs the same
+    # corpus with all CPUs and under `taskset -c 0` and compares the lines.
     corpus = Corpus()
     for name, system, value, n, cadence in [
         ("ION-1", SystemTag.ION, 5.0, 30, 600_000),
@@ -893,39 +802,20 @@ def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(
                  *MATCH_FLAGS]) == 0
     ranked = (tmp_path / "m" / "matches.csv").read_text().splitlines()[1:3]
     assert [row.split(",")[1:3] for row in ranked] == [["ION-1", "HIST-1"], ["ION-2", "HIST-2"]]
-    errors = []
-    for cpus in (1, 2):
-        _usable_cpus(monkeypatch, cpus)
-        capsys.readouterr()
-        out = tmp_path / str(cpus)
-        assert main(["pipeline", "--manifest", str(manifest), "--out", str(out),
-                     "--top-n", "2", *MATCH_FLAGS]) == 1
-        _assert_no_child_left()
-        errors.append(capsys.readouterr().err)
-        assert not out.exists()
-    assert errors == ["error: rolling average needs more than 10 samples, got 8 (entry ION-2)\n"] * 2
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["pipeline", "--manifest", str(manifest), "--out", str(out),
+                 "--top-n", "2", *MATCH_FLAGS]) == 1
+    assert capsys.readouterr().err == (
+        "error: rolling average needs more than 10 samples, got 8 (entry ION-2)\n"
+    )
+    assert not out.exists()
 
 
-def test_worker_is_reaped_when_the_pipeline_fails_before_its_result(tmp_path, monkeypatch, capsys):
-    # ION-4-3472's one sample fails the CLI process's first view, while the
-    # worker may still be detecting the merged views
-    assert main(["synth", "--out", str(tmp_path / "c"), "--hist-points", "10"]) == 0
-    _usable_cpus(monkeypatch, 2)
-    forks = _counted_forks(monkeypatch)
-    assert main(["pipeline", "--manifest", str(tmp_path / "c" / "manifest.json"),
-                 "--out", str(tmp_path / "o")]) == 1
-    assert "(entry ION-4-3472)" in capsys.readouterr().err
-    assert len(forks) == 1
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_pipeline_detects_holding_only_the_top_pairs_series(
-    corpus_dir, tmp_path, monkeypatch, cpus
-):
+def test_pipeline_detects_holding_only_the_top_pairs_series(corpus_dir, tmp_path, monkeypatch):
     # --top-n 2 takes the two twin pairs, so HIST-23-S is in none
     loaded, alive = [], []
-    parent, load, detect = os.getpid(), cli.load_corpus, cli._detect
+    load, detect = cli.load_corpus, cli._detect
 
     def tracked(manifest):
         corpus = load(manifest)
@@ -933,15 +823,13 @@ def test_pipeline_detects_holding_only_the_top_pairs_series(
         return corpus
 
     def recorded(params, series):
-        if os.getpid() == parent and not alive:
+        if not alive:
             alive.append({s.id.name for s in (ref() for ref in loaded) if s is not None})
         return detect(params, series)
 
     monkeypatch.setattr(cli, "load_corpus", tracked)
     monkeypatch.setattr(cli, "_detect", recorded)
-    _usable_cpus(monkeypatch, cpus)
     assert _pipeline(corpus_dir, tmp_path / "o") == 0
-    _assert_no_child_left()
     pairs = json.loads((tmp_path / "o" / "report.json").read_text())["pairs"]
     held = {name for p in pairs for name in (p["ion"], p["hist"])}
     assert len(loaded) > len(held)

@@ -13,6 +13,7 @@ from meterfuse import (
     SystemTag,
     TimeSeries,
     fit_ar_predict,
+    merge_pair,
     run_detector,
 )
 from meterfuse.detectors import (
@@ -347,3 +348,27 @@ def test_noise_floor_equals_its_numpy_formula(values):
         want += MAGNITUDE_NOISE_FLOOR * np.max(np.abs(x))
         got = noise_floor(x)
     assert same_bits(got, want)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_merged_view_passes_whenever_both_of_its_series_pass(data):
+    # TooShort depends only on a series' length, and a merged view is as
+    # long as its two series together: so pipeline, which detects a pair's
+    # series before its merged view, never meets a failing merged view.
+    kind = data.draw(st.sampled_from(list(DETECTORS)))
+    size = data.draw(st.one_of(st.just(DETECTORS[kind].default_size), st.integers(1, 30)))
+    params = DetectorParams(kind, size, DETECTORS[kind].default_k)
+    values = st.floats(-50, 50, allow_nan=False)
+
+    def drawn(name, system, cadence):
+        n = data.draw(st.integers(0, 2 * size + 3))  # past every minimum: size + 1 or 2 * size
+        return mkvalues(data.draw(st.lists(values, min_size=n, max_size=n)), name, system, cadence)
+
+    ion, hist = drawn("ION-A", SystemTag.ION, 7), drawn("HIST-B", SystemTag.HIST, 3)
+    for s in (ion, hist):
+        try:
+            run_detector(params, s)
+        except TooShort:
+            return
+    run_detector(params, merge_pair(ion, hist))  # raises no TooShort

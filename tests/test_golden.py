@@ -13,7 +13,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ import pytest
 import meterfuse
 from meterfuse import cli
 from meterfuse.cli import main
-from meterfuse.detectors import DETECTORS, DetectorKind
+from meterfuse.detectors import DETECTORS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,27 +67,28 @@ def test_outputs_match_golden_bytes(demo_dir, tmp_path, run):
 
 
 def test_pipeline_detects_each_distinct_series_once(demo_dir, tmp_path, monkeypatch):
-    # one line per call, appended by the CLI process and by the worker it forks
-    log = tmp_path / "calls.log"
+    # one (view, detector) per call, in call order
+    calls = []
     run_detector = cli.run_detector
 
-    def counted(params, series, *args):
+    def logged(params, series, *args):
         result = run_detector(params, series, *args)
-        with open(log, "a") as f:
-            f.write(f"{result.series_name}\t{params.kind.value}\n")
+        calls.append((result.series_name, params.kind))
         return result
 
-    monkeypatch.setattr(cli, "run_detector", counted)
+    monkeypatch.setattr(cli, "run_detector", logged)
     out = tmp_path / "out"
     _run("pipeline", demo_dir, out)
-    lines = log.read_text().splitlines()
-    calls = Counter((name, DetectorKind(kind)) for name, kind in (line.split("\t") for line in lines))
     report = (out / "report.json").read_bytes()
     pairs = [(p["ion"], p["hist"]) for p in json.loads(report)["pairs"]]
     ions, hists = {ion for ion, _ in pairs}, {hist for _, hist in pairs}
     assert len(ions) + len(hists) < 2 * len(pairs)  # ranks 3 and 4 pair series of ranks 1 and 2
-    views = ions | hists | {f"{ion}+{hist}" for ion, hist in pairs}
-    assert calls == Counter({(view, kind): 1 for view in views for kind in DETECTORS})
+    # each distinct view once, pair by pair: the ION and HIST series the
+    # first time a pair holds them, then the pair's merged view
+    order = []
+    for ion, hist in pairs:
+        order += [s for s in (ion, hist) if s not in order] + [f"{ion}+{hist}"]
+    assert calls == [(view, kind) for view in order for kind in DETECTORS]
     assert report == (GOLDEN / "pipeline" / "report.json").read_bytes()
 
 
