@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import re
 import weakref
 from pathlib import Path
@@ -752,27 +753,40 @@ def _view_name(series) -> str:
     return series.name if isinstance(series, MergedSeries) else series.id.name
 
 
-def test_pipeline_raises_the_first_error_in_per_pair_order(
-    corpus_dir, tmp_path, monkeypatch, capsys
+def _no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
+def test_failed_worker_gives_the_serial_first_error(
+    corpus_dir, tmp_path, monkeypatch, capsys, failure
 ):
     # Each pair's ION series, then its HIST series (each the first time a
-    # pair holds it), then its merged view.  A failing merged view whose
-    # series both passed needs the patched _detect: real detectors fail
-    # only on length, and a merged view is as long as its two series.
+    # pair holds it), then its merged view, all in the CLI process: a
+    # detector that raises or exits in any other process, or an os.fork
+    # that cannot start one, changes no error line.  A failing merged view
+    # whose series both passed needs the patched _detect: real detectors
+    # fail only on length, and a merged view is as long as its two series.
     assert _pipeline(corpus_dir, tmp_path / "ok", "--top-n", "4") == 0
     report = json.loads((tmp_path / "ok" / "report.json").read_text())
     pairs = [(p["ion"], p["hist"]) for p in report["pairs"]]
     later = next(name for pair in pairs[1:] for name in pair if name not in pairs[0])
     first_merged = "+".join(pairs[0])
-    detect = cli._detect
+    parent, detect = os.getpid(), cli._detect
     failing = set()
 
     def fails(params, series):
+        if os.getpid() != parent:
+            if failure == "raises":
+                raise RuntimeError("detected outside the CLI process")
+            os._exit(3)
         if _view_name(series) in failing:
             raise TooShort(f"{_view_name(series)} fails")
         return detect(params, series)
 
     monkeypatch.setattr(cli, "_detect", fails)
+    if failure == "cannot fork":
+        monkeypatch.setattr(os, "fork", _no_fork)
     # rank 1's merged view comes before every series first met after rank 1
     for failing_views in ({first_merged, later}, {first_merged}):
         failing.clear()
@@ -812,8 +826,11 @@ def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(tmp_pa
     assert not out.exists()
 
 
-def test_pipeline_detects_holding_only_the_top_pairs_series(corpus_dir, tmp_path, monkeypatch):
-    # --top-n 2 takes the two twin pairs, so HIST-23-S is in none
+@pytest.mark.parametrize("top_n", [1, 2])
+def test_pipeline_detects_holding_only_the_top_pairs_series(
+    corpus_dir, tmp_path, monkeypatch, top_n
+):
+    # --top-n 1 or 2 takes one or both twin pairs, so HIST-23-S is in none
     loaded, alive = [], []
     load, detect = cli.load_corpus, cli._detect
 
@@ -829,8 +846,9 @@ def test_pipeline_detects_holding_only_the_top_pairs_series(corpus_dir, tmp_path
 
     monkeypatch.setattr(cli, "load_corpus", tracked)
     monkeypatch.setattr(cli, "_detect", recorded)
-    assert _pipeline(corpus_dir, tmp_path / "o") == 0
+    assert _pipeline(corpus_dir, tmp_path / "o", "--top-n", str(top_n)) == 0
     pairs = json.loads((tmp_path / "o" / "report.json").read_text())["pairs"]
+    assert len(pairs) == top_n
     held = {name for p in pairs for name in (p["ion"], p["hist"])}
     assert len(loaded) > len(held)
     assert alive == [held]
