@@ -64,6 +64,7 @@ from .model import (
 from .sampling import (
     SamplingKind,
     SamplingRecipe,
+    apply_recipe,
     sample_date_range,
     sample_first_n,
     sample_step,
@@ -97,6 +98,7 @@ __all__ = [
     "TimeFormat",
     "TimeSeries",
     "WarpPath",
+    "apply_recipe",
     "build_report",
     "coverage_ratio",
     "default_params",

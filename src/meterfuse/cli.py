@@ -18,9 +18,14 @@ No output depends on it, and a directory that cannot be written gets none.
 pipeline detects pair by pair, in rank order: the pair's ION series and
 then its HIST series, each only the first time a top pair holds it, then
 the pair's merged view.  The first error in that order is the one raised.
-What pipeline holds: ranking holds the whole corpus; `_run_match` returns
-only the top pairs' series, so every other series is freed before any
-merge; detection then adds one merged view at a time.
+What match and pipeline hold: ranking loads one entry at a time and keeps
+only its sample (`_sampled`), so it holds the sampled corpus, never the
+whole corpus at full resolution.  pipeline then loads each top pair's two
+entries again, at full resolution, and frees them and their merged view
+before the next pair, so detection holds one pair.  A reload that finds
+other bytes than were ranked is an IoError naming the entry.  The parse
+cache makes the reload a cache read; a corpus whose directory cannot be
+written parses each top pair's files a second time.
 
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
@@ -48,10 +53,13 @@ from .dtw import MatchRun, Metric, match_all
 from .errors import (
     EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
 )
-from .ingest import json_text, load_corpus, load_manifest, series_to_csv, write_outputs
+from .ingest import (
+    Corpus, CorpusManifest, ManifestEntry, json_text, load_corpus, load_manifest, series_to_csv,
+    write_outputs,
+)
 from .merge import MergedSeries, merge_pair
 from .model import MeasurementId, SystemTag, TimeSeries
-from .sampling import SamplingKind, SamplingRecipe
+from .sampling import SamplingKind, SamplingRecipe, apply_recipe
 
 
 # SamplingRecipe fields with a --flag of the same name; --recipe sets `kind`.
@@ -97,29 +105,41 @@ def _load_series(args) -> TimeSeries:
     return load_corpus(load_manifest(args.manifest).select(args.series)).get(args.series)
 
 
-def _run_match(
-    args, top_n: int = 0
-) -> tuple[MatchRun, list[tuple[TimeSeries, TimeSeries]], dict[str, str]]:
-    """Rank every cross-system pair.
+def _sampled(
+    entry: ManifestEntry, recipe: SamplingRecipe, digests: dict[str, tuple[int, int]]
+) -> TimeSeries:
+    """The entry's series as ranking reads it: loaded, then sampled by the recipe.
 
-    Returns the run, the (ION, HIST) series of its first ``top_n`` pairs
-    and the matches.* texts.  The corpus is dropped on return, so every
-    series outside those pairs is freed then.
+    A sample shorter than the series is copied, since a view would keep
+    the full arrays alive; an unthinned series is returned as loaded.
+    """
+    series = load_corpus(CorpusManifest((entry,)), digests).series_by_id[entry.id]
+    sample = apply_recipe(series, recipe)
+    if len(sample) == len(series):
+        return series
+    return TimeSeries(sample.id, sample.t.copy(), sample.v.copy())
+
+
+def _run_match(
+    args, digests: dict[str, tuple[int, int]]
+) -> tuple[MatchRun, CorpusManifest, dict[str, str]]:
+    """Rank every cross-system pair on the entries' samples.
+
+    Returns the run, the manifest and the matches.* texts.  Only the
+    sampled corpus is held while ranking.  ``digests`` receives each
+    entry's file digest (`load_corpus`), so a later load of an entry
+    fails if its file has changed since it was ranked.
     """
     recipe = _recipe(args)
-    corpus = load_corpus(load_manifest(args.manifest))
+    manifest = load_manifest(args.manifest)
+    corpus = Corpus({e.id: _sampled(e, recipe, digests) for e in manifest.entries})
     run = match_all(
         corpus.partition(SystemTag.ION),
         corpus.partition(SystemTag.HIST),
-        recipe,
         radius=args.radius,
         metric=Metric(args.metric),
         normalize=args.z_normalize,
     )
-    pairs = [
-        (corpus.series_by_id[m.ion_id], corpus.series_by_id[m.hist_id])
-        for m in run.results[:top_n]
-    ]
     lines = ["rank,ion_name,hist_name,distance"]
     for r in run.results:
         lines.append(f"{r.rank},{r.ion_id.name},{r.hist_id.name},{r.distance!r}")
@@ -137,11 +157,11 @@ def _run_match(
         ],
     }
     files = {"matches.csv": "\n".join(lines) + "\n", "matches.meta.json": json_text(meta)}
-    return run, pairs, files
+    return run, manifest, files
 
 
 def cmd_match(args) -> Outputs:
-    run, _, files = _run_match(args)
+    run, _, files = _run_match(args, {})
     print("rank  distance      ion            hist")
     for r in run.results[:10]:
         print(f"{r.rank:<5d} {r.distance:<13.6g} {r.ion_id.name:<14s} {r.hist_id.name}")
@@ -153,7 +173,8 @@ def cmd_pipeline(args) -> Outputs:
     if args.top_n < 1:
         raise InvalidArgument(f"--top-n must be >= 1, got {args.top_n}")
     params = _detector_params(args)
-    run, pairs, files = _run_match(args, args.top_n)
+    digests: dict[str, tuple[int, int]] = {}
+    run, manifest, files = _run_match(args, digests)
     top = run.results[: args.top_n]
     if len(top) < args.top_n:
         print(
@@ -166,14 +187,20 @@ def cmd_pipeline(args) -> Outputs:
 
     # each series' detector sets and summary, once however many top pairs hold it
     seen: dict[MeasurementId, tuple[dict[DetectorKind, AnomalySet], analysis.SummaryStats]] = {}
-    pair_docs = []
-    for match, (ion, hist) in zip(top, pairs):
+    entries = {e.id: e for e in manifest.entries}
+
+    def pair_doc(match) -> dict:
+        """The pair's report entry; its series and merged view are freed on return."""
+        pair = load_corpus(CorpusManifest((entries[match.ion_id], entries[match.hist_id])), digests)
+        ion, hist = pair.series_by_id[match.ion_id], pair.series_by_id[match.hist_id]
         for s in (ion, hist):
             if s.id not in seen:
                 seen[s.id] = view(s)
         views = (seen[ion.id], seen[hist.id], view(merge_pair(ion, hist)))
         sets = {kind: tuple(found[kind] for found, _ in views) for kind in params}
-        pair_docs.append(analysis.build_report(match, sets, [stats for _, stats in views]))
+        return analysis.build_report(match, sets, [stats for _, stats in views])
+
+    pair_docs = [pair_doc(match) for match in top]
 
     report_doc = {
         "detector_params": {

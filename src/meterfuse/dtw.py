@@ -70,7 +70,6 @@ from .errors import (
     CostOverflow, EmptyInput, EmptyPartition, InvalidArgument, NonFiniteValue, TooShort, naming,
 )
 from .model import MeasurementId, TimeSeries, finite_values
-from .sampling import SamplingRecipe, apply_recipe
 
 _BASE_CASE_MIN = 16
 # Mean cells per anti-diagonal from which one batched wavefront beats a
@@ -478,15 +477,17 @@ def z_normalize(values: np.ndarray) -> np.ndarray:
 def match_all(
     ion: Sequence[TimeSeries],
     hist: Sequence[TimeSeries],
-    recipe: SamplingRecipe,
     radius: int = 1,
     metric: Metric = Metric.L2,
     normalize: bool = False,
 ) -> MatchRun:
     """Rank every cross-system pair by warped distance, ascending.
 
-    Series are sampled per the recipe and checked before the recorded
-    wall time starts, so it covers the distance loop only.
+    The series are ranked as given: a caller that ranks on reduced
+    samples (`sampling.apply_recipe`) passes the samples, and holds only
+    them while this runs.  Every series is checked, in name order, ION
+    then HIST, before the recorded wall time starts, so it covers the
+    distance loop only.
     The ranking reads no path, so none is built at the finest level.
     Pairs whose lattice FastDTW solves exactly are grouped by shape (ION
     length, HIST length), and each group with enough cells per
@@ -502,10 +503,9 @@ def match_all(
 
     def prep(s: TimeSeries) -> np.ndarray:
         with naming(s.id.name, EmptyInput, NonFiniteValue):
-            sampled = apply_recipe(s, recipe)
-            if len(sampled) == 0:
+            if len(s) == 0:
                 raise EmptyInput("sampled series is empty")
-            return finite_values(z_normalize(sampled.v) if normalize else sampled.v)
+            return finite_values(z_normalize(s.v) if normalize else s.v)
 
     ion_sorted = sorted(ion, key=lambda s: s.id.name)
     hist_sorted = sorted(hist, key=lambda s: s.id.name)

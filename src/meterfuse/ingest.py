@@ -25,14 +25,17 @@ the csv.DictReader row loop, the only source of skip counts and of errors
 that name a row.  Both give the same series.
 
 `load_corpus` parses each series file once.  It keeps every series it
-parsed, with its skip count, in ``.meterfuse-cache/<file name>.columns``
-beside the file, as ``__pycache__`` sits beside Python sources, and a
-later load reads the arrays back when the cache entry's key matches:
-the file's byte length and zlib CRC-32, the entry's time and value
-columns and time format, the csv field limit, the Python version and
-the CRC-32 of this module's source, so editing the parser needs no
-version to be bumped by hand.  A changed file overwrites its one cache
-file.  A file that fails to parse or validate is never cached, a cache
+parsed, with its skip count, in
+``.meterfuse-cache/<file name>.<parse crc>.columns`` beside the file, as
+``__pycache__`` sits beside Python sources; ``<parse crc>`` is the
+CRC-32, in hex, of the entry's time and value columns and time format,
+so two entries that read one file through different columns keep one
+cache file each.  A later load reads the arrays back when the cache
+entry's key matches: the file's byte length and zlib CRC-32, the entry's
+time and value columns and time format, the csv field limit, the Python
+version and the CRC-32 of this module's source, so editing the parser
+needs no version to be bumped by hand.  A changed file overwrites its
+cache file.  A file that fails to parse or validate is never cached, a cache
 that cannot be written is left out, and an unusable cache file is a
 miss, so no output depends on the cache.  Deleting the directory is
 always safe.  The cache is the one thing a load writes, and it writes
@@ -338,37 +341,51 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(entries))
 
 
-def load_corpus(manifest: CorpusManifest) -> Corpus:
+def load_corpus(
+    manifest: CorpusManifest, digests: dict[str, tuple[int, int]] | None = None
+) -> Corpus:
     """Load and validate every manifest entry.
 
     Deterministic: the same manifest and files produce an identical
     corpus, whether each series is parsed or read from the parse cache
     (module docstring).  Read and parse errors name the offending entry.
+
+    ``digests``, when given, maps entry names to the byte length and
+    CRC-32 of the file each was first loaded from.  An entry not in it is
+    added; an entry in it whose file now holds other bytes raises IoError,
+    so a caller that loads an entry again sees the data it loaded first.
     """
     corpus = Corpus()
+    digests = {} if digests is None else digests
     for entry in manifest.entries:
         with naming(entry.id.name):
-            series, source = _load_entry(entry)
+            series, source = _load_entry(entry, digests)
         log.info("%s: loaded %d samples from %s (%s)", entry.id, len(series), entry.path, source)
         corpus.series_by_id[entry.id] = series
     return corpus
 
 
-def _load_entry(entry: ManifestEntry) -> tuple[TimeSeries, str]:
+def _load_entry(
+    entry: ManifestEntry, digests: dict[str, tuple[int, int]]
+) -> tuple[TimeSeries, str]:
     """The entry's series, and whether it was "parsed" or read from the cache ("cached")."""
     path = Path(entry.path)
     try:
         blob = path.read_bytes()
     except OSError as e:
         raise IoError(entry.path, e) from None
+    digest = (len(blob), zlib.crc32(blob))
+    if digests.setdefault(entry.id.name, digest) != digest:
+        raise IoError(entry.path, ValueError("its bytes changed since it was first loaded"),
+                      action="reload")
     # Everything the parser's output depends on: the csv module's field limit
     # and the Python version (datetime.fromisoformat, csv's NUL rule) too.
-    key = [
-        _CODE_CRC, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit(),
-        len(blob), zlib.crc32(blob),
-        entry.columns.time_column, entry.columns.value_column, entry.time_format.value,
-    ]
-    cache = path.parent / _CACHE_DIR / f"{path.name}.columns"
+    parse = [entry.columns.time_column, entry.columns.value_column, entry.time_format.value]
+    key = [_CODE_CRC, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit(),
+           *digest, *parse]
+    # one cache file per series file and parse setting (module docstring)
+    name = f"{path.name}.{zlib.crc32(json.dumps(parse).encode()):08x}.columns"
+    cache = path.parent / _CACHE_DIR / name
     cached = _read_cache(cache, key)
     if cached is not None:
         return _validated(entry.id, *cached), "cached"

@@ -17,6 +17,7 @@ from meterfuse import (
     SamplingRecipe,
     SystemTag,
     TimeSeries,
+    apply_recipe,
     dtw_exact,
     evaluate,
     fastdtw,
@@ -227,7 +228,7 @@ def test_criterion_09_sampling_runtime_monotonicity():
     for _ in range(5):
         for step in steps:
             recipe = SamplingRecipe(SamplingKind.STEP_SIZE, hist_step=step, ion_step=1)
-            run = match_all([ion], [hist], recipe)
+            run = match_all([ion], [apply_recipe(hist, recipe)])
             times[step] = min(times[step], run.elapsed_seconds)
             cells[step] = run.cells_evaluated
     assert cells[100] > cells[1000] > cells[2000] > cells[5000]

@@ -260,8 +260,11 @@ def test_readme_library_example_renders_partial_report(tmp_path):
     manifest = write_corpus(demo_corpus(hist_points=2400, ion_cadence_ms=600_000), tmp_path)
     corpus = mf.load_corpus(mf.load_manifest(manifest))
     recipe = mf.SamplingRecipe(mf.SamplingKind.STEP_SIZE, hist_step=100, ion_step=2)
-    run = mf.match_all(corpus.partition(mf.SystemTag.ION),
-                       corpus.partition(mf.SystemTag.HIST), recipe)
+
+    def sampled(tag):  # match_all ranks the series it is given: here the samples
+        return [mf.apply_recipe(s, recipe) for s in corpus.partition(tag)]
+
+    run = mf.match_all(sampled(mf.SystemTag.ION), sampled(mf.SystemTag.HIST))
 
     best = run.results[0]
     ion = corpus.series_by_id[best.ion_id]

@@ -826,32 +826,104 @@ def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(tmp_pa
     assert not out.exists()
 
 
+def _track_held_series(monkeypatch, corpus_dir):
+    """Patch cli to hold weak references to every series load_corpus returns.
+
+    Returns a function naming the loaded series still alive, the names
+    alive at each match_all call, and the names of the ION entries, which
+    --ion-step 1 does not thin.
+    """
+    loaded, at_ranking = [], []
+    load, rank = cli.load_corpus, cli.match_all
+
+    def tracked(*args):
+        corpus = load(*args)
+        loaded.extend(weakref.ref(s) for s in corpus.series_by_id.values())
+        return corpus
+
+    def alive() -> set[str]:
+        return {s.id.name for s in (ref() for ref in loaded) if s is not None}
+
+    def ranking(*args, **kwargs):
+        at_ranking.append(alive())
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_corpus", tracked)
+    monkeypatch.setattr(cli, "match_all", ranking)
+    entries = load_manifest(_manifest(corpus_dir)).entries
+    return alive, at_ranking, {e.id.name for e in entries if e.id.system is SystemTag.ION}
+
+
 @pytest.mark.parametrize("top_n", [1, 2])
 def test_pipeline_detects_holding_only_the_top_pairs_series(
     corpus_dir, tmp_path, monkeypatch, top_n
 ):
-    # --top-n 1 or 2 takes one or both twin pairs, so HIST-23-S is in none
-    loaded, alive = [], []
-    load, detect = cli.load_corpus, cli._detect
-
-    def tracked(manifest):
-        corpus = load(manifest)
-        loaded.extend(weakref.ref(s) for s in corpus.series_by_id.values())
-        return corpus
+    # Ranking holds no series that --hist-step 20 thins at full resolution,
+    # and each detection holds only the series of the pair it reports.
+    alive, at_ranking, ion_names = _track_held_series(monkeypatch, corpus_dir)
+    at_detect = []
+    detect = cli._detect
 
     def recorded(params, series):
-        if not alive:
-            alive.append({s.id.name for s in (ref() for ref in loaded) if s is not None})
+        at_detect.append((_view_name(series), alive()))
         return detect(params, series)
 
-    monkeypatch.setattr(cli, "load_corpus", tracked)
     monkeypatch.setattr(cli, "_detect", recorded)
     assert _pipeline(corpus_dir, tmp_path / "o", "--top-n", str(top_n)) == 0
     pairs = json.loads((tmp_path / "o" / "report.json").read_text())["pairs"]
     assert len(pairs) == top_n
-    held = {name for p in pairs for name in (p["ion"], p["hist"])}
-    assert len(loaded) > len(held)
-    assert alive == [held]
+    assert len(at_ranking) == 1 and at_ranking[0] <= ion_names
+    reported = 0  # pairs whose merged view has been detected
+    for name, held in at_detect:
+        ion, hist = pairs[reported]["ion"], pairs[reported]["hist"]
+        assert held <= {ion, hist}
+        if name == f"{ion}+{hist}":
+            reported += 1
+        else:
+            assert name in held
+    assert reported == top_n
+
+
+def test_match_ranks_holding_no_thinned_series_at_full_resolution(
+    corpus_dir, tmp_path, monkeypatch
+):
+    alive, at_ranking, ion_names = _track_held_series(monkeypatch, corpus_dir)
+    assert main(["match", "--manifest", _manifest(corpus_dir), "--out", str(tmp_path / "m"),
+                 *MATCH_FLAGS]) == 0
+    assert len(at_ranking) == 1 and at_ranking[0] <= ion_names
+    assert alive() == set()
+
+
+@pytest.mark.parametrize("edit", ["same length", "longer"])
+def test_series_file_rewritten_after_ranking_fails_the_pipeline(
+    tmp_path, monkeypatch, capsys, edit
+):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--hist-points", "2400",
+                 "--ion-cadence-ms", "600000"]) == 0
+    rank, rewritten = cli.match_all, []
+
+    def rewrite_rank_1_hist(*args, **kwargs):
+        run = rank(*args, **kwargs)
+        path = corpus / f"{run.results[0].hist_id.name}.csv"
+        text = path.read_text(encoding="utf-8")
+        if edit == "same length":  # another last digit: only the CRC-32 tells
+            text = text[:-2] + ("2" if text[-2] == "1" else "1") + "\n"
+        else:
+            text += text.splitlines()[-1] + "\n"
+        path.write_text(text, encoding="utf-8")
+        rewritten.append(run.results[0].hist_id.name)
+        return run
+
+    monkeypatch.setattr(cli, "match_all", rewrite_rank_1_hist)
+    capsys.readouterr()
+    assert _pipeline(corpus, tmp_path / "o") == 1
+    (hist,) = rewritten
+    assert capsys.readouterr().err == (
+        f"error: cannot reload {corpus / hist}.csv: its bytes changed since it was first"
+        f" loaded (entry {hist})\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def _snapshot(out) -> dict:

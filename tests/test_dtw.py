@@ -12,6 +12,7 @@ from meterfuse import (
     SamplingKind,
     SamplingRecipe,
     SystemTag,
+    apply_recipe,
     dtw_exact,
     fastdtw,
     match_all,
@@ -302,7 +303,7 @@ def test_match_all_names_the_first_overflowing_pair():
     for radius in (1, 40):  # per pair, and the exact wavefront of each shape
         with mock.patch.object(dtw, "_WAVEFRONT_MIN_WIDTH", 0 if radius == 40 else 128):
             with pytest.raises(CostOverflow, match=r"for pair \(ION-1, HIST-B\)$"):
-                match_all(ions, hists, STEP1, radius)
+                match_all(ions, hists, radius)
 
 
 def _series(kind: str, n: int, seed: int) -> list[float]:
@@ -408,13 +409,11 @@ def test_scan_and_span_settings_change_no_result(min_width, window, skip_columns
                 assert_reference(a, b, radius, metric)
 
 
-STEP1 = SamplingRecipe(SamplingKind.STEP_SIZE)
-
 
 def test_match_all_self_match():
     ion = mkvalues([1, 2, 3, 4], name="ION-A", system=SystemTag.ION)
     hist = mkvalues([1, 2, 3, 4], name="HIST-A", system=SystemTag.HIST)
-    run = match_all([ion], [hist], STEP1)
+    run = match_all([ion], [hist])
     assert len(run.results) == 1
     assert run.results[0].distance == 0
     assert run.results[0].rank == 1
@@ -423,7 +422,7 @@ def test_match_all_self_match():
 def test_match_all_cross_product_ranks():
     ions = [mkvalues([float(i)] * 5, name=f"ION-{i}", system=SystemTag.ION) for i in range(2)]
     hists = [mkvalues([float(j)] * 5, name=f"HIST-{j}", system=SystemTag.HIST) for j in range(3)]
-    run = match_all(ions, hists, STEP1)
+    run = match_all(ions, hists)
     assert [r.rank for r in run.results] == [1, 2, 3, 4, 5, 6]
     assert all(
         run.results[i].distance <= run.results[i + 1].distance
@@ -437,7 +436,7 @@ def test_match_all_ranks_true_counterpart_first(rng):
     hist_y = mkvalues(rng.normal(50, 5, 600), name="HIST-Y", system=SystemTag.HIST)
     ion_a = mkvalues(base[::20], name="ION-A", system=SystemTag.ION, cadence=20_000)
     recipe = SamplingRecipe(SamplingKind.STEP_SIZE, hist_step=20, ion_step=1)
-    run = match_all([ion_a], [hist_x, hist_y], recipe)
+    run = match_all([ion_a], [apply_recipe(s, recipe) for s in (hist_x, hist_y)])
     assert run.results[0].hist_id.name == "HIST-X"
     assert run.results[0].distance < run.results[1].distance
 
@@ -448,7 +447,7 @@ def test_match_all_tie_break_lexicographic():
         mkvalues([0.0] * 4, name=name, system=SystemTag.HIST)
         for name in ("HIST-B", "HIST-A")
     ]
-    run = match_all([ion], hists, STEP1)
+    run = match_all([ion], hists)
     assert [r.hist_id.name for r in run.results] == ["HIST-A", "HIST-B"]
 
 
@@ -459,8 +458,8 @@ def test_match_all_deterministic(rng):
     hists = [
         mkvalues(rng.normal(size=80), name=f"HIST-{j}", system=SystemTag.HIST) for j in range(2)
     ]
-    first = match_all(ions, hists, STEP1)
-    second = match_all(ions, hists, STEP1)
+    first = match_all(ions, hists)
+    second = match_all(ions, hists)
     assert [(r.rank, r.ion_id, r.hist_id, r.distance) for r in first.results] == [
         (r.rank, r.ion_id, r.hist_id, r.distance) for r in second.results
     ]
@@ -469,7 +468,7 @@ def test_match_all_deterministic(rng):
 def test_match_all_empty_partition():
     hist = mkvalues([1.0], name="HIST-A", system=SystemTag.HIST)
     with pytest.raises(EmptyPartition):
-        match_all([], [hist], STEP1)
+        match_all([], [hist])
 
 
 def test_match_all_empty_sampled_series_named_in_error():
@@ -480,7 +479,7 @@ def test_match_all_empty_sampled_series_named_in_error():
         SamplingKind.DATE_RANGE, range_start=10**9, range_end=2 * 10**9
     )
     with pytest.raises(EmptyInput) as exc:
-        match_all([ion], [hist], recipe)
+        match_all([apply_recipe(ion, recipe)], [apply_recipe(hist, recipe)])
     assert (exc.value.entry, str(exc.value)) == ("ION-A", "sampled series is empty")
 
 
@@ -488,7 +487,7 @@ def test_match_all_non_finite_value_names_series():
     ion = mkvalues([1.0, float("nan"), 2.0], name="ION-A", system=SystemTag.ION)
     hist = mkvalues([1.0, 2.0, 3.0], name="HIST-B", system=SystemTag.HIST)
     with pytest.raises(NonFiniteValue) as exc:
-        match_all([ion], [hist], STEP1)
+        match_all([ion], [hist])
     assert (exc.value.entry, exc.value.index) == ("ION-A", 1)
 
 
@@ -497,8 +496,8 @@ def test_match_all_z_normalize_aligns_scaled_series(rng):
     ion = mkvalues(shape, name="ION-A", system=SystemTag.ION)
     hist_scaled = mkvalues(1000 * shape + 500, name="HIST-S", system=SystemTag.HIST)
     hist_flat = mkvalues(np.zeros(200), name="HIST-F", system=SystemTag.HIST)
-    run_raw = match_all([ion], [hist_scaled, hist_flat], STEP1, normalize=False)
-    run_norm = match_all([ion], [hist_scaled, hist_flat], STEP1, normalize=True)
+    run_raw = match_all([ion], [hist_scaled, hist_flat], normalize=False)
+    run_norm = match_all([ion], [hist_scaled, hist_flat], normalize=True)
     assert run_raw.results[0].hist_id.name == "HIST-F"
     assert run_norm.results[0].hist_id.name == "HIST-S"
 
@@ -543,7 +542,7 @@ def test_match_all_matches_per_pair_fastdtw(
         for k, n in enumerate(hist_lens)
     ]
     with mock.patch.object(dtw, "_WAVEFRONT_MIN_WIDTH", min_width):
-        run = match_all(ions, hists, STEP1, radius, metric, normalize)
+        run = match_all(ions, hists, radius, metric, normalize)
     got = [(r.ion_id.name, r.hist_id.name, r.distance, r.rank, r.cells_evaluated) for r in run.results]
     assert got == per_pair_ranking(ions, hists, radius, metric, normalize)
 
@@ -556,7 +555,7 @@ def test_match_all_batches_many_pairs_of_one_shape(rng):
              for k in range(8)]
     assert 48 * 24 * 400 >= dtw._WAVEFRONT_MIN_WIDTH * (24 + 400 - 1)
     for metric in Metric:
-        run = match_all(ions, hists, STEP1, radius=24, metric=metric)
+        run = match_all(ions, hists, radius=24, metric=metric)
         got = [(r.ion_id.name, r.hist_id.name, r.distance, r.rank, r.cells_evaluated)
                for r in run.results]
         assert got == per_pair_ranking(ions, hists, 24, metric, False)

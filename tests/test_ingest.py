@@ -4,6 +4,7 @@ import importlib.util
 import json
 import logging
 import os
+import re
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -554,7 +555,8 @@ def test_cold_warm_and_read_only_loads_are_identical(tmp_path_factory, files):
     cold_dir, ro_dir = tmp_path_factory.mktemp("cold"), tmp_path_factory.mktemp("ro")
     manifest = _manifest_for(cold_dir, named)
     cold = load_corpus(load_manifest(manifest))
-    assert sorted(p.name for p in (cold_dir / CACHE).iterdir()) == [f"{n}.columns" for n, *_ in named]
+    cached = sorted(p.name for p in (cold_dir / CACHE).iterdir())
+    assert [re.sub(r"\.[0-9a-f]{8}\.columns$", "", n) for n in cached] == [n for n, *_ in named]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_parse_columns", _no_parse)
         warm = load_corpus(load_manifest(manifest))
@@ -579,7 +581,7 @@ def test_same_length_edit_invalidates_the_entry(tmp_path):
 def _good_cache(tmp_path):
     manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
     want = _contents(load_corpus(load_manifest(manifest)))
-    cache = tmp_path / CACHE / "H-1.csv.columns"
+    (cache,) = (tmp_path / CACHE).iterdir()
     return manifest, want, cache, cache.read_bytes()
 
 
@@ -651,6 +653,42 @@ def test_changed_column_map_misses_the_cache(tmp_path):
                                             ColumnMap("timestamp", column))])
         values[column] = load_corpus(load_manifest(manifest)).get("H-s.csv").v.tolist()
     assert values == {"a": [1.0, 2.0], "b": [10.0, 20.0]}
+
+
+def test_entries_reading_one_file_through_other_columns_keep_their_own_cache(tmp_path, caplog):
+    (tmp_path / "s.csv").write_text("a,b\n1000,7\n2000,3\n", encoding="utf-8")
+    entries = [{"system": system, "name": name, "path": "s.csv",
+                "time_column": time_column, "value_column": value_column}
+               for system, name, time_column, value_column in [("ION", "I", "a", "b"),
+                                                               ("HIST", "H", "b", "a")]]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+    caplog.set_level(logging.INFO, logger="meterfuse.ingest")
+    sources = []
+    for _ in range(2):
+        caplog.clear()
+        corpus = load_corpus(load_manifest(manifest))
+        sources.append([r.getMessage().rsplit(" ", 1)[1] for r in caplog.records])
+        assert [(s.t.tolist(), s.v.tolist()) for s in (corpus.get("I"), corpus.get("H"))] == [
+            ([1000, 2000], [7.0, 3.0]), ([3, 7], [2000.0, 1000.0]),
+        ]
+    assert sources == [["(parsed)", "(parsed)"], ["(cached)", "(cached)"]]
+    assert len(list((tmp_path / CACHE).iterdir())) == 2
+
+
+def test_load_with_digests_fails_on_a_file_changed_since_the_first_load(tmp_path):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    digests = {}
+    for _ in range(2):  # the same bytes load again
+        assert load_corpus(load_manifest(manifest), digests).get("H-1").v.tolist() == [1.0, 2.0]
+    path = tmp_path / "H-1.csv"
+    path.write_text(path.read_text().replace("2.0", "2.5"), encoding="utf-8")  # same length
+    with pytest.raises(IoError) as exc:
+        load_corpus(load_manifest(manifest), digests)
+    assert (str(exc.value), exc.value.entry) == (
+        f"cannot reload {path}: its bytes changed since it was first loaded", "H-1"
+    )
+    assert load_corpus(load_manifest(manifest)).get("H-1").v.tolist() == [1.0, 2.5]
 
 
 @pytest.mark.parametrize("setting", ["field-limit", "python-version"])
