@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import InvalidArgument, TooShort, naming
+from .ingest import render_rows
 from .merge import ORIGIN_NAMES, MergedSeries
 from .model import TimeSeries
 
@@ -314,13 +315,17 @@ def run_detector(params: DetectorParams, s: SeriesLike, floor: float | None = No
 
 
 def anomalies_to_csv(anomalies: AnomalySet, s: TimeSeries | MergedSeries) -> str:
-    """Flagged rows as ``index,timestamp,value,score[,origin]``."""
+    """Flagged rows as ``index,timestamp,value,score[,origin]``, value and score as their repr."""
     origins = s.origin if isinstance(s, MergedSeries) else None
-    lines = ["index,timestamp,value,score" + (",origin" if origins is not None else "")]
-    for idx, score in zip(anomalies.flagged, anomalies.scores):
-        i = int(idx)
-        row = f"{i},{int(s.t[i])},{float(s.v[i])!r},{float(score)!r}"
+
+    def columns(rows: slice) -> list[list]:
+        i = anomalies.flagged[rows]
+        cols = [i.tolist(), s.t[i].tolist(), s.v[i].tolist(), anomalies.scores[rows].tolist()]
         if origins is not None:
-            row += f",{ORIGIN_NAMES[int(origins[i])]}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+            cols.append([ORIGIN_NAMES[o] for o in origins[i].tolist()])
+        return cols
+
+    header, row = "index,timestamp,value,score", "%d,%d,%r,%r"
+    if origins is not None:
+        header, row = header + ",origin", row + ",%s"
+    return header + "\n" + render_rows(row + "\n", anomalies.count, columns)

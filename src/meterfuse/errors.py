@@ -7,8 +7,9 @@ itself.  Errors that name their entry: every error of loading an entry's
 manifest record or file, the `ManifestError` of a name that
 `CorpusManifest.select` does not find, `DuplicateId`, `EmptyInput` and
 `NonFiniteValue` of a series `match_all` samples, `TooShort` of a named
-series a detector scores, and `EmptyWindow`, `TooFewSamples` and
-`NonFiniteValue` of the CLI's injection.
+series a detector scores, `EmptyWindow`, `TooFewSamples` and
+`NonFiniteValue` of the CLI's injection, and `NonFiniteValue` and
+`InvalidArgument` of a series `series_to_csv` refuses.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ Manifest JSON::
                      "time_format": "EPOCH_MILLIS"|"EPOCH_SECONDS"|"ISO8601" } ] }
 
 Series CSV (canonical export): header ``timestamp,value``, LF endings,
-value as decimal text.  `series_to_csv` and `json_text` render the
-package's files, and `write_outputs` writes a directory's files whole.
+value as decimal text (see `series_to_csv`).  `series_to_csv` and
+`json_text` render the package's files, `render_rows` the rows of its
+CSV files a chunk at a time, and `write_outputs` writes a directory's
+files whole.
 
 An ``EPOCH_MILLIS`` file of plain shape, as every canonical export is,
 is parsed column-wise: split on commas and converted with ``int``/``float``
@@ -55,11 +57,13 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DuplicateId,
+    InvalidArgument,
     IoError,
     MalformedCsv,
     ManifestError,
@@ -68,11 +72,11 @@ from .errors import (
     UnparseableValue,
     naming,
 )
-from .model import MeasurementId, SystemTag, TimeSeries, validate_series
+from .model import MeasurementId, SystemTag, TimeSeries, finite_values, validate_series
 
 log = logging.getLogger(__name__)
 
-_CHUNK_ROWS = 2048  # data rows split and converted at once by the column-wise path
+_CHUNK_ROWS = 2048  # rows the column-wise parse converts, and render_rows renders, at once
 
 _CACHE_DIR = ".meterfuse-cache"  # beside each series file, as __pycache__ beside sources
 # This module's own bytes: any edit to the parser or to the cache file's
@@ -438,15 +442,48 @@ def _write_cache(path: Path, key: list, series: TimeSeries, skipped: int):
 
 
 def series_to_csv(s: TimeSeries) -> str:
-    """Canonical epoch-millis CSV export; re-parsing yields an identical series."""
-    lines = [f"{t},{_format_value(v)}\n" for t, v in zip(s.t.tolist(), s.v.tolist())]
-    return "timestamp,value\n" + "".join(lines)
+    """Canonical epoch-millis CSV export, which `parse_csv` reads back as the same series.
+
+    Each row is the timestamp as an integer and the value as text: an
+    integral value below 1e16 in magnitude as an integer (-0.0 as ``0``),
+    any other as Python's shortest ``repr``.  The loader refuses a NaN or
+    infinite value and a negative timestamp, so the writer refuses them
+    first, before it renders anything: NonFiniteValue names the first
+    such value's index and InvalidArgument the first negative timestamp,
+    each with the series as its ``entry``.  The loader sorts by timestamp,
+    so an unsorted series reads back sorted.
+    """
+    with naming(s.id.name):
+        finite_values(s.v)
+        if len(s) and s.t.min() < 0:
+            i = int(np.argmax(s.t < 0))
+            raise InvalidArgument(f"negative timestamp {int(s.t[i])} at sample index {i}")
+
+    def columns(rows: slice) -> list[list]:
+        v = s.v[rows]
+        values = v.astype(object)  # Python floats, whose %s is their repr
+        whole = (v == np.trunc(v)) & (np.abs(v) < 1e16)
+        values[whole] = v[whole].astype(np.int64)
+        return [s.t[rows].tolist(), values.tolist()]
+
+    return "timestamp,value\n" + render_rows("%d,%s\n", len(s), columns)
 
 
-def _format_value(v: float) -> str:
-    if v.is_integer() and abs(v) < 1e16:  # False for NaN and infinities
-        return str(int(v))
-    return repr(v)
+def render_rows(row: str, n: int, columns: Callable[[slice], list[list]]) -> str:
+    """n rows of ``row``, each filled from one index of every list ``columns(rows)`` gives.
+
+    One ``%`` call renders each slice of _CHUNK_ROWS rows, so the cells
+    held at once stay bounded by the chunk, not by n.
+    """
+    parts = []
+    for a in range(0, n, _CHUNK_ROWS):
+        cols = columns(slice(a, a + _CHUNK_ROWS))
+        width, k = len(cols), len(cols[0])
+        cells = [None] * (width * k)
+        for j, col in enumerate(cols):
+            cells[j::width] = col
+        parts.append((row * k) % tuple(cells))
+    return "".join(parts)
 
 
 def json_text(doc) -> str:

@@ -150,6 +150,5 @@ def corpus_files(corpus: Corpus) -> dict[str, str]:
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> Path:
     """Write one CSV per series plus a manifest, all or none; returns the manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     write_outputs(out, corpus_files(corpus))
     return out / "manifest.json"

@@ -1,10 +1,15 @@
-"""Row-by-row `parse_csv`, kept as a reference for the column-wise ingest path.
+"""Row-by-row `parse_csv` and CSV renderers, kept as references for the bulk ones.
 
-This is the earlier implementation of `meterfuse.ingest.parse_csv`: every
-file goes through `csv.DictReader` one row at a time.  It is slow but each
-rule (blank-value skips, the row number in errors, the millis range) is
-easy to check by eye, so `parse_csv` must return the same series and
-raise the same errors on every input.
+`parse_csv` is the earlier implementation of `meterfuse.ingest.parse_csv`:
+every file goes through `csv.DictReader` one row at a time.  It is slow
+but each rule (blank-value skips, the row number in errors, the millis
+range) is easy to check by eye, so `parse_csv` must return the same
+series and raise the same errors on every input.
+
+`series_to_csv` and `anomalies_to_csv` are the earlier per-row renderers
+of `meterfuse.ingest.series_to_csv` and `meterfuse.detectors.anomalies_to_csv`:
+one f-string per row.  The chunked renderers must write the same bytes
+for every series they accept.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from meterfuse.errors import MalformedCsv, MissingColumn, UnparseableTime, UnparseableValue
 from meterfuse.ingest import ColumnMap, TimeFormat
+from meterfuse.merge import ORIGIN_NAMES, MergedSeries
 from meterfuse.model import MeasurementId, TimeSeries, validate_series
 
 log = logging.getLogger(__name__)
@@ -96,3 +102,28 @@ def parse_csv(
         log.warning("%s: skipped %d rows with empty value cells", id, skipped)
     series = TimeSeries(id, np.array(ts, dtype=np.int64), np.array(vs, dtype=np.float64))
     return validate_series(series)
+
+
+def series_to_csv(s: TimeSeries) -> str:
+    """Canonical epoch-millis CSV export; re-parsing yields an identical series."""
+    lines = [f"{t},{_format_value(v)}\n" for t, v in zip(s.t.tolist(), s.v.tolist())]
+    return "timestamp,value\n" + "".join(lines)
+
+
+def _format_value(v: float) -> str:
+    if v.is_integer() and abs(v) < 1e16:  # False for NaN and infinities
+        return str(int(v))
+    return repr(v)
+
+
+def anomalies_to_csv(anomalies, s: TimeSeries | MergedSeries) -> str:
+    """Flagged rows as ``index,timestamp,value,score[,origin]``."""
+    origins = s.origin if isinstance(s, MergedSeries) else None
+    lines = ["index,timestamp,value,score" + (",origin" if origins is not None else "")]
+    for idx, score in zip(anomalies.flagged, anomalies.scores):
+        i = int(idx)
+        row = f"{i},{int(s.t[i])},{float(s.v[i])!r},{float(score)!r}"
+        if origins is not None:
+            row += f",{ORIGIN_NAMES[int(origins[i])]}"
+        lines.append(row)
+    return "\n".join(lines) + "\n"

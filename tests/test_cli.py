@@ -73,6 +73,18 @@ def test_synth_writes_manifest_and_series(corpus_dir):
         assert (corpus_dir / entry["path"]).exists()
 
 
+def test_synth_whose_timestamps_wrap_negative_writes_nothing(tmp_path, capsys):
+    # 20 samples 1e18 ms apart pass int64's end and wrap below 0, which the loader refuses
+    out = tmp_path / "demo"
+    cadence = str(10**18)
+    argv = ["synth", "--out", str(out), "--hist-points", "20", "--hist-cadence-ms", cadence,
+            "--ion-cadence-ms", cadence]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: negative timestamp -8446742473709551616 at sample index 10 (entry HIST-23-S)\n"
+    assert not out.exists()
+
+
 def test_synth_defaults_are_demo_corpus_defaults(tmp_path):
     out = tmp_path / "demo"
     assert main(["synth", "--out", str(out)]) == 0

@@ -281,6 +281,32 @@ def test_anomaly_csv_origin_column_for_merged_series():
     assert plain_lines[0] == "index,timestamp,value,score"
 
 
+@pytest.mark.parametrize("view", ["plain", "merged"])
+def test_anomaly_csv_matches_per_row_reference(rng, view):
+    from meterfuse.detectors import AnomalySet, anomalies_to_csv
+    from meterfuse.ingest import _CHUNK_ROWS
+
+    import reference_ingest
+
+    n = 3 * _CHUNK_ROWS
+    values = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-310, 300, n)
+    values[::7] = np.round(values[::7] * 1e-300)  # whole values, -0.0 among them
+    values[::11] = 0.0
+    hist = mkvalues(values, name="HIST-r")
+    ion = TimeSeries(MeasurementId(SystemTag.ION, "ION-r"), hist.t[::12] + 1, hist.v[::12])
+    series = hist if view == "plain" else merge_pair(ion, hist)
+    params = DetectorParams(RA, size=10, threshold_k=3.0)
+    flagged = np.sort(rng.choice(len(series), _CHUNK_ROWS + 5, replace=False))
+    scores = np.concatenate([[0.0, 3.0, 5e-324, 1.7e308], rng.exponential(1.0, len(flagged) - 4)])
+    for result in (
+        run_detector(params, series),
+        AnomalySet(series.name if view == "merged" else "HIST-r", params, flagged, scores),
+        AnomalySet("HIST-r", params, np.empty(0, np.int64), np.empty(0)),
+    ):
+        got, want = anomalies_to_csv(result, series), reference_ingest.anomalies_to_csv(result, series)
+        assert got.split("\n") == want.split("\n")  # pytest's diff of two long strings takes minutes
+
+
 # Ties, the ends of the float range, subnormals, infinities and NaN, among any other double.
 EDGE_DOUBLES = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
                 math.nan]

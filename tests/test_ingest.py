@@ -10,8 +10,9 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meterfuse import (
@@ -19,6 +20,7 @@ from meterfuse import (
     MeasurementId,
     SystemTag,
     TimeFormat,
+    TimeSeries,
     load_corpus,
     load_manifest,
     parse_csv,
@@ -27,6 +29,7 @@ from meterfuse import (
 from meterfuse import ingest, synth
 from meterfuse.errors import (
     DuplicateId,
+    InvalidArgument,
     IoError,
     MalformedCsv,
     ManifestError,
@@ -175,7 +178,7 @@ def test_corpus_with_a_name_shared_across_systems_is_not_written(tmp_path):
     with pytest.raises(DuplicateId) as exc:
         synth.write_corpus(corpus, tmp_path / "c")
     assert exc.value.entry == "X"
-    assert not any((tmp_path / "c").iterdir())
+    assert not (tmp_path / "c").exists()
 
 
 def test_corpus_over_a_manifest_directory_is_not_written(tmp_path):
@@ -366,6 +369,65 @@ def test_canonical_export_never_reaches_the_row_loop(monkeypatch):
     corpus = synth.demo_corpus(hist_points=500)
     for s in [edge, *corpus.series_by_id.values()]:
         assert parse_csv(series_to_csv(s).encode("utf-8"), s.id) == s
+
+
+# Differential test: series_to_csv against the per-row writer it replaced.
+# Integral values at the 1e16 switch, -0.0, 2**53 + 1, subnormals and the
+# ends of the float range, among any other finite double.
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.1, 2.5, 1e16 - 2, -(1e16 - 2), 1e16, -1e16, 2.0**53 + 1,
+               -(2.0**53 + 1), 5e-324, -5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]
+WHOLE_VALUES = st.integers(-(10**17), 10**17).map(float)
+CHUNK = ingest._CHUNK_ROWS
+
+
+@st.composite
+def written_series(draw):
+    """A series of any length around one or two chunks, whole-valued or mixed."""
+    n = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 1])
+             | st.integers(0, 40))
+    values = WHOLE_VALUES if draw(st.booleans()) else (
+        st.sampled_from(EDGE_VALUES) | WHOLE_VALUES | st.floats(allow_nan=False, allow_infinity=False))
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.integers(0, 2**63 - 1, n, dtype=np.int64, endpoint=True)
+    return TimeSeries(ION_X, t, rng.choice(np.array(pool), n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_series())
+@example(TimeSeries(ION_X, [0, 1, 2**63 - 1, *range(3, len(EDGE_VALUES))], EDGE_VALUES))
+@example(TimeSeries(ION_X, [0], [-0.0]))
+@example(TimeSeries(ION_X, [], []))
+def test_series_to_csv_matches_per_row_reference(s):
+    # lines, not one string: pytest's diff of two long strings takes minutes
+    assert series_to_csv(s).split("\n") == reference_ingest.series_to_csv(s).split("\n")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_series_with_a_non_finite_value_is_not_written(tmp_path, bad):
+    # the loader rejects nan and inf with NonFiniteValue, so the writer refuses them first
+    spiky = mkseries([(0, 1.0), (1000, 2.0), (2000, bad), (3000, bad)], name="HIST-N", system=SystemTag.HIST)
+    with pytest.raises(NonFiniteValue) as exc:
+        series_to_csv(spiky)
+    assert (exc.value.index, exc.value.entry) == (2, "HIST-N")
+    corpus = synth.demo_corpus(hist_points=50)
+    corpus.series_by_id[spiky.id] = spiky
+    with pytest.raises(NonFiniteValue):
+        synth.write_corpus(corpus, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
+def test_series_with_a_negative_timestamp_is_not_written(tmp_path):
+    # the loader reads `-5000,1` as an unparseable time, so the writer refuses it first
+    early = mkseries([(0, 2.0), (-9000, 1.0), (-5000, 1.0)], name="HIST-E", system=SystemTag.HIST)
+    with pytest.raises(InvalidArgument, match=r"negative timestamp -9000 at sample index 1") as exc:
+        series_to_csv(early)
+    assert exc.value.entry == "HIST-E"
+    corpus = synth.demo_corpus(hist_points=50)
+    corpus.series_by_id[early.id] = early
+    with pytest.raises(InvalidArgument):
+        synth.write_corpus(corpus, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
 
 
 # Differential test: parse_csv against the row-by-row parser it replaced.
