@@ -70,8 +70,9 @@ _RECIPE_FIELDS = [f for f in fields(SamplingRecipe) if f.name != "kind"]
 _SYNTH_PARAMS = inspect.signature(synth.demo_corpus).parameters
 _MATCH_PARAMS = inspect.signature(match_all).parameters
 
-# A command's outputs by file name, and the line to print once they are written.
-Outputs = tuple[dict[str, str], str | None]
+# A command's outputs by file name (text, or a series for `write_outputs` to render),
+# and the line to print once they are written.
+Outputs = tuple[dict[str, str | TimeSeries], str | None]
 
 
 def _detector_flags(kind: DetectorKind) -> dict[str, str]:

@@ -8,8 +8,9 @@ manifest record or file, the `ManifestError` of a name that
 `CorpusManifest.select` does not find, `DuplicateId`, `EmptyInput` and
 `NonFiniteValue` of a series `match_all` samples, `TooShort` of a named
 series a detector scores, `EmptyWindow`, `TooFewSamples` and
-`NonFiniteValue` of the CLI's injection, and `NonFiniteValue` and
-`InvalidArgument` of a series `series_to_csv` refuses.
+`NonFiniteValue` of the CLI's injection, `NonFiniteValue` and
+`InvalidArgument` of a series `series_to_csv` or `write_outputs` refuses,
+and the `InvalidArgument` of a `synth` builder whose timestamps pass int64.
 """
 
 from __future__ import annotations

@@ -13,13 +13,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateId, InvalidArgument
-from .ingest import ColumnMap, Corpus, ManifestEntry, json_text, series_to_csv, write_outputs
+from .errors import DuplicateId, InvalidArgument, naming
+from .ingest import ColumnMap, Corpus, ManifestEntry, json_text, write_outputs
 from .model import MeasurementId, SystemTag, TimeSeries
 
 START_EPOCH_MS = 1_600_000_000_000
 HIST_CADENCE_MS = 5_000
 ION_CADENCE_MS = 3_600_000
+
+
+def _timestamps(name: str, n: int, cadence_ms: int) -> np.ndarray:
+    """n int64 epoch millis cadence_ms apart from START_EPOCH_MS, refused if the last passes int64."""
+    last = START_EPOCH_MS + int(cadence_ms) * (n - 1)
+    if last >= 2**63:
+        with naming(name):
+            raise InvalidArgument(f"sample {n - 1} at a {cadence_ms} ms cadence falls at {last}, past int64")
+    return START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
 
 
 def constant_series(
@@ -29,7 +38,7 @@ def constant_series(
     n: int,
     cadence_ms: int,
 ) -> TimeSeries:
-    t = START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
+    t = _timestamps(name, n, cadence_ms)
     return TimeSeries(MeasurementId(system, name), t, np.full(n, value))
 
 
@@ -41,7 +50,7 @@ def line_series(
     n: int,
     cadence_ms: int,
 ) -> TimeSeries:
-    t = START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
+    t = _timestamps(name, n, cadence_ms)
     v = intercept + slope_per_step * np.arange(n, dtype=np.float64)
     return TimeSeries(MeasurementId(system, name), t, v)
 
@@ -55,7 +64,7 @@ def random_walk_series(
     step_sigma: float = 1.0,
 ) -> TimeSeries:
     rng = np.random.default_rng(seed)
-    t = START_EPOCH_MS + cadence_ms * np.arange(n, dtype=np.int64)
+    t = _timestamps(name, n, cadence_ms)
     v = np.cumsum(rng.normal(0.0, step_sigma, size=n))
     return TimeSeries(MeasurementId(system, name), t, v)
 
@@ -100,6 +109,10 @@ def demo_corpus(
             raise InvalidArgument(f"{name} must be >= 1, got {cadence}")
     every = max(1, ion_cadence_ms // hist_cadence_ms)
 
+    # the first file by name is built first, so a cadence past int64 names it
+    hist_c = random_walk_series(
+        "HIST-23-S", SystemTag.HIST, hist_points, hist_cadence_ms, seed + 2, step_sigma=5.0
+    )
     flat = constant_series("base-flat", SystemTag.HIST, 0.0, hist_points, hist_cadence_ms)
     drift = line_series("base-drift", SystemTag.HIST, 10.0, 0.001, hist_points, hist_cadence_ms)
 
@@ -107,9 +120,6 @@ def demo_corpus(
     hist_a = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-40-S"), hist_a.t, hist_a.v)
     hist_b = add_spikes(drift, spike_count, spike_magnitude, seed + 1)
     hist_b = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-44-S"), hist_b.t, hist_b.v)
-    hist_c = random_walk_series(
-        "HIST-23-S", SystemTag.HIST, hist_points, hist_cadence_ms, seed + 2, step_sigma=5.0
-    )
 
     ion_a = subsample_every(flat, every, "ION-4-3472", SystemTag.ION)
     ion_b = subsample_every(drift, every, "ION-5-139", SystemTag.ION)
@@ -120,11 +130,13 @@ def demo_corpus(
     return corpus
 
 
-def corpus_files(corpus: Corpus) -> dict[str, str]:
-    """One CSV per series plus ``manifest.json``, as file name -> text.
+def corpus_files(corpus: Corpus) -> dict[str, TimeSeries | str]:
+    """One CSV per series plus ``manifest.json``, as `ingest.write_outputs` takes them.
 
-    A file is named after its series, so a name held under both systems
-    raises DuplicateId.
+    Each file name maps to its series, which write_outputs renders with
+    `ingest.series_to_csv`, and ``manifest.json`` to its text.  A file is
+    named after its series, so a name held under both systems raises
+    DuplicateId.
     """
     files = {}
     entries = []
@@ -132,7 +144,7 @@ def corpus_files(corpus: Corpus) -> dict[str, str]:
         filename = f"{mid.name}.csv"
         if filename in files:
             raise DuplicateId(mid.name)
-        files[filename] = series_to_csv(corpus.series_by_id[mid])
+        files[filename] = corpus.series_by_id[mid]
         entries.append(
             {
                 "system": mid.system.value,

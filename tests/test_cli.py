@@ -29,7 +29,7 @@ from meterfuse import (
 from meterfuse import cli
 from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
 from meterfuse.errors import EmptyWindow, InvalidArgument, IoError, TooShort
-from meterfuse.ingest import write_outputs
+from meterfuse.ingest import series_to_csv, write_outputs
 from meterfuse.merge import MergedSeries
 from meterfuse.sampling import apply_recipe
 from meterfuse.synth import constant_series, corpus_files, demo_corpus, write_corpus
@@ -74,14 +74,18 @@ def test_synth_writes_manifest_and_series(corpus_dir):
 
 
 def test_synth_whose_timestamps_wrap_negative_writes_nothing(tmp_path, capsys):
-    # 20 samples 1e18 ms apart pass int64's end and wrap below 0, which the loader refuses
+    # 20 samples 1e18 ms apart pass int64's end, where int64 arithmetic would
+    # wrap them below 0: the builder refuses the first series it builds
     out = tmp_path / "demo"
     cadence = str(10**18)
     argv = ["synth", "--out", str(out), "--hist-points", "20", "--hist-cadence-ms", cadence,
             "--ion-cadence-ms", cadence]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: negative timestamp -8446742473709551616 at sample index 10 (entry HIST-23-S)\n"
+    assert err == (
+        "error: sample 19 at a 1000000000000000000 ms cadence falls at 19000001600000000000, "
+        "past int64 (entry HIST-23-S)\n"
+    )
     assert not out.exists()
 
 
@@ -90,8 +94,9 @@ def test_synth_defaults_are_demo_corpus_defaults(tmp_path):
     assert main(["synth", "--out", str(out)]) == 0
     files = corpus_files(demo_corpus())
     assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    texts = {name: v if isinstance(v, str) else series_to_csv(v) for name, v in files.items()}
     # one flag per file: pytest's diff of two day-long CSVs takes minutes
-    assert [name for name, text in files.items() if (out / name).read_text() != text] == []
+    assert [name for name, text in texts.items() if (out / name).read_text() != text] == []
 
 
 def test_ingest_reports_counts(corpus_dir, capsys):
@@ -812,8 +817,9 @@ def test_failed_worker_gives_the_serial_first_error(
 def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(tmp_path, capsys):
     # The detectors run unpatched: rank 2's ION series has 8 samples, too
     # few for the default 10-sample rolling average, while rank 1's views
-    # are all long enough.  No code reads the CPU count; CI runs the same
-    # corpus with all CPUs and under `taskset -c 0` and compares the lines.
+    # are all long enough.  Only `write_outputs` reads the CPU count, for
+    # series files; CI runs the same corpus with all CPUs and under
+    # `taskset -c 0` and compares the lines.
     corpus = Corpus()
     for name, system, value, n, cadence in [
         ("ION-1", SystemTag.ION, 5.0, 30, 600_000),

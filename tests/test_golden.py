@@ -84,6 +84,15 @@ def test_synth_and_inject_match_golden_digests(tmp_path):
     assert _digests(_synth_demo(tmp_path / "demo"), tmp_path / "inject") == DIGESTS
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_synth_matches_golden_digests_on_one_and_two_cpus(tmp_path, monkeypatch, cpus):
+    # write_outputs renders series files on every usable CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    demo = _synth_demo(tmp_path / "demo")
+    digests = {f"synth/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in demo.iterdir()}
+    assert digests == {key: value for key, value in DIGESTS.items() if key.startswith("synth/")}
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_outputs_match_golden_bytes(demo_dir, tmp_path, run):
     out = tmp_path / run

@@ -6,6 +6,8 @@ import logging
 import os
 import re
 import sys
+import threading
+import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -428,6 +430,177 @@ def test_series_with_a_negative_timestamp_is_not_written(tmp_path):
     with pytest.raises(InvalidArgument):
         synth.write_corpus(corpus, tmp_path / "c")
     assert not (tmp_path / "c").exists()
+
+
+def test_builders_refuse_timestamps_past_int64():
+    # int64 arithmetic would wrap sample 10 of a 1e18 ms cadence below 0
+    with pytest.raises(InvalidArgument, match=r"sample 19 .* past int64") as exc:
+        synth.demo_corpus(hist_points=20, hist_cadence_ms=10**18, ion_cadence_ms=10**18)
+    assert exc.value.entry == "HIST-23-S"
+    for build in (
+        lambda n: synth.constant_series("C", SystemTag.HIST, 1.0, n, 10**18),
+        lambda n: synth.line_series("L", SystemTag.HIST, 1.0, 0.5, n, 10**18),
+        lambda n: synth.random_walk_series("W", SystemTag.HIST, n, 10**18, seed=1),
+    ):
+        assert build(10).t[-1] == synth.START_EPOCH_MS + 9 * 10**18  # the last that fits
+        with pytest.raises(InvalidArgument) as exc:
+            build(11)
+        assert exc.value.entry in "CLW"
+
+
+# write_outputs renders series files on every usable CPU: the caller and
+# forked workers, which take files from one queue (ingest._stage).
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _counted_forks(monkeypatch) -> list[int]:
+    forks, fork = [], os.fork
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_written(out, corpus):
+    texts = {name: v if isinstance(v, str) else series_to_csv(v)
+             for name, v in synth.corpus_files(corpus).items()}
+    assert sorted(p.name for p in out.iterdir()) == sorted(texts)
+    # one flag per file: pytest's diff of two long CSVs takes minutes
+    assert [name for name, text in texts.items() if (out / name).read_bytes() != text.encode()] == []
+
+
+def _assert_nothing_left(out):
+    with pytest.raises(ChildProcessError):  # no worker left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list(out.glob(".*.tmp")) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_series_files_are_the_same_on_one_and_two_cpus(tmp_path, monkeypatch, cpus):
+    _usable_cpus(monkeypatch, cpus)
+    forks = _counted_forks(monkeypatch)
+    corpus = synth.demo_corpus(hist_points=3000, seed=11)
+    synth.write_corpus(corpus, tmp_path / "c")
+    _assert_written(tmp_path / "c", corpus)
+    assert len(forks) == cpus - 1
+    _assert_nothing_left(tmp_path / "c")
+
+
+def test_text_files_and_a_single_series_file_fork_nothing(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    s = synth.constant_series("H", SystemTag.HIST, 1.5, 40, 1000)
+    ingest.write_outputs(tmp_path / "a", {"a.json": "{}\n", "b.csv": "x\n"})
+    ingest.write_outputs(tmp_path / "b", {"H.csv": s, "a.json": "{}\n"})
+    assert forks == []
+    assert (tmp_path / "b" / "H.csv").read_text() == series_to_csv(s)
+
+
+def test_queue_longer_than_one_round_stages_every_file(tmp_path, monkeypatch):
+    # two files a round: [HIST-23-S, HIST-40-S], [HIST-44-S, ION-4-3472]
+    # fork one worker each; [ION-5-139, manifest.json] holds one series and forks none
+    monkeypatch.setattr(ingest, "_QUEUE_JOBS", 2)
+    _usable_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    corpus = synth.demo_corpus(hist_points=500)
+    synth.write_corpus(corpus, tmp_path / "c")
+    _assert_written(tmp_path / "c", corpus)
+    assert len(forks) == 2
+    _assert_nothing_left(tmp_path / "c")
+
+
+def _cannot_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
+def test_failed_worker_gives_the_serial_result(tmp_path, monkeypatch, failure):
+    # the caller stages every file it did not take itself
+    _usable_cpus(monkeypatch, 2)
+    parent, render = os.getpid(), ingest.series_to_csv
+
+    def fails_in_a_worker(s):
+        if os.getpid() != parent:
+            (tmp_path / f"worker.{os.getpid()}").touch()
+            if failure == "raises":
+                raise RuntimeError("rendered outside the caller")
+            os._exit(3)
+        time.sleep(0.05)  # the worker takes a file meanwhile
+        return render(s)
+
+    monkeypatch.setattr(ingest, "series_to_csv", fails_in_a_worker)
+    if failure == "cannot fork":
+        monkeypatch.setattr(os, "fork", _cannot_fork)
+    corpus = synth.demo_corpus(hist_points=500)
+    synth.write_corpus(corpus, tmp_path / "c")
+    monkeypatch.setattr(ingest, "series_to_csv", render)
+    _assert_written(tmp_path / "c", corpus)
+    assert len(list(tmp_path.glob("worker.*"))) == (failure != "cannot fork")
+    _assert_nothing_left(tmp_path / "c")
+
+
+def test_interrupted_write_kills_its_workers_and_unlinks_staged_files(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 2)
+    parent, render = os.getpid(), ingest.series_to_csv
+    calls = []
+
+    def interrupted(s):
+        if os.getpid() != parent:  # a worker would be rendering still
+            (tmp_path / "worker").touch()
+            time.sleep(60)
+        calls.append(s.id.name)
+        if len(calls) == 2:  # once this caller has staged one file
+            deadline = time.monotonic() + 10
+            while not (tmp_path / "worker").exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+        return render(s)
+
+    monkeypatch.setattr(ingest, "series_to_csv", interrupted)
+    out = tmp_path / "c"
+    with pytest.raises(KeyboardInterrupt):
+        synth.write_corpus(synth.demo_corpus(hist_points=500), out)
+    assert (tmp_path / "worker").exists()
+    assert list(out.iterdir()) == []
+    _assert_nothing_left(out)
+
+
+def test_series_files_fork_nothing_while_another_thread_runs(tmp_path, monkeypatch):
+    # a fork would leave the other thread's locks without their owner
+    _usable_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    stop = threading.Event()
+    idle = threading.Thread(target=stop.wait)
+    idle.start()
+    try:
+        corpus = synth.demo_corpus(hist_points=500)
+        synth.write_corpus(corpus, tmp_path / "c")
+    finally:
+        stop.set()
+        idle.join()
+    assert forks == []
+    _assert_written(tmp_path / "c", corpus)
+
+
+def test_first_refused_series_by_name_is_raised_before_any_write(tmp_path, monkeypatch):
+    # every series is checked in the caller, in name order, before a worker starts
+    _usable_cpus(monkeypatch, 2)
+    forks = _counted_forks(monkeypatch)
+    corpus = synth.demo_corpus(hist_points=3000)
+    for name in ("HIST-40-S", "ION-4-3472"):  # the second and the fourth by name
+        s = corpus.get(name)
+        v = s.v.copy()
+        v[3] = np.nan
+        corpus.series_by_id[s.id] = s.with_values(v)
+    with pytest.raises(NonFiniteValue) as exc:
+        synth.write_corpus(corpus, tmp_path / "c")
+    assert (exc.value.entry, exc.value.index) == ("HIST-40-S", 3)
+    assert not (tmp_path / "c").exists()
+    assert forks == []
 
 
 # Differential test: parse_csv against the row-by-row parser it replaced.
