@@ -517,6 +517,13 @@ def _cannot_fork():
     raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
+def _await_worker(marks: Path):
+    """Wait, up to 10 s, until a worker has marked that it took a file."""
+    deadline = time.monotonic() + 10
+    while not list(marks.glob("worker.*")) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 @pytest.mark.parametrize("failure", ["raises", "exits", "cannot fork"])
 def test_failed_worker_gives_the_serial_result(tmp_path, monkeypatch, failure):
     # the caller stages every file it did not take itself
@@ -529,7 +536,8 @@ def test_failed_worker_gives_the_serial_result(tmp_path, monkeypatch, failure):
             if failure == "raises":
                 raise RuntimeError("rendered outside the caller")
             os._exit(3)
-        time.sleep(0.05)  # the worker takes a file meanwhile
+        if failure != "cannot fork":
+            _await_worker(tmp_path)  # so the worker takes a file before this process takes all
         return render(s)
 
     monkeypatch.setattr(ingest, "series_to_csv", fails_in_a_worker)
@@ -550,13 +558,11 @@ def test_interrupted_write_kills_its_workers_and_unlinks_staged_files(tmp_path, 
 
     def interrupted(s):
         if os.getpid() != parent:  # a worker would be rendering still
-            (tmp_path / "worker").touch()
+            (tmp_path / f"worker.{os.getpid()}").touch()
             time.sleep(60)
         calls.append(s.id.name)
         if len(calls) == 2:  # once this caller has staged one file
-            deadline = time.monotonic() + 10
-            while not (tmp_path / "worker").exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
+            _await_worker(tmp_path)
             raise KeyboardInterrupt
         return render(s)
 
@@ -564,7 +570,7 @@ def test_interrupted_write_kills_its_workers_and_unlinks_staged_files(tmp_path, 
     out = tmp_path / "c"
     with pytest.raises(KeyboardInterrupt):
         synth.write_corpus(synth.demo_corpus(hist_points=500), out)
-    assert (tmp_path / "worker").exists()
+    assert len(list(tmp_path.glob("worker.*"))) == 1
     assert list(out.iterdir()) == []
     _assert_nothing_left(out)
 
