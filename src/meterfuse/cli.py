@@ -54,8 +54,7 @@ from .errors import (
     EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
 )
 from .ingest import (
-    Corpus, CorpusManifest, ManifestEntry, json_text, load_corpus, load_manifest, series_to_csv,
-    write_outputs,
+    Corpus, CorpusManifest, ManifestEntry, json_text, load_corpus, load_manifest, write_outputs,
 )
 from .merge import MergedSeries, merge_pair
 from .model import MeasurementId, SystemTag, TimeSeries
@@ -254,8 +253,7 @@ def _inject(args, series: TimeSeries) -> tuple[TimeSeries, injection.InjectionLa
 def cmd_inject(args) -> Outputs:
     injected, label = _inject(args, _load_series(args))
     print(f"injected {label.kind.value} into {args.series}: {len(label.affected)} samples")
-    files = {"injected.csv": series_to_csv(injected), "label.json": injection.label_to_json(label)}
-    return files, None
+    return {"injected.csv": injected, "label.json": injection.label_to_json(label)}, None
 
 
 def cmd_evaluate(args) -> Outputs:

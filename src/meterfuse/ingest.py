@@ -14,8 +14,9 @@ Manifest JSON::
 Series CSV (canonical export): header ``timestamp,value``, LF endings,
 value as decimal text (see `series_to_csv`).  `series_to_csv` and
 `json_text` render the package's files, `render_rows` the rows of its
-CSV files a chunk at a time, and `write_outputs` writes a directory's
-files whole, rendering its series files on every usable CPU.
+CSV files a chunk at a time, and `write_outputs`, the one code that
+writes a file, writes a directory's files whole, rendering its series
+files on every usable CPU.
 
 An ``EPOCH_MILLIS`` file of plain shape, as every canonical export is,
 is parsed column-wise: split on commas and converted with ``int``/``float``
@@ -37,7 +38,8 @@ entry's key matches: the file's byte length and zlib CRC-32, the entry's
 time and value columns and time format, the csv field limit, the Python
 version and the CRC-32 of this module's source, so editing the parser
 needs no version to be bumped by hand.  A changed file overwrites its
-cache file.  A file that fails to parse or validate is never cached, a cache
+cache file, which `write_outputs` stages and replaces as it does every
+output.  A file that fails to parse or validate is never cached, a cache
 that cannot be written is left out, and an unusable cache file is a
 miss, so no output depends on the cache.  Deleting the directory is
 always safe.  The cache is the one thing a load writes, and it writes
@@ -54,6 +56,7 @@ import os
 import sys
 import threading
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -79,8 +82,11 @@ log = logging.getLogger(__name__)
 
 _CHUNK_ROWS = 2048  # rows the column-wise parse converts, and render_rows renders, at once
 # Files one write_outputs round queues: their 4-byte indices fill one page,
-# Linux's smallest pipe, so the one write that queues them never blocks.
+# Linux's smallest pipe, so the one write that queues them never blocks,
+# although no process reads the pipe until it is written, workers or none.
 _QUEUE_JOBS = 4096 // 4
+# A file write_outputs stages: its target, the temporary file beside it, and its value.
+_Staged = tuple[Path, Path, str | bytes | TimeSeries]
 
 _CACHE_DIR = ".meterfuse-cache"  # beside each series file, as __pycache__ beside sources
 # This module's own bytes: any edit to the parser or to the cache file's
@@ -427,21 +433,13 @@ def _read_cache(path: Path, key: list) -> tuple[np.ndarray, np.ndarray, int] | N
 
 
 def _write_cache(path: Path, key: list, series: TimeSeries, skipped: int):
-    """Store a parsed series for _read_cache; a cache that cannot be written is left out."""
+    """Store a parsed series for _read_cache as one `write_outputs` file; one it refuses is left out."""
     header = json.dumps([*key, skipped, len(series)]).encode()
     header += b" " * (-(len(header) + 1) % 8) + b"\n"  # the arrays start 8-byte aligned
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    blob = b"".join((header, series.t.astype("<i8", copy=False), series.v.astype("<f8", copy=False)))
     try:
-        path.parent.mkdir(exist_ok=True)
-        try:
-            with open(tmp, "wb") as f:
-                f.write(header)
-                f.write(series.t.astype("<i8", copy=False))
-                f.write(series.v.astype("<f8", copy=False))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except OSError as e:  # a read-only directory, a full disk
+        write_outputs(path.parent, {path.name: blob})
+    except (OSError, IoError) as e:
         log.debug("%s: not cached: %s", path, e)
 
 
@@ -500,61 +498,75 @@ def json_text(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def write_outputs(out_dir: Path, files: dict[str, str | TimeSeries]):
+def write_outputs(out_dir: Path, files: dict[str, str | bytes | TimeSeries]):
     """Write every file under out_dir, or none and leave the files there as they were.
 
-    A file's value is its text, or a series that `series_to_csv` renders.
-    Every series is checked first, in order, as `series_to_csv` checks it,
-    so a refused series raises before anything is written or the directory
-    made.  Each file is then staged as a temporary file beside its target
-    (`_stage`), and the targets are replaced only once every file is
-    staged.  A target that is a directory is refused up front: its
-    os.replace would fail after the earlier targets were replaced.
+    The one writer of the package's files, the parse cache's included.  A
+    file's value is its text, its bytes, or a series that `series_to_csv`
+    renders.  Every series is checked first, in order, as `series_to_csv`
+    checks it, so a refused series raises before anything is written or
+    the directory made.  Each file is then staged as a temporary file
+    beside its target (`_stage`), and the targets are replaced only once
+    every file is staged.  A target that is a directory is refused up
+    front: its os.replace would fail after the earlier targets were
+    replaced.  Any OSError, from making out_dir to the last os.replace,
+    raises as IoError naming the target file or out_dir, never a staged
+    name; no staged file is left behind.
     """
     for value in files.values():
         if isinstance(value, TimeSeries):
             _check_loadable(value)
     targets = [out_dir / name for name in files]
     for path in targets:
-        if path.is_dir():
-            raise IoError(str(path), IsADirectoryError("is a directory"), action="write")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staged = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in targets]
-    values = list(files.values())
+        with _writing(path):
+            if path.is_dir():
+                raise IsADirectoryError("is a directory")
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    staged = [(path, path.with_name(f".{path.name}.{os.getpid()}.tmp"), value)
+              for path, value in zip(targets, files.values())]
     try:
-        for a in range(0, len(values), _QUEUE_JOBS):
-            _stage(staged, values, range(a, min(a + _QUEUE_JOBS, len(values))))
+        for a in range(0, len(staged), _QUEUE_JOBS):
+            with _writing(out_dir):  # the job queue's pipe
+                _stage(staged, range(a, min(a + _QUEUE_JOBS, len(staged))))
+        for path, tmp, _ in staged:
+            with _writing(path):
+                os.replace(tmp, path)
     except BaseException:
-        for tmp in staged:
+        for _, tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
-    for tmp, path in zip(staged, targets):
-        os.replace(tmp, path)
 
 
-def _stage(staged: list[Path], values: list[str | TimeSeries], jobs: range):
-    """Write each job's value to its staged path, on every usable CPU when there are series.
+@contextmanager
+def _writing(path: Path):
+    """Raise an OSError of the block as IoError naming path, which `write_outputs` writes."""
+    try:
+        yield
+    except OSError as e:
+        raise IoError(str(path), e, action="write") from None
 
-    One process per usable CPU (`os.sched_getaffinity`), and no more than
-    there are series among the jobs: this one and forked workers, which
-    take job indices from one pipe until it is empty and leave by
-    `os._exit`.  They are forked, not spawned: a spawned worker would import
-    numpy and meterfuse again (about 0.15 s), more than a corpus's whole
-    write.  Nothing is forked while another Python thread runs, since a
-    fork would leave that thread's locks without their owner.  This
-    process waits for every worker; when one raised or died, it stages
-    every job it did not take itself, so any error arises here, as on one
-    CPU.  A fork that fails leaves the queue to the processes already
-    running.  Leaving by an exception, KeyboardInterrupt included, kills
-    and reaps every worker before the caller unlinks the staged files.
+
+def _stage(staged: list[_Staged], jobs: range):
+    """Stage each job's value in its temporary file, on every usable CPU when there are series.
+
+    The jobs' indices go into one pipe, which one process per usable CPU
+    (`os.sched_getaffinity`), and no more than there are series among the
+    jobs, drains: this one and forked workers, which leave by `os._exit`.
+    With one CPU, or no series, this process drains the queue alone.
+    Workers are forked, not spawned: a spawned worker would import numpy
+    and meterfuse again (about 0.15 s), more than a corpus's whole write.
+    Nothing is forked while another Python thread runs, since a fork would
+    leave that thread's locks without their owner.  This process waits for
+    every worker; when one raised or died, it stages every job again, so
+    any error arises here, as on one CPU.  A fork that fails leaves the
+    queue to the processes already running.  Leaving by an exception,
+    KeyboardInterrupt included, kills and reaps every worker before the
+    caller unlinks the staged files.
     """
-    series = sum(isinstance(values[i], TimeSeries) for i in jobs)
+    series = sum(isinstance(staged[i][2], TimeSeries) for i in jobs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     forks = min(cpus, series) - 1 if threading.active_count() == 1 else 0
-    if forks < 1:
-        for i in jobs:
-            _stage_file(staged[i], values[i])
-        return
     read_fd, write_fd = os.pipe()
     os.write(write_fd, b"".join(i.to_bytes(4, "little") for i in jobs))
     os.close(write_fd)
@@ -568,12 +580,12 @@ def _stage(staged: list[Path], values: list[str | TimeSeries], jobs: range):
             if pid == 0:
                 code = 1
                 try:
-                    _take_jobs(read_fd, staged, values)
+                    _take_jobs(read_fd, staged)
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-        mine = _take_jobs(read_fd, staged, values)
+        _take_jobs(read_fd, staged)
         while pids:
             failed |= os.waitstatus_to_exitcode(os.waitpid(pids[-1], 0)[1]) != 0
             pids.pop()
@@ -587,19 +599,19 @@ def _stage(staged: list[Path], values: list[str | TimeSeries], jobs: range):
                 os.waitpid(pid, 0)
     if failed:
         for i in jobs:
-            if i not in mine:
-                _stage_file(staged[i], values[i])
+            _stage_file(*staged[i])
 
 
-def _take_jobs(read_fd: int, staged: list[Path], values: list[str | TimeSeries]) -> set[int]:
-    """Stage the files whose indices this process reads from the job queue; their indices."""
-    taken = set()
+def _take_jobs(read_fd: int, staged: list[_Staged]):
+    """Stage the files whose indices this process reads from the job queue."""
     while job := os.read(read_fd, 4):
-        i = int.from_bytes(job, "little")
-        _stage_file(staged[i], values[i])
-        taken.add(i)
-    return taken
+        _stage_file(*staged[int.from_bytes(job, "little")])
 
 
-def _stage_file(path: Path, value: str | TimeSeries):
-    path.write_text(value if isinstance(value, str) else series_to_csv(value), encoding="utf-8")
+def _stage_file(path: Path, tmp: Path, value: str | bytes | TimeSeries):
+    """Write value to path's temporary file tmp; an OSError raises as IoError naming path."""
+    with _writing(path):
+        if isinstance(value, bytes):
+            tmp.write_bytes(value)
+        else:
+            tmp.write_text(value if isinstance(value, str) else series_to_csv(value), encoding="utf-8")

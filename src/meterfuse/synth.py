@@ -107,7 +107,10 @@ def demo_corpus(
     for name, cadence in (("hist_cadence_ms", hist_cadence_ms), ("ion_cadence_ms", ion_cadence_ms)):
         if cadence < 1:
             raise InvalidArgument(f"{name} must be >= 1, got {cadence}")
-    every = max(1, ion_cadence_ms // hist_cadence_ms)
+    if ion_cadence_ms % hist_cadence_ms:  # ION samples every `every`-th HIST sample
+        raise InvalidArgument(f"ion_cadence_ms must be a whole multiple of hist_cadence_ms"
+                              f" {hist_cadence_ms}, got {ion_cadence_ms}")
+    every = ion_cadence_ms // hist_cadence_ms
 
     # the first file by name is built first, so a cadence past int64 names it
     hist_c = random_walk_series(

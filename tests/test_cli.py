@@ -531,6 +531,12 @@ def _scored_with_slack(s, slack):
          lambda s: demo_corpus(hist_cadence_ms=0)),
         ("synth", ["--ion-cadence-ms", "0"], "ion_cadence_ms must be >= 1, got 0",
          lambda s: demo_corpus(ion_cadence_ms=0)),
+        ("synth", ["--ion-cadence-ms", "7000"],
+         "ion_cadence_ms must be a whole multiple of hist_cadence_ms 5000, got 7000",
+         lambda s: demo_corpus(hist_cadence_ms=5000, ion_cadence_ms=7000)),
+        ("synth", ["--ion-cadence-ms", "1"],
+         "ion_cadence_ms must be a whole multiple of hist_cadence_ms 5000, got 1",
+         lambda s: demo_corpus(ion_cadence_ms=1)),
         ("synth", ["--hist-points", "0"], "hist_points must be >= 1, got 0",
          lambda s: demo_corpus(hist_points=0)),
         ("synth", ["--hist-points", "-1"], "hist_points must be >= 1, got -1",
@@ -542,7 +548,8 @@ def _scored_with_slack(s, slack):
     ],
     ids=["ar-order", "ls-window", "ra-k", "ra-k-nan", "ls-k-inf", "duration-ms", "noise-count",
          "sigma", "sigma-nan", "sigma-inf", "slack",
-         "spikes", "hist-cadence-ms", "ion-cadence-ms", "hist-points-0", "hist-points-neg",
+         "spikes", "hist-cadence-ms", "ion-cadence-ms", "ion-cadence-ms-7000",
+         "ion-cadence-ms-1", "hist-points-0", "hist-points-neg",
          "spike-magnitude-nan", "spike-magnitude-inf"],
 )
 def test_out_of_range_argument_is_typed_error(
@@ -1027,6 +1034,26 @@ def test_failed_write_prints_no_success_line(corpus_dir, tmp_path, capsys, comma
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+def test_out_under_a_regular_file_is_a_typed_write_error(corpus_dir, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "sub"
+    argv = ["synth", "--hist-points", "50"]
+    if command == "pipeline":
+        argv = ["pipeline", "--manifest", _manifest(corpus_dir), "--top-n", "2",
+                *MATCH_FLAGS, *FAST_DETECTORS]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: cannot write {re.escape(str(out))}: [^\n]*\n", captured.err)
+    assert blocker.read_text() == "kept\n" and sorted(tmp_path.iterdir()) == [blocker]
+    with pytest.raises(ChildProcessError):  # no worker left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    assert list((corpus_dir / ".meterfuse-cache").glob(".*.tmp")) == []
 
 
 def test_success_line_follows_the_write(tmp_path, capsys, monkeypatch):

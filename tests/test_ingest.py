@@ -500,17 +500,36 @@ def test_text_files_and_a_single_series_file_fork_nothing(tmp_path, monkeypatch)
     assert (tmp_path / "b" / "H.csv").read_text() == series_to_csv(s)
 
 
-def test_queue_longer_than_one_round_stages_every_file(tmp_path, monkeypatch):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_queue_longer_than_one_round_stages_every_file(tmp_path, monkeypatch, cpus):
     # two files a round: [HIST-23-S, HIST-40-S], [HIST-44-S, ION-4-3472]
-    # fork one worker each; [ION-5-139, manifest.json] holds one series and forks none
+    # fork one worker each on 2 CPUs; [ION-5-139, manifest.json] holds one
+    # series and forks none; on 1 CPU this process drains every round alone
     monkeypatch.setattr(ingest, "_QUEUE_JOBS", 2)
-    _usable_cpus(monkeypatch, 2)
+    _usable_cpus(monkeypatch, cpus)
     forks = _counted_forks(monkeypatch)
     corpus = synth.demo_corpus(hist_points=500)
     synth.write_corpus(corpus, tmp_path / "c")
     _assert_written(tmp_path / "c", corpus)
-    assert len(forks) == 2
+    assert len(forks) == 2 * (cpus - 1)
     _assert_nothing_left(tmp_path / "c")
+
+
+@pytest.mark.parametrize("owner, name", [(Path, "write_text"), (os, "replace")],
+                         ids=["staging", "replace"])
+def test_failed_write_names_its_target_not_the_staged_file(tmp_path, monkeypatch, owner, name):
+    out, real = tmp_path / "c", getattr(owner, name)
+
+    def full(*args, **kwargs):
+        if "b.csv" in str(args[0]):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, full)
+    with pytest.raises(IoError) as exc:
+        ingest.write_outputs(out, {"a.csv": "a\n", "b.csv": "b\n"})
+    assert str(exc.value) == f"cannot write {out / 'b.csv'}: [Errno 28] No space left on device"
+    _assert_nothing_left(out)
 
 
 def _cannot_fork():
@@ -846,6 +865,19 @@ def test_unusable_cache_file_is_reparsed_and_rewritten(tmp_path, caplog, damage)
     assert _contents(load_corpus(load_manifest(manifest))) == want
     assert "H-1: loaded 2 samples from" in caplog.text and caplog.text.endswith("(parsed)\n")
     assert cache.read_bytes() == good
+
+
+def test_directory_at_the_cache_file_path_is_left_out(tmp_path, caplog):
+    # write_outputs refuses a target that is a directory, and the load goes on without a cache
+    manifest, want, cache, _ = _good_cache(tmp_path)
+    cache.unlink()
+    cache.mkdir()
+    caplog.set_level(logging.DEBUG, logger="meterfuse.ingest")
+    assert _contents(load_corpus(load_manifest(manifest))) == want
+    assert caplog.text.count("(parsed)\n") == 1
+    assert f"{cache}: not cached: cannot write {cache}: is a directory" in caplog.text
+    assert cache.is_dir() and list(cache.iterdir()) == []
+    _assert_nothing_left(tmp_path / CACHE)
 
 
 @pytest.mark.parametrize("kept", [1, 0])
