@@ -55,7 +55,6 @@ from .injection import (
 from .merge import MergedSeries, merge_pair, split
 from .model import (
     MeasurementId,
-    Sample,
     SystemTag,
     TimeSeries,
     slice_by_range,
@@ -90,7 +89,6 @@ __all__ = [
     "MergedSeries",
     "MeterFuseError",
     "Metric",
-    "Sample",
     "SamplingKind",
     "SamplingRecipe",
     "SummaryStats",

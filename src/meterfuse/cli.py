@@ -29,8 +29,8 @@ written parses each top pair's files a second time.
 
 Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
---seed on synth, inject and evaluate.  Detector flags default to
-`detectors.default_params`.  detect, inject and evaluate load only the
+--seed on synth, inject and evaluate.  Detector flags default to the
+settings in `detectors.DETECTORS`.  detect, inject and evaluate load only the
 manifest entry named by --series.
 """
 
@@ -40,15 +40,13 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, detectors, injection, synth
-from .detectors import (
-    DETECTORS, AnomalySet, DetectorKind, DetectorParams, default_params, run_detector,
-)
+from .detectors import DETECTORS, AnomalySet, DetectorKind, DetectorParams, run_detector
 from .dtw import MatchRun, Metric, match_all
 from .errors import (
     EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
@@ -74,23 +72,10 @@ _MATCH_PARAMS = inspect.signature(match_all).parameters
 Outputs = tuple[dict[str, str | TimeSeries], str | None]
 
 
-def _detector_flags(kind: DetectorKind) -> dict[str, str]:
-    """argparse dest -> DetectorParams field of one detector's flags (--ar-order, --ar-k, ...).
-
-    The size flag is named after what the size means: --ar-order for order_p,
-    --ra-window for window_w.
-    """
-    spec = DETECTORS[kind]
-    return {f"{spec.tag}_{spec.size.split('_')[0]}": "size", f"{spec.tag}_k": "threshold_k"}
-
-
 def _detector_params(args) -> dict[DetectorKind, DetectorParams]:
     return {
-        kind: replace(
-            default_params(kind),
-            **{field: getattr(args, dest) for dest, field in _detector_flags(kind).items()},
-        )
-        for kind in DETECTORS
+        kind: DetectorParams(kind, getattr(args, f"{spec.tag}_size"), getattr(args, f"{spec.tag}_k"))
+        for kind, spec in DETECTORS.items()
     }
 
 
@@ -318,11 +303,11 @@ def _add_dtw_flags(p: argparse.ArgumentParser):
 
 
 def _add_detector_flags(p: argparse.ArgumentParser):
-    for kind in DETECTORS:
-        defaults = default_params(kind)
-        for dest, field in _detector_flags(kind).items():
-            default = getattr(defaults, field)
-            p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+    """--<tag>-order or --<tag>-window, after what the kind's size means, and --<tag>-k."""
+    for spec in DETECTORS.values():
+        p.add_argument(f"--{spec.tag}-{spec.size.split('_')[0]}", dest=f"{spec.tag}_size",
+                       type=int, default=spec.default_size)
+        p.add_argument(f"--{spec.tag}-k", type=float, default=spec.default_k)
 
 
 def _add_injection_flags(p: argparse.ArgumentParser):
@@ -380,12 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """--out as a directory, None when not given (ingest); an empty --out is refused."""
+    if out == "":  # Path("") would be the working directory
+        raise InvalidArgument("--out must not be empty")
+    return None if out is None else Path(out)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = _out_dir(args.out)
         files, written = args.func(args)
-        if args.out:  # optional only for ingest
-            write_outputs(Path(args.out), files)
+        if out is not None:
+            write_outputs(out, files)
         if written:
             print(written)
     except MeterFuseError as e:

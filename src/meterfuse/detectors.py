@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InvalidArgument, TooShort, naming
 from .ingest import render_rows
 from .merge import ORIGIN_NAMES, MergedSeries
-from .model import TimeSeries
+from .model import TimeSeries, value_eq
 
 # Score variation below these fractions of the series' own spread and
 # magnitude is treated as numerical noise rather than signal.  The
@@ -106,15 +106,7 @@ class AnomalySet:
     def count(self) -> int:
         return len(self.flagged)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AnomalySet):
-            return NotImplemented
-        return (
-            self.series_name == other.series_name
-            and self.params == other.params
-            and np.array_equal(self.flagged, other.flagged)
-            and np.array_equal(self.scores, other.scores)
-        )
+    __eq__ = value_eq
 
 
 SeriesLike = Union[TimeSeries, MergedSeries, np.ndarray]
@@ -187,9 +179,7 @@ def noise_floor(values: np.ndarray) -> float:
 
 
 def _flag_outliers(scores: np.ndarray, floor: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (into `scores`) whose deviation exceeds the threshold."""
-    if len(scores) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+    """Positions (into `scores`, not empty) whose deviation exceeds the threshold."""
     median, q1, q3 = _order_stats(scores, quartiles=True)
     dev = np.abs(scores - median)
     threshold = k * max(q3 - q1, floor)

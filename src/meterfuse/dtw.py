@@ -67,7 +67,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    CostOverflow, EmptyInput, EmptyPartition, InvalidArgument, NonFiniteValue, TooShort, naming,
+    CostOverflow, EmptyInput, EmptyPartition, InvalidArgument, NonFiniteValue, naming,
 )
 from .model import MeasurementId, TimeSeries, finite_values
 
@@ -122,7 +122,6 @@ class WarpPath:
 class DtwResult:
     distance: float
     path: WarpPath
-    metric: Metric
     cells_evaluated: int
 
 
@@ -364,8 +363,6 @@ def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.L2
 
 
 def _halve(v: np.ndarray) -> np.ndarray:
-    if len(v) < 2:
-        raise TooShort("need at least 2 points to halve")
     x, y = v[0 : len(v) - 1 : 2], v[1::2]
     with np.errstate(over="ignore"):
         out = (x + y) / 2.0
@@ -436,7 +433,7 @@ def _warp(a: Sequence[float], b: Sequence[float], radius: int | None, metric: Me
         total, cells, (first, last) = _level(av, bv, radius, metric, flip, True)
     pairs = [(i, j) for i, (f, l) in enumerate(zip(first, last)) for j in range(f, l + 1)]
     path = WarpPath(tuple((j, i) for i, j in pairs) if flip else tuple(pairs))
-    return DtwResult(float(_distance(total, metric)), path, metric, cells)
+    return DtwResult(float(_distance(total, metric)), path, cells)
 
 
 def _level(

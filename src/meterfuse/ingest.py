@@ -32,12 +32,12 @@ parsed, with its skip count, in
 ``.meterfuse-cache/<file name>.<parse crc>.columns`` beside the file, as
 ``__pycache__`` sits beside Python sources; ``<parse crc>`` is the
 CRC-32, in hex, of the entry's time and value columns and time format,
-so two entries that read one file through different columns keep one
-cache file each.  A later load reads the arrays back when the cache
-entry's key matches: the file's byte length and zlib CRC-32, the entry's
-time and value columns and time format, the csv field limit, the Python
-version and the CRC-32 of this module's source, so editing the parser
-needs no version to be bumped by hand.  A changed file overwrites its
+the csv field limit, the Python version and the CRC-32 of this module's
+source.  So two entries that read one file through different columns,
+and two versions of the parser, keep one cache file each.  A later load
+reads the arrays back when the cache file's key matches: all of that and
+the file's byte length and zlib CRC-32, so editing the parser needs no
+version to be bumped by hand.  A changed file overwrites its
 cache file, which `write_outputs` stages and replaces as it does every
 output.  A file that fails to parse or validate is never cached, a cache
 that cannot be written is left out, and an unusable cache file is a
@@ -184,12 +184,12 @@ def _parse_time(cell: str, fmt: TimeFormat, row: int) -> int:
 
 
 def parse_csv(
-    data: bytes | str | io.IOBase,
+    data: bytes | str,
     id: MeasurementId,
     columns: ColumnMap = ManifestEntry.columns,
     time_format: TimeFormat = ManifestEntry.time_format,
 ) -> TimeSeries:
-    """Parse one measurement's CSV into a validated series.
+    """Parse one measurement's CSV, its bytes or its text, into a validated series.
 
     Expects UTF-8 text with a header row; text that is not UTF-8 or that
     the csv module rejects raises MalformedCsv.  Rows with an empty value
@@ -201,12 +201,10 @@ def parse_csv(
 
 
 def _parse_columns(
-    data: bytes | str | io.IOBase, columns: ColumnMap, time_format: TimeFormat
+    data: bytes | str, columns: ColumnMap, time_format: TimeFormat
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Time and value columns of a CSV, and the number of rows skipped for a blank value."""
     try:
-        if not isinstance(data, (bytes, str)):
-            data = data.read()
         text = data.decode("utf-8") if isinstance(data, bytes) else data
         if time_format is TimeFormat.EPOCH_MILLIS:
             raw = data if isinstance(data, bytes) else text.encode("utf-8", "surrogatepass")
@@ -382,7 +380,10 @@ def load_corpus(
 def _load_entry(
     entry: ManifestEntry, digests: dict[str, tuple[int, int]]
 ) -> tuple[TimeSeries, str]:
-    """The entry's series, and whether it was "parsed" or read from the cache ("cached")."""
+    """The entry's series, and whether it was "parsed" or read from the cache ("cached").
+
+    One cache file per series file, parse setting and parser (module docstring).
+    """
     path = Path(entry.path)
     try:
         blob = path.read_bytes()
@@ -394,11 +395,10 @@ def _load_entry(
                       action="reload")
     # Everything the parser's output depends on: the csv module's field limit
     # and the Python version (datetime.fromisoformat, csv's NUL rule) too.
+    parser = [_CODE_CRC, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit()]
     parse = [entry.columns.time_column, entry.columns.value_column, entry.time_format.value]
-    key = [_CODE_CRC, f"{sys.version_info[0]}.{sys.version_info[1]}", csv.field_size_limit(),
-           *digest, *parse]
-    # one cache file per series file and parse setting (module docstring)
-    name = f"{path.name}.{zlib.crc32(json.dumps(parse).encode()):08x}.columns"
+    key = [*parser, *digest, *parse]
+    name = f"{path.name}.{zlib.crc32(json.dumps([*parser, *parse]).encode()):08x}.columns"
     cache = path.parent / _CACHE_DIR / name
     cached = _read_cache(cache, key)
     if cached is not None:

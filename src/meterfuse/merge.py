@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MeasurementId, TimeSeries
+from .model import MeasurementId, TimeSeries, value_eq
 
 FROM_ION = 0
 FROM_HIST = 1
@@ -43,16 +43,7 @@ class MergedSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MergedSeries):
-            return NotImplemented
-        return (
-            self.ion_id == other.ion_id
-            and self.hist_id == other.hist_id
-            and np.array_equal(self.t, other.t)
-            and np.array_equal(self.v, other.v)
-            and np.array_equal(self.origin, other.origin)
-        )
+    __eq__ = value_eq
 
 
 def merge_pair(ion: TimeSeries, hist: TimeSeries) -> MergedSeries:

@@ -12,9 +12,9 @@ workers; the operations here are pure functions.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -45,9 +45,15 @@ class MeasurementId:
         return self.name
 
 
-class Sample(NamedTuple):
-    t: int
-    v: float
+def value_eq(self, other) -> bool:
+    """``__eq__`` of a dataclass holding arrays: each field equal, arrays by `np.array_equal`."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,20 +87,13 @@ class TimeSeries:
         return cls(id, t, v)
 
     @property
-    def samples(self) -> list[Sample]:
-        return [Sample(int(t), float(v)) for t, v in zip(self.t, self.v)]
+    def samples(self) -> list[tuple[int, float]]:
+        return list(zip(self.t.tolist(), self.v.tolist()))
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and np.array_equal(self.t, other.t)
-            and np.array_equal(self.v, other.v)
-        )
+    __eq__ = value_eq
 
     def with_values(self, v: np.ndarray) -> "TimeSeries":
         """Same identity and timestamps, different values."""

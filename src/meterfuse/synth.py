@@ -116,13 +116,11 @@ def demo_corpus(
     hist_c = random_walk_series(
         "HIST-23-S", SystemTag.HIST, hist_points, hist_cadence_ms, seed + 2, step_sigma=5.0
     )
-    flat = constant_series("base-flat", SystemTag.HIST, 0.0, hist_points, hist_cadence_ms)
-    drift = line_series("base-drift", SystemTag.HIST, 10.0, 0.001, hist_points, hist_cadence_ms)
+    flat = constant_series("HIST-40-S", SystemTag.HIST, 0.0, hist_points, hist_cadence_ms)
+    drift = line_series("HIST-44-S", SystemTag.HIST, 10.0, 0.001, hist_points, hist_cadence_ms)
 
     hist_a = add_spikes(flat, spike_count, spike_magnitude, seed)
-    hist_a = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-40-S"), hist_a.t, hist_a.v)
     hist_b = add_spikes(drift, spike_count, spike_magnitude, seed + 1)
-    hist_b = TimeSeries(MeasurementId(SystemTag.HIST, "HIST-44-S"), hist_b.t, hist_b.v)
 
     ion_a = subsample_every(flat, every, "ION-4-3472", SystemTag.ION)
     ion_b = subsample_every(drift, every, "ION-5-139", SystemTag.ION)

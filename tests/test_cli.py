@@ -25,9 +25,10 @@ from meterfuse import (
     match_all,
     run_detector,
     SystemTag,
+    TimeSeries,
 )
 from meterfuse import cli
-from meterfuse.cli import _detector_params, _recipe, build_parser, cmd_report, main
+from meterfuse.cli import _detector_params, _out_dir, _recipe, build_parser, cmd_report, main
 from meterfuse.errors import EmptyWindow, InvalidArgument, IoError, TooShort
 from meterfuse.ingest import series_to_csv, write_outputs
 from meterfuse.merge import MergedSeries
@@ -169,6 +170,22 @@ def test_match_date_range_recipe(corpus_dir, tmp_path):
     meta = json.loads((out / "matches.meta.json").read_text())
     assert meta["recipe"]["kind"] == "date-range"
     assert meta["pairs"] == 6
+
+
+def test_match_first_n_recipe_ranks_the_first_n_samples(corpus_dir, tmp_path):
+    # 12 of each series' samples: 12 of ION's 20 and of HIST's 2,400
+    out = tmp_path / "match-first-n"
+    assert main(["match", "--manifest", _manifest(corpus_dir), "--out", str(out),
+                 "--recipe", "first-n", "--n-points", "12"]) == 0
+    corpus = load_corpus(load_manifest(_manifest(corpus_dir)))
+    first = Corpus({mid: TimeSeries(mid, s.t[:12], s.v[:12])
+                    for mid, s in corpus.series_by_id.items()})
+    run = match_all(first.partition(SystemTag.ION), first.partition(SystemTag.HIST))
+    assert (out / "matches.csv").read_text().splitlines()[1:] == [
+        f"{r.rank},{r.ion_id.name},{r.hist_id.name},{r.distance!r}" for r in run.results
+    ]
+    meta = json.loads((out / "matches.meta.json").read_text())
+    assert (meta["recipe"]["kind"], meta["recipe"]["n_points"]) == ("first-n", 12)
 
 
 def test_match_alternate_metric_and_normalization(corpus_dir, tmp_path):
@@ -350,13 +367,19 @@ def test_evaluate_writes_scores(corpus_dir, tmp_path):
         }
 
 
-def test_inject_into_header_only_series_is_typed_and_named(tmp_path, capsys):
+def _header_only(tmp_path) -> str:
+    """A manifest of one HIST series, HIST-E, whose file holds only its header."""
     (tmp_path / "E.csv").write_text("timestamp,value\n", encoding="utf-8")
     entry = {"system": "HIST", "name": "HIST-E", "path": "E.csv"}
     (tmp_path / "manifest.json").write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    return str(tmp_path / "manifest.json")
+
+
+def test_inject_into_header_only_series_is_typed_and_named(tmp_path, capsys):
+    manifest = _header_only(tmp_path)
     for command in ("inject", "evaluate"):
         for kind in ("zero-run", "gaussian"):
-            argv = [command, "--manifest", str(tmp_path / "manifest.json"), "--series", "HIST-E",
+            argv = [command, "--manifest", manifest, "--series", "HIST-E",
                     "--kind", kind, "--out", str(tmp_path / "o")]
             args = build_parser().parse_args(argv)
             with pytest.raises(EmptyWindow) as exc:
@@ -364,6 +387,21 @@ def test_inject_into_header_only_series_is_typed_and_named(tmp_path, capsys):
             assert exc.value.entry == "HIST-E"
             assert main(argv) == 1
             assert capsys.readouterr().err == "error: series is empty (entry HIST-E)\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_detect_on_header_only_series_is_too_short_and_named(tmp_path, capsys):
+    # the noise floor of no values is 0, and the first detector then refuses the series
+    argv = ["detect", "--manifest", _header_only(tmp_path), "--series", "HIST-E",
+            "--out", str(tmp_path / "o")]
+    args = build_parser().parse_args(argv)
+    with pytest.raises(TooShort) as exc:
+        args.func(args)
+    assert exc.value.entry == "HIST-E"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: rolling average needs more than 10 samples, got 0 (entry HIST-E)\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
@@ -545,12 +583,13 @@ def _scored_with_slack(s, slack):
          lambda s: demo_corpus(spike_magnitude=float("nan"))),
         ("synth", ["--spike-magnitude", "inf"], "spike_magnitude must be finite, got inf",
          lambda s: demo_corpus(spike_magnitude=float("inf"))),
+        ("synth", ["--out", ""], "--out must not be empty", lambda s: _out_dir("")),
     ],
     ids=["ar-order", "ls-window", "ra-k", "ra-k-nan", "ls-k-inf", "duration-ms", "noise-count",
          "sigma", "sigma-nan", "sigma-inf", "slack",
          "spikes", "hist-cadence-ms", "ion-cadence-ms", "ion-cadence-ms-7000",
          "ion-cadence-ms-1", "hist-points-0", "hist-points-neg",
-         "spike-magnitude-nan", "spike-magnitude-inf"],
+         "spike-magnitude-nan", "spike-magnitude-inf", "out-empty"],
 )
 def test_out_of_range_argument_is_typed_error(
     corpus_dir, tmp_path, capsys, command, flags, named, library_call

@@ -19,7 +19,7 @@ from meterfuse import (
 )
 from meterfuse import dtw
 from meterfuse.dtw import _halve, _projected_band, z_normalize
-from meterfuse.errors import CostOverflow, EmptyInput, EmptyPartition, NonFiniteValue, TooShort
+from meterfuse.errors import CostOverflow, EmptyInput, EmptyPartition, NonFiniteValue
 
 import reference_fastdtw
 from conftest import mkvalues
@@ -139,11 +139,6 @@ def test_coarsen_sum_past_float64_range():
     # a sum that overflows averages as halves; every other pair keeps (x + y) / 2
     v = np.array([1e308, 1e308, -1.7e308, -1.6e308, 5e-324, 5e-324, 3.0, 0.5, 7.0])
     assert _halve(v).tolist() == [1e308, -1.7e308 / 2 + -1.6e308 / 2, 5e-324, 1.75, 7.0]
-
-
-def test_coarsen_too_short():
-    with pytest.raises(TooShort):
-        _halve(np.array([1.0]))
 
 
 def spans_of(pairs):

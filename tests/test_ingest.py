@@ -69,6 +69,19 @@ def test_parse_iso8601():
     assert s.samples == [(1000, 1.5), (2000, 2.5)]
 
 
+def test_parse_iso8601_without_zone_is_utc(monkeypatch):
+    # read in the local zone, five hours west of UTC, each time would move by 18,000,000 ms
+    monkeypatch.setenv("TZ", "EST5")
+    time.tzset()
+    try:
+        s = parse_csv(b"ts,val\n1970-01-01T00:00:01,1.5\n2020-01-01 00:00:00,2.5\n", ION_X, COLS,
+                      TimeFormat.ISO8601)
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    assert s.samples == [(1000, 1.5), (1_577_836_800_000, 2.5)]
+
+
 def test_missing_column():
     with pytest.raises(MissingColumn):
         parse_csv(b"ts,other\n1,2\n", ION_X, COLS)
@@ -295,6 +308,15 @@ def test_malformed_manifest_is_typed_and_names_entry(tmp_path, doc, entry):
     with pytest.raises(ManifestError) as exc:
         load_manifest(manifest)
     assert exc.value.entry == entry
+
+
+@pytest.mark.parametrize("body", [b'{"entries": [\xff]}', b"{not json", b""],
+                         ids=["not-utf8", "not-json", "empty"])
+def test_manifest_that_is_not_utf8_json_is_typed(tmp_path, body):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(body)
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(manifest))} is not a JSON manifest: "):
+        load_manifest(manifest)
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
@@ -946,6 +968,20 @@ def test_entries_reading_one_file_through_other_columns_keep_their_own_cache(tmp
             ([1000, 2000], [7.0, 3.0]), ([3, 7], [2000.0, 1000.0]),
         ]
     assert sources == [["(parsed)", "(parsed)"], ["(cached)", "(cached)"]]
+    assert len(list((tmp_path / CACHE).iterdir())) == 2
+
+
+def test_parser_versions_keep_their_own_cache_files(tmp_path, monkeypatch, caplog):
+    # two versions of this module alternating on one corpus each read their own cache file
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    caplog.set_level(logging.INFO, logger="meterfuse.ingest")
+    sources = []
+    for code_crc in (0xA, 0xB, 0xA, 0xB):
+        monkeypatch.setattr(ingest, "_CODE_CRC", code_crc)
+        caplog.clear()
+        load_corpus(load_manifest(manifest))
+        sources.append(caplog.records[-1].getMessage().rsplit(" ", 1)[1])
+    assert sources == ["(parsed)", "(parsed)", "(cached)", "(cached)"]
     assert len(list((tmp_path / CACHE).iterdir())) == 2
 
 

@@ -1,11 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from meterfuse import SystemTag, describe, merge_pair, split, validate_series
-from meterfuse.merge import FROM_HIST, FROM_ION
+from meterfuse.merge import FROM_HIST, FROM_ION, MergedSeries
 
 from conftest import mkseries
 
@@ -22,6 +23,23 @@ def test_interleave():
     m = merge_pair(ion_series([(1, 0.0)]), hist_series([(2, 5.0), (3, 5.0)]))
     assert list(zip(m.t, m.v, m.origin)) == [(1, 0.0, FROM_ION), (2, 5.0, FROM_HIST), (3, 5.0, FROM_HIST)]
     assert m.name == "ION-A+HIST-B"
+
+
+def test_merged_series_value_equality():
+    ion, hist = ion_series([(1, 0.0), (3, 1.0)]), hist_series([(2, 5.0)])
+    m = merge_pair(ion, hist)
+    assert m == merge_pair(ion, hist)
+    others = [
+        merge_pair(ion_series([(1, 0.0), (3, 1.0)], name="ION-Z"), hist),
+        merge_pair(ion, hist_series([(2, 5.0)], name="HIST-Z")),
+        MergedSeries(m.ion_id, m.hist_id, m.t + 1, m.v.copy(), m.origin.copy()),
+        MergedSeries(m.ion_id, m.hist_id, m.t.copy(), m.v + 1, m.origin.copy()),
+        MergedSeries(m.ion_id, m.hist_id, m.t.copy(), m.v.copy(), m.origin ^ 1),
+    ]
+    assert all(m != other for other in others)  # each differs in one field
+    assert m != (m.t, m.v, m.origin)
+    with pytest.raises(TypeError):
+        hash(m)
 
 
 def test_empty_ion_side():
