@@ -20,15 +20,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
 from .detectors import DETECTORS, AnomalySet, DetectorKind
-from .dtw import MatchResult
 from .errors import UndefinedBaseline
 from .merge import MergedSeries
 from .model import TimeSeries
+
+if TYPE_CHECKING:  # an annotation only, so reporting does not load the DTW module
+    from .dtw import MatchResult
 
 
 # `describe` scales values by a power of two to below 2**_SCALED_EXPONENT when

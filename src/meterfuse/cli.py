@@ -31,7 +31,19 @@ Each command takes only the flags it reads: sampling and DTW flags on
 match and pipeline, detector flags on detect, pipeline and evaluate,
 --seed on synth, inject and evaluate.  Detector flags default to the
 settings in `detectors.DETECTORS`.  detect, inject and evaluate load only the
-manifest entry named by --series.
+manifest entry named by --series.  A negative --seed is refused before
+anything is loaded or written.
+
+A command executes only the library modules it calls (the package
+docstring says how they are loaded lazily).  This module imports
+errors, model, ingest, merge and detectors by name, so every command
+executes those.  It holds dtw, sampling, analysis, injection and
+synth as modules and reads their names when a command calls them, never
+at import.  `main` builds the flags of the named subcommand alone
+(`build_parser`), so the defaults of the others' flags are never read.
+So detect, inject and evaluate never execute dtw, sampling, analysis or
+synth.  This module is itself not registered lazily, since runpy warns
+when ``python -m meterfuse.cli`` finds it in sys.modules already.
 """
 
 from __future__ import annotations
@@ -45,9 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, detectors, injection, synth
+from . import analysis, detectors, dtw, injection, sampling, synth
 from .detectors import DETECTORS, AnomalySet, DetectorKind, DetectorParams, run_detector
-from .dtw import MatchRun, Metric, match_all
 from .errors import (
     EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
 )
@@ -56,16 +67,6 @@ from .ingest import (
 )
 from .merge import MergedSeries, merge_pair
 from .model import MeasurementId, SystemTag, TimeSeries
-from .sampling import SamplingKind, SamplingRecipe, apply_recipe
-
-
-# SamplingRecipe fields with a --flag of the same name; --recipe sets `kind`.
-_RECIPE_FIELDS = [f for f in fields(SamplingRecipe) if f.name != "kind"]
-
-# demo_corpus parameters, each with a synth --flag of the same name (spike_count: --spikes)
-# that defaults to the parameter's default; --radius and --metric default to match_all's.
-_SYNTH_PARAMS = inspect.signature(synth.demo_corpus).parameters
-_MATCH_PARAMS = inspect.signature(match_all).parameters
 
 # A command's outputs by file name (text, or a series for `write_outputs` to render),
 # and the line to print once they are written.
@@ -79,10 +80,14 @@ def _detector_params(args) -> dict[DetectorKind, DetectorParams]:
     }
 
 
-def _recipe(args) -> SamplingRecipe:
-    return SamplingRecipe(
-        SamplingKind(args.recipe), **{f.name: getattr(args, f.name) for f in _RECIPE_FIELDS}
-    )
+def _recipe_fields() -> list:
+    """SamplingRecipe fields with a --flag of the same name; --recipe sets `kind`."""
+    return [f for f in fields(sampling.SamplingRecipe) if f.name != "kind"]
+
+
+def _recipe(args) -> sampling.SamplingRecipe:
+    flags = {f.name: getattr(args, f.name) for f in _recipe_fields()}
+    return sampling.SamplingRecipe(sampling.SamplingKind(args.recipe), **flags)
 
 
 def _load_series(args) -> TimeSeries:
@@ -91,7 +96,7 @@ def _load_series(args) -> TimeSeries:
 
 
 def _sampled(
-    entry: ManifestEntry, recipe: SamplingRecipe, digests: dict[str, tuple[int, int]]
+    entry: ManifestEntry, recipe: sampling.SamplingRecipe, digests: dict[str, tuple[int, int]]
 ) -> TimeSeries:
     """The entry's series as ranking reads it: loaded, then sampled by the recipe.
 
@@ -99,7 +104,7 @@ def _sampled(
     the full arrays alive; an unthinned series is returned as loaded.
     """
     series = load_corpus(CorpusManifest((entry,)), digests).series_by_id[entry.id]
-    sample = apply_recipe(series, recipe)
+    sample = sampling.apply_recipe(series, recipe)
     if len(sample) == len(series):
         return series
     return TimeSeries(sample.id, sample.t.copy(), sample.v.copy())
@@ -107,7 +112,7 @@ def _sampled(
 
 def _run_match(
     args, digests: dict[str, tuple[int, int]]
-) -> tuple[MatchRun, CorpusManifest, dict[str, str]]:
+) -> tuple[dtw.MatchRun, CorpusManifest, dict[str, str]]:
     """Rank every cross-system pair on the entries' samples.
 
     Returns the run, the manifest and the matches.* texts.  Only the
@@ -118,11 +123,11 @@ def _run_match(
     recipe = _recipe(args)
     manifest = load_manifest(args.manifest)
     corpus = Corpus({e.id: _sampled(e, recipe, digests) for e in manifest.entries})
-    run = match_all(
+    run = dtw.match_all(
         corpus.partition(SystemTag.ION),
         corpus.partition(SystemTag.HIST),
         radius=args.radius,
-        metric=Metric(args.metric),
+        metric=dtw.Metric(args.metric),
         normalize=args.z_normalize,
     )
     lines = ["rank,ion_name,hist_name,distance"]
@@ -274,7 +279,8 @@ def cmd_ingest(args) -> Outputs:
 
 
 def cmd_synth(args) -> Outputs:
-    corpus = synth.demo_corpus(**{name: getattr(args, name) for name in _SYNTH_PARAMS})
+    params = inspect.signature(synth.demo_corpus).parameters
+    corpus = synth.demo_corpus(**{name: getattr(args, name) for name in params})
     written = f"wrote {len(corpus)} series and {Path(args.out) / 'manifest.json'}"
     return synth.corpus_files(corpus), written
 
@@ -288,17 +294,24 @@ def cmd_report(args) -> Outputs:
     return {"report.csv": text}, f"rebuilt report.csv from {report_path}"
 
 
+def _add_synth_flags(p: argparse.ArgumentParser):
+    """A flag per demo_corpus parameter, named after it (spike_count: --spikes), with its default."""
+    for name, param in inspect.signature(synth.demo_corpus).parameters.items():
+        flag = "--spikes" if name == "spike_count" else "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=name, type=type(param.default), default=param.default)
+
+
 def _add_recipe_flags(p: argparse.ArgumentParser):
-    p.add_argument("--recipe", choices=[k.value for k in SamplingKind],
-                   default=SamplingKind.STEP_SIZE.value)
-    for f in _RECIPE_FIELDS:
+    kinds = sampling.SamplingKind
+    p.add_argument("--recipe", choices=[k.value for k in kinds], default=kinds.STEP_SIZE.value)
+    for f in _recipe_fields():
         p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _add_dtw_flags(p: argparse.ArgumentParser):
-    p.add_argument("--radius", type=int, default=_MATCH_PARAMS["radius"].default)
-    p.add_argument("--metric", choices=[m.value for m in Metric],
-                   default=_MATCH_PARAMS["metric"].default.value)
+    p.add_argument("--radius", type=int, default=dtw.DEFAULT_RADIUS)
+    p.add_argument("--metric", choices=[m.value for m in dtw.Metric],
+                   default=dtw.DEFAULT_METRIC.value)
     p.add_argument("--z-normalize", action="store_true")
 
 
@@ -320,7 +333,18 @@ def _add_injection_flags(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag(*names: str, **kwargs):
+    """A flag set of one flag."""
+    return lambda p: p.add_argument(*names, **kwargs)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with flags on ``command``'s alone, or on all when None.
+
+    Each subcommand's flag set is built only when added, so a parser for one
+    command loads only the library modules whose defaults that command's
+    flags read.
+    """
     parser = argparse.ArgumentParser(
         prog="meterfuse",
         description="Match, merge, and scan overlapping two-system meter series for anomalies",
@@ -328,38 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func, help: str, *flag_sets, manifest: bool = True,
-            out_required: bool = True) -> argparse.ArgumentParser:
+            out_required: bool = True):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        if command not in (None, name):
+            return
         p.add_argument("--out", required=out_required, help="output directory")
         if manifest:
             p.add_argument("--manifest", required=True)
         for add_flags in flag_sets:
             add_flags(p)
-        return p
 
-    p = add("synth", cmd_synth, "generate a synthetic two-system corpus", manifest=False)
-    for name, param in _SYNTH_PARAMS.items():
-        flag = "--spikes" if name == "spike_count" else "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=name, type=type(param.default), default=param.default)
-
+    add("synth", cmd_synth, "generate a synthetic two-system corpus", _add_synth_flags,
+        manifest=False)
     add("ingest", cmd_ingest, "load and validate a corpus", out_required=False)
     add("match", cmd_match, "rank all cross-system pairs by warped distance",
         _add_recipe_flags, _add_dtw_flags)
-
-    p = add("detect", cmd_detect, "run all detectors on one series", _add_detector_flags)
-    p.add_argument("--series", required=True)
-
-    p = add("pipeline", cmd_pipeline, "match, merge, and compare anomaly counts",
-            _add_recipe_flags, _add_dtw_flags, _add_detector_flags)
-    p.add_argument("--top-n", type=int, default=4)
-
+    add("detect", cmd_detect, "run all detectors on one series", _add_detector_flags,
+        _flag("--series", required=True))
+    add("pipeline", cmd_pipeline, "match, merge, and compare anomaly counts",
+        _add_recipe_flags, _add_dtw_flags, _add_detector_flags,
+        _flag("--top-n", type=int, default=4))
     add("inject", cmd_inject, "inject a labeled synthetic attack into one series",
         _add_injection_flags)
-    p = add("evaluate", cmd_evaluate, "inject, detect, and score every detector",
-            _add_injection_flags, _add_detector_flags)
-    p.add_argument("--slack", type=int, default=None, help="index slack (default: detector window)")
-
+    add("evaluate", cmd_evaluate, "inject, detect, and score every detector",
+        _add_injection_flags, _add_detector_flags,
+        _flag("--slack", type=int, default=None, help="index slack (default: detector window)"))
     add("report", cmd_report, "rebuild report.csv from an existing report.json", manifest=False)
 
     return parser
@@ -372,10 +390,18 @@ def _out_dir(out: str | None) -> Path | None:
     return None if out is None else Path(out)
 
 
+def _check_seed(seed: int | None) -> None:
+    """Refuse a negative --seed, which numpy's generators refuse with an untyped error."""
+    if seed is not None and seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         out = _out_dir(args.out)
+        _check_seed(getattr(args, "seed", None))
         files, written = args.func(args)
         if out is not None:
             write_outputs(out, files)

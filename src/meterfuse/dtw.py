@@ -96,6 +96,11 @@ class Metric(Enum):
     L2 = "l2"
 
 
+# The radius and metric a caller that names none gets, and the defaults of --radius and --metric.
+DEFAULT_RADIUS = 1
+DEFAULT_METRIC = Metric.L2
+
+
 @dataclass(frozen=True)
 class WarpPath:
     """Aligned index pairs realizing a warped distance.
@@ -357,7 +362,7 @@ def _distance(total: float | np.ndarray, metric: Metric) -> float | np.ndarray:
     return total if metric is Metric.L1 else np.sqrt(total)
 
 
-def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = Metric.L2) -> DtwResult:
+def dtw_exact(a: Sequence[float], b: Sequence[float], metric: Metric = DEFAULT_METRIC) -> DtwResult:
     """Globally minimal warped distance: the banded program over the full lattice."""
     return _warp(a, b, None, metric)
 
@@ -395,8 +400,8 @@ def _projected_band(
 def fastdtw(
     a: Sequence[float],
     b: Sequence[float],
-    radius: int = 1,
-    metric: Metric = Metric.L2,
+    radius: int = DEFAULT_RADIUS,
+    metric: Metric = DEFAULT_METRIC,
 ) -> DtwResult:
     """Multiresolution approximate warped distance.
 
@@ -474,8 +479,8 @@ def z_normalize(values: np.ndarray) -> np.ndarray:
 def match_all(
     ion: Sequence[TimeSeries],
     hist: Sequence[TimeSeries],
-    radius: int = 1,
-    metric: Metric = Metric.L2,
+    radius: int = DEFAULT_RADIUS,
+    metric: Metric = DEFAULT_METRIC,
     normalize: bool = False,
 ) -> MatchRun:
     """Rank every cross-system pair by warped distance, ascending.

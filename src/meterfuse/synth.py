@@ -98,6 +98,8 @@ def demo_corpus(
     behind HIST-44-S; HIST-23-S is an unrelated random walk.  The
     default size is one day of 5-second samples.
     """
+    if seed < 0:  # numpy's generators refuse it untyped
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
     if hist_points < 1:
         raise InvalidArgument(f"hist_points must be >= 1, got {hist_points}")
     if spike_count < 0:

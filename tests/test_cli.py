@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import os
@@ -27,8 +28,10 @@ from meterfuse import (
     SystemTag,
     TimeSeries,
 )
-from meterfuse import cli
-from meterfuse.cli import _detector_params, _out_dir, _recipe, build_parser, cmd_report, main
+from meterfuse import cli, dtw
+from meterfuse.cli import (
+    _check_seed, _detector_params, _out_dir, _recipe, build_parser, cmd_report, main,
+)
 from meterfuse.errors import EmptyWindow, InvalidArgument, IoError, TooShort
 from meterfuse.ingest import series_to_csv, write_outputs
 from meterfuse.merge import MergedSeries
@@ -584,12 +587,18 @@ def _scored_with_slack(s, slack):
         ("synth", ["--spike-magnitude", "inf"], "spike_magnitude must be finite, got inf",
          lambda s: demo_corpus(spike_magnitude=float("inf"))),
         ("synth", ["--out", ""], "--out must not be empty", lambda s: _out_dir("")),
+        ("synth", ["--seed", "-1"], "seed must be >= 0, got -1", lambda s: demo_corpus(seed=-1)),
+        ("inject", ["--kind", "gaussian", "--seed", "-1"], "seed must be >= 0, got -1",
+         lambda s: _check_seed(-1)),
+        ("evaluate", ["--kind", "zero-run", "--seed", "-1"], "seed must be >= 0, got -1",
+         lambda s: _check_seed(-1)),
     ],
     ids=["ar-order", "ls-window", "ra-k", "ra-k-nan", "ls-k-inf", "duration-ms", "noise-count",
          "sigma", "sigma-nan", "sigma-inf", "slack",
          "spikes", "hist-cadence-ms", "ion-cadence-ms", "ion-cadence-ms-7000",
          "ion-cadence-ms-1", "hist-points-0", "hist-points-neg",
-         "spike-magnitude-nan", "spike-magnitude-inf", "out-empty"],
+         "spike-magnitude-nan", "spike-magnitude-inf", "out-empty",
+         "synth-seed", "inject-seed", "evaluate-seed"],
 )
 def test_out_of_range_argument_is_typed_error(
     corpus_dir, tmp_path, capsys, command, flags, named, library_call
@@ -710,6 +719,45 @@ def test_flags_a_command_never_reads_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+
+
+def _subcommands(parser) -> dict:
+    """Each subcommand's parser, by name, in the order they were added."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _every_flag(p) -> list[str]:
+    """Every flag of the subcommand parser p, each given a value of its type."""
+    argv = []
+    for action in p._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        argv.append(action.option_strings[0])
+        if isinstance(action, argparse._StoreTrueAction):
+            continue
+        if action.choices:
+            argv.append(action.choices[-1])
+        else:
+            argv.append({int: "3", float: "2.5"}.get(action.type, "x"))
+    return argv
+
+
+def test_a_command_parses_alike_with_only_its_own_flags():
+    full = build_parser()
+    for command, p in _subcommands(full).items():
+        required = [flag for a in p._actions if a.required for flag in (a.option_strings[0], "x")]
+        for argv in ([command, *required], [command, *_every_flag(p)]):
+            assert build_parser(command).parse_args(argv) == full.parse_args(argv), argv
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert len(_subcommands(build_parser())) == 8
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    names = "{synth,ingest,match,detect,pipeline,inject,evaluate,report}"
+    assert names in capsys.readouterr().out
 
 
 def test_single_series_commands_ignore_broken_unrelated_entry(corpus_dir, tmp_path, capsys):
@@ -891,14 +939,14 @@ def test_too_short_series_of_a_later_pair_fails_alike_on_one_and_two_cpus(tmp_pa
 
 
 def _track_held_series(monkeypatch, corpus_dir):
-    """Patch cli to hold weak references to every series load_corpus returns.
+    """Hold weak references to every series cli's load_corpus returns.
 
     Returns a function naming the loaded series still alive, the names
     alive at each match_all call, and the names of the ION entries, which
     --ion-step 1 does not thin.
     """
     loaded, at_ranking = [], []
-    load, rank = cli.load_corpus, cli.match_all
+    load, rank = cli.load_corpus, dtw.match_all
 
     def tracked(*args):
         corpus = load(*args)
@@ -913,7 +961,7 @@ def _track_held_series(monkeypatch, corpus_dir):
         return rank(*args, **kwargs)
 
     monkeypatch.setattr(cli, "load_corpus", tracked)
-    monkeypatch.setattr(cli, "match_all", ranking)
+    monkeypatch.setattr(dtw, "match_all", ranking)
     entries = load_manifest(_manifest(corpus_dir)).entries
     return alive, at_ranking, {e.id.name for e in entries if e.id.system is SystemTag.ION}
 
@@ -965,7 +1013,7 @@ def test_series_file_rewritten_after_ranking_fails_the_pipeline(
     corpus = tmp_path / "c"
     assert main(["synth", "--out", str(corpus), "--hist-points", "2400",
                  "--ion-cadence-ms", "600000"]) == 0
-    rank, rewritten = cli.match_all, []
+    rank, rewritten = dtw.match_all, []
 
     def rewrite_rank_1_hist(*args, **kwargs):
         run = rank(*args, **kwargs)
@@ -979,7 +1027,7 @@ def test_series_file_rewritten_after_ranking_fails_the_pipeline(
         rewritten.append(run.results[0].hist_id.name)
         return run
 
-    monkeypatch.setattr(cli, "match_all", rewrite_rank_1_hist)
+    monkeypatch.setattr(dtw, "match_all", rewrite_rank_1_hist)
     capsys.readouterr()
     assert _pipeline(corpus, tmp_path / "o") == 1
     (hist,) = rewritten
