@@ -26,6 +26,7 @@ import numpy as np
 
 from .detectors import DETECTORS, AnomalySet, DetectorKind
 from .errors import UndefinedBaseline
+from .ingest import csv_text
 from .merge import MergedSeries
 from .model import TimeSeries
 
@@ -156,10 +157,9 @@ def report_csv(pairs: list[dict]) -> str:
     """
     present = {name for pair in pairs for name in pair["detectors"]}
     names = [kind.value for kind in DETECTORS if kind.value in present]
-    lines = [",".join(["pair_rank", "measurement_name", *names])]
+    rows = [["pair_rank", "measurement_name", *names]]
     for pair in pairs:
         ion, hist, counts = pair["ion"], pair["hist"], pair["detectors"]
         for label, view in ((ion, "ion"), (hist, "hist"), (f"{ion}+{hist}", "merged")):
-            row = [str(pair["rank"]), label, *(str(counts[name][view]) for name in names)]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+            rows.append([pair["rank"], label, *(counts[name][view] for name in names)])
+    return csv_text(rows)

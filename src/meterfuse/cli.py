@@ -63,10 +63,11 @@ from .errors import (
     EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
 )
 from .ingest import (
-    Corpus, CorpusManifest, ManifestEntry, json_text, load_corpus, load_manifest, write_outputs,
+    Corpus, CorpusManifest, ManifestEntry, csv_text, json_text, load_corpus, load_manifest,
+    write_outputs,
 )
 from .merge import MergedSeries, merge_pair
-from .model import MeasurementId, SystemTag, TimeSeries
+from .model import MeasurementId, SystemTag, TimeSeries, check_seed
 
 # A command's outputs by file name (text, or a series for `write_outputs` to render),
 # and the line to print once they are written.
@@ -130,9 +131,7 @@ def _run_match(
         metric=dtw.Metric(args.metric),
         normalize=args.z_normalize,
     )
-    lines = ["rank,ion_name,hist_name,distance"]
-    for r in run.results:
-        lines.append(f"{r.rank},{r.ion_id.name},{r.hist_id.name},{r.distance!r}")
+    rows = [(r.rank, r.ion_id.name, r.hist_id.name, r.distance) for r in run.results]
     meta = {
         "recipe": {**asdict(recipe), "kind": recipe.kind.value},
         "radius": args.radius,
@@ -146,7 +145,8 @@ def _run_match(
             for r in run.results
         ],
     }
-    files = {"matches.csv": "\n".join(lines) + "\n", "matches.meta.json": json_text(meta)}
+    files = {"matches.csv": csv_text([("rank", "ion_name", "hist_name", "distance"), *rows]),
+             "matches.meta.json": json_text(meta)}
     return run, manifest, files
 
 
@@ -390,18 +390,12 @@ def _out_dir(out: str | None) -> Path | None:
     return None if out is None else Path(out)
 
 
-def _check_seed(seed: int | None) -> None:
-    """Refuse a negative --seed, which numpy's generators refuse with an untyped error."""
-    if seed is not None and seed < 0:
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         out = _out_dir(args.out)
-        _check_seed(getattr(args, "seed", None))
+        check_seed(getattr(args, "seed", None))
         files, written = args.func(args)
         if out is not None:
             write_outputs(out, files)

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import InvalidArgument, TooShort, naming
-from .ingest import render_rows
+from .ingest import csv_text
 from .merge import ORIGIN_NAMES, MergedSeries
 from .model import TimeSeries, value_eq
 
@@ -306,16 +306,10 @@ def run_detector(params: DetectorParams, s: SeriesLike, floor: float | None = No
 
 def anomalies_to_csv(anomalies: AnomalySet, s: TimeSeries | MergedSeries) -> str:
     """Flagged rows as ``index,timestamp,value,score[,origin]``, value and score as their repr."""
-    origins = s.origin if isinstance(s, MergedSeries) else None
-
-    def columns(rows: slice) -> list[list]:
-        i = anomalies.flagged[rows]
-        cols = [i.tolist(), s.t[i].tolist(), s.v[i].tolist(), anomalies.scores[rows].tolist()]
-        if origins is not None:
-            cols.append([ORIGIN_NAMES[o] for o in origins[i].tolist()])
-        return cols
-
-    header, row = "index,timestamp,value,score", "%d,%d,%r,%r"
-    if origins is not None:
-        header, row = header + ",origin", row + ",%s"
-    return header + "\n" + render_rows(row + "\n", anomalies.count, columns)
+    i = anomalies.flagged
+    cols = [i.tolist(), s.t[i].tolist(), s.v[i].tolist(), anomalies.scores.tolist()]
+    header = ["index", "timestamp", "value", "score"]
+    if isinstance(s, MergedSeries):
+        cols.append([ORIGIN_NAMES[o] for o in s.origin[i].tolist()])
+        header.append("origin")
+    return csv_text([header, *zip(*cols)])

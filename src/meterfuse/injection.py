@@ -22,7 +22,7 @@ import numpy as np
 from .detectors import AnomalySet
 from .errors import EmptyWindow, InvalidArgument, SeriesMismatch, TooFewSamples
 from .ingest import json_text
-from .model import TimeSeries, finite_values
+from .model import TimeSeries, check_seed, finite_values
 
 # The zero-run duration, when not chosen by the caller, is drawn from
 # this interval (milliseconds): long enough to span a few samples at a
@@ -114,7 +114,7 @@ def inject_gaussian_noise(
         raise EmptyWindow("series is empty")
     if n > len(s):
         raise TooFewSamples(f"requested {n} injections into {len(s)} samples")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     chosen = rng.choice(len(s), size=n, replace=False)
     noise = rng.normal(0.0, sigma, size=n)
     v = s.v.copy()

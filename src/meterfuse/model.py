@@ -129,6 +129,13 @@ def finite_values(a) -> np.ndarray:
     return v
 
 
+def check_seed(seed: int | None) -> int | None:
+    """``seed`` for np.random.default_rng; a negative one raises InvalidArgument, not ValueError."""
+    if seed is not None and seed < 0:
+        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def slice_by_range(s: TimeSeries, start: int, end: int) -> TimeSeries:
     """Samples with start <= t <= end, order and identity preserved."""
     if start > end:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DuplicateId, InvalidArgument, naming
 from .ingest import ColumnMap, Corpus, ManifestEntry, json_text, write_outputs
-from .model import MeasurementId, SystemTag, TimeSeries
+from .model import MeasurementId, SystemTag, TimeSeries, check_seed
 
 START_EPOCH_MS = 1_600_000_000_000
 HIST_CADENCE_MS = 5_000
@@ -63,7 +63,7 @@ def random_walk_series(
     seed: int,
     step_sigma: float = 1.0,
 ) -> TimeSeries:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     t = _timestamps(name, n, cadence_ms)
     v = np.cumsum(rng.normal(0.0, step_sigma, size=n))
     return TimeSeries(MeasurementId(system, name), t, v)
@@ -71,7 +71,7 @@ def random_walk_series(
 
 def add_spikes(s: TimeSeries, n_spikes: int, magnitude: float, seed: int) -> TimeSeries:
     """Plant n isolated single-sample spikes at seeded positions."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     positions = rng.choice(len(s), size=min(n_spikes, len(s)), replace=False)
     v = s.v.copy()
     v[positions] += magnitude
@@ -98,8 +98,7 @@ def demo_corpus(
     behind HIST-44-S; HIST-23-S is an unrelated random walk.  The
     default size is one day of 5-second samples.
     """
-    if seed < 0:  # numpy's generators refuse it untyped
-        raise InvalidArgument(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if hist_points < 1:
         raise InvalidArgument(f"hist_points must be >= 1, got {hist_points}")
     if spike_count < 0:

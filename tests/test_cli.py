@@ -1,4 +1,5 @@
 import argparse
+import csv
 import inspect
 import json
 import os
@@ -29,14 +30,15 @@ from meterfuse import (
     TimeSeries,
 )
 from meterfuse import cli, dtw
-from meterfuse.cli import (
-    _check_seed, _detector_params, _out_dir, _recipe, build_parser, cmd_report, main,
-)
+from meterfuse.cli import _detector_params, _out_dir, _recipe, build_parser, cmd_report, main
 from meterfuse.errors import EmptyWindow, InvalidArgument, IoError, TooShort
 from meterfuse.ingest import series_to_csv, write_outputs
 from meterfuse.merge import MergedSeries
+from meterfuse.model import check_seed
 from meterfuse.sampling import apply_recipe
-from meterfuse.synth import constant_series, corpus_files, demo_corpus, write_corpus
+from meterfuse.synth import (
+    add_spikes, constant_series, corpus_files, demo_corpus, random_walk_series, write_corpus,
+)
 
 from conftest import mkvalues
 
@@ -490,6 +492,41 @@ def test_report_rebuilds_csv(corpus_dir, tmp_path):
     assert (out / "report.csv").read_text() == before
 
 
+@pytest.mark.parametrize("name", ['Feeder 4, "kW"', "Feeder 4\nkW"],
+                         ids=["comma-quote", "line-break"])
+def test_tables_quote_names_that_need_it(corpus_dir, tmp_path, name):
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    for entry in manifest["entries"]:
+        entry["path"] = str(corpus_dir / entry["path"])
+        if entry["name"] == "HIST-44-S":
+            entry["name"] = name
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    names = {entry["name"] for entry in manifest["entries"]}
+    base = ["--manifest", str(path), *MATCH_FLAGS]
+    match, pipe = tmp_path / "match", tmp_path / "pipe"
+    assert main(["match", *base, "--out", str(match)]) == 0
+    # every pair, so every name reaches report.csv
+    assert main(["pipeline", *base, "--top-n", "6", *FAST_DETECTORS, "--out", str(pipe)]) == 0
+
+    def rows(table: Path) -> list[list[str]]:
+        with open(table, newline="", encoding="utf-8") as f:
+            header, *body = csv.reader(f)
+        assert {len(row) for row in body} == {len(header)}
+        return body
+
+    for matches in (rows(match / "matches.csv"), rows(pipe / "matches.csv")):
+        assert {row[1] for row in matches} | {row[2] for row in matches} == names
+    report = rows(pipe / "report.csv")
+    ion, hist, merged = ([row[1] for row in report[i::3]] for i in range(3))
+    assert set(ion) | set(hist) == names
+    assert merged == [f"{a}+{b}" for a, b in zip(ion, hist)]
+    before = (pipe / "report.csv").read_bytes()
+    (pipe / "report.csv").unlink()
+    assert main(["report", "--out", str(pipe)]) == 0
+    assert (pipe / "report.csv").read_bytes() == before
+
+
 def test_unknown_series_lists_available(corpus_dir, tmp_path, capsys):
     rc = main(
         [
@@ -504,7 +541,7 @@ def test_unknown_series_lists_available(corpus_dir, tmp_path, capsys):
     )
     assert rc == 1
     err = capsys.readouterr().err
-    assert "NOPE" in err and "HIST-40-S" in err
+    assert "NOPE" in err and "'HIST-40-S'" in err
     assert err.endswith("(entry NOPE)\n")
 
 
@@ -588,17 +625,21 @@ def _scored_with_slack(s, slack):
          lambda s: demo_corpus(spike_magnitude=float("inf"))),
         ("synth", ["--out", ""], "--out must not be empty", lambda s: _out_dir("")),
         ("synth", ["--seed", "-1"], "seed must be >= 0, got -1", lambda s: demo_corpus(seed=-1)),
+        ("synth", ["--seed", "-1"], "seed must be >= 0, got -1",
+         lambda s: random_walk_series("W", SystemTag.HIST, 10, 1000, -1)),
+        ("synth", ["--seed", "-1"], "seed must be >= 0, got -1",
+         lambda s: add_spikes(s, 1, 1.0, -1)),
         ("inject", ["--kind", "gaussian", "--seed", "-1"], "seed must be >= 0, got -1",
-         lambda s: _check_seed(-1)),
+         lambda s: inject_gaussian_noise(s, 1, 1.0, -1)),
         ("evaluate", ["--kind", "zero-run", "--seed", "-1"], "seed must be >= 0, got -1",
-         lambda s: _check_seed(-1)),
+         lambda s: check_seed(-1)),
     ],
     ids=["ar-order", "ls-window", "ra-k", "ra-k-nan", "ls-k-inf", "duration-ms", "noise-count",
          "sigma", "sigma-nan", "sigma-inf", "slack",
          "spikes", "hist-cadence-ms", "ion-cadence-ms", "ion-cadence-ms-7000",
          "ion-cadence-ms-1", "hist-points-0", "hist-points-neg",
          "spike-magnitude-nan", "spike-magnitude-inf", "out-empty",
-         "synth-seed", "inject-seed", "evaluate-seed"],
+         "synth-seed", "random-walk-seed", "add-spikes-seed", "inject-seed", "evaluate-seed"],
 )
 def test_out_of_range_argument_is_typed_error(
     corpus_dir, tmp_path, capsys, command, flags, named, library_call
