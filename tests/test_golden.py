@@ -1,4 +1,4 @@
-"""Byte-for-byte outputs of four CLI runs on the `synth --seed 7` demo corpus.
+"""Byte-for-byte outputs of five CLI runs on the `synth --seed 7` demo corpus.
 
 tests/golden/<run>/ holds every deterministic output of one run (the
 timing-bearing .meta sidecars are left out).  DIGESTS pins the series
@@ -35,6 +35,8 @@ RUNS = {
     "detect": ["detect", "--series", "HIST-44-S"],
     # full resolution: the only run whose lattices have rows wide enough to scan
     "match": ["match", "--recipe", "step", "--hist-step", "1", "--ion-step", "1"],
+    # 24 x 24 FastDTW lattices: banded rows 3-24 cells wide
+    "match-narrow": ["match", "--recipe", "step", "--hist-step", "720", "--ion-step", "1"],
     "evaluate": ["evaluate", "--series", "HIST-44-S", "--kind", "gaussian", "--seed", "3"],
 }
 INJECT = ["inject", "--series", "HIST-44-S", "--kind", "gaussian", "--seed", "3"]
