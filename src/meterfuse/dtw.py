@@ -20,17 +20,17 @@ Rows run over the shorter input, so per-row overhead stays small; the
 transposed lattice holds the same values, and swapping the tie order of
 the row and column steps with it keeps the same path.
 
-A row narrower than `_SCAN_MIN_WIDTH` cells is filled by a scalar loop.
-A wider one is scanned in numpy (`_scan`).  Round-to-nearest addition is
+Every row is scanned in numpy (`_scan`).  Round-to-nearest addition is
 monotone, so ``fl(min(x, y) + c) == min(fl(x + c), fl(y + c))``, and a cell
 ``min(diag, up, left) + cost`` equals ``min(D, left + cost)`` with
 ``D = min(diag, up) + cost`` computed for the whole row at once.  The row is
 then runs that keep ``D`` and chains from the left, each summed by
-``np.add.accumulate``, which adds in sequence and so rounds as the loop
-does.  Row width alone picks the fill.  The walk back needs only each
-row's first and last path column (`_spans`): the coarse levels hand those
-straight to `_projected_band`, and in a scanned row one vectorised search
-(`_skip_columns`) finds where the column steps end.  One recursive
+``np.add.accumulate``, which adds in sequence and so rounds as a cell by
+cell loop does.  The walk back needs only each row's first and last path
+column (`_spans`): the coarse levels hand those straight to
+`_projected_band`, and in every row one vectorised search (`_skip_columns`)
+finds where the column steps end and whether the walk leaves the row
+diagonally or by the row step.  One recursive
 function (`_level`) solves a level: it bands it by the coarser level's
 spans, runs the program, and returns the total, the cells of it and every
 coarser level, and, when asked, its own spans.
@@ -61,7 +61,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, product
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -77,15 +77,7 @@ _BASE_CASE_MIN = 16
 # on random walks 8 pairs of 16 x 2,000 (127 cells per diagonal) took 0.95x
 # the wavefront's time per pair, and 16 such pairs 1.4x (2 vCPUs, numpy 2.4).
 _WAVEFRONT_MIN_WIDTH = 128
-# Rows at least this wide are scanned by `_scan`, narrower ones take the
-# scalar loop.  A distance-only `_level` at radius 1 with every row scanned
-# took, as a share of the time with none scanned: on a 48-point line against the
-# line it samples every B-th point of (the `fullres` twin pairs' shape)
-# 1.47x, 0.88x, 0.59x and 0.26x at finest rows of 65, 127, 253 and 1,005
-# cells on average; on a random walk against those points 1.21x at 99
-# cells and 0.82x at 195 and 387 (2 vCPUs, numpy 2.4).
-_SCAN_MIN_WIDTH = 256
-# Chain ends, and where a wide row's column steps end, are searched over
+# Chain ends, and where a row's column steps end, are searched over
 # windows that start `_SCAN_WINDOW` cells wide and double.
 _SCAN_WINDOW = 128
 _INF = float("inf")
@@ -153,7 +145,7 @@ class MatchRun:
 
 def _banded(
     a: np.ndarray, b: np.ndarray, lo: list[int], hi: list[int], metric: Metric
-) -> Iterator[list[float] | np.ndarray]:
+) -> Iterator[np.ndarray]:
     """The accumulated-cost rows over row ``i``'s columns ``lo[i]..hi[i]``, one at a time.
 
     The band starts at (0, 0) and ends at (len_a-1, len_b-1); ``lo`` and
@@ -162,58 +154,31 @@ def _banded(
     row splits into three runs that need no range test: cells with a
     neighbour above, the one cell just past the row above, and a tail
     reached only from the left.  Cells outside the band read as infinite.
-    A row `_scan` fills is an array, a row from the scalar loop a list.
     Only the row above is held, so a caller that needs only the total
     keeps two rows live.
     """
     l1 = metric is Metric.L1
-    prev: list[float] | np.ndarray = []
     for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
         d = a[i] - b[lo_i : hi_i + 1]
         cost = np.abs(d) if l1 else d * d
-        wide = len(cost) >= _SCAN_MIN_WIDTH
-        if not i:
-            prev = np.add.accumulate(cost) if wide else list(accumulate(cost.tolist()))
-            yield prev
-            continue
-        prev_lo, prev_hi = lo[i - 1], hi[i - 1]
-        if wide:
-            prev = _scan(np.asarray(prev), cost, lo_i - prev_lo, prev_hi - lo_i + 1)
+        if i:
+            prev = _scan(prev, cost, lo_i - lo[i - 1], hi[i - 1] - lo_i + 1)
         else:
-            prev, cost = (prev if isinstance(prev, list) else prev.tolist()), cost.tolist()
-            row: list[float] = []
-            n = prev_hi - lo_i + 1  # cells with a neighbour above
-            if n:
-                s = lo_i - prev_lo
-                left = (prev[s - 1] if s and prev[s - 1] < prev[s] else prev[s]) + cost[0]
-                row.append(left)
-                for best, up, c in zip(prev[s:], prev[s + 1 :], cost[1:n]):
-                    if up < best:
-                        best = up
-                    if left < best:
-                        best = left
-                    left = best + c
-                    row.append(left)
-            if hi_i > prev_hi:
-                best = prev[-1]
-                if n and left < best:
-                    best = left
-                row.extend(accumulate(cost[n + 1 :], initial=best + cost[n]))
-            prev = row
+            prev = np.add.accumulate(cost)
         yield prev
 
 
 def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray:
-    """One wide row of `_banded`, from the row above (``prev``) and the row's costs.
+    """One row of `_banded` after the first, from the row above (``prev``) and the row's costs.
 
     The row's first ``n`` cells lie under ``prev[s:]``.  A cell's value is
     ``min(diag, up, left) + cost``; rounding to nearest is monotone, so that
     equals ``min(D, left + cost)`` with ``D = min(diag, up) + cost``, bit
     for bit.  ``D`` is one numpy pass (infinite on the tail, which has no
     neighbour above); the row is then runs that keep ``D`` and runs where
-    the chain from the left wins, summed by ``np.add.accumulate`` in the
-    loop's order.  A chain's end is searched over a window that doubles
-    while it holds none.
+    the chain from the left wins, summed by ``np.add.accumulate`` in a
+    cell by cell loop's order.  A chain's end is searched over a window
+    that doubles while it holds none.
     """
     w = len(cost)
     m = min(n + 1, w)  # cells with a neighbour above or diagonally above
@@ -253,64 +218,54 @@ def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray:
 
 
 def _spans(
-    rows: list[list[float] | np.ndarray], lo: list[int], len_b: int, flip: bool
+    rows: list[np.ndarray], lo: list[int], len_b: int, flip: bool
 ) -> tuple[list[int], list[int]]:
     """First and last path column of each of `_banded`'s rows.
 
     The path is walked back from (len_a-1, len_b-1), ties resolved diagonal
     first, then the row step, then the column step; ``flip`` marks a
     transposed lattice and swaps the tie order of the row and column steps
-    to match.  In a scanned row `_skip_columns` finds where the column
-    steps end in one vectorised search; other rows are walked cell by cell.
+    to match.  `_skip_columns` finds where the walk leaves each row.
     """
     first, last = [0] * len(rows), [0] * len(rows)
     j = len_b - 1
     for i in range(len(rows) - 1, 0, -1):
-        row, prev, lo_i, prev_lo = rows[i], rows[i - 1], lo[i], lo[i - 1]
         last[i] = j
-        if isinstance(row, np.ndarray):
-            j = _skip_columns(row, prev, lo_i, prev_lo, j, flip)
-        step = 0  # 1 when the walk leaves the row diagonally
-        while j:
-            k = j - prev_lo
-            up = prev[k] if k < len(prev) else _INF
-            diag = prev[k - 1] if 0 < k <= len(prev) else _INF
-            left = row[j - lo_i - 1] if j > lo_i else _INF
-            if diag <= up and diag <= left:
-                step = 1
-                break
-            if up < left or (up == left and not flip):
-                break
-            j -= 1
-        first[i] = j
-        j -= step
+        first[i], step = _skip_columns(rows[i], rows[i - 1], lo[i], lo[i - 1], j, flip)
+        j = first[i] - step
     last[0] = j
     return first, last
 
 
 def _skip_columns(
-    row: np.ndarray, prev: list[float] | np.ndarray, lo_i: int, prev_lo: int, j: int, flip: bool
-) -> int:
-    """The last column at or left of ``j`` where `_spans`'s walk leaves row ``i``.
+    row: np.ndarray, prev: np.ndarray, lo_i: int, prev_lo: int, j: int, flip: bool
+) -> tuple[int, int]:
+    """Where `_spans`'s walk, entering row ``i`` at column ``j``, leaves it.
 
-    Cells right of it take the column step: neither the diagonal nor the
-    row step wins under the walk's tie rules.  The search runs leftwards
-    over a window that doubles while every cell in it takes the column step.
+    The column is the last one at or left of ``j`` where the diagonal or
+    the row step wins under the walk's tie rules; cells right of it take
+    the column step.  The step is 1 when the walk leaves diagonally, else
+    0.  The search runs leftwards over a window that doubles while every
+    cell in it takes the column step; the row's first column, with no
+    neighbour to its left, ends it.
     """
     # the row above, read as infinite out to this row's last column
-    above = np.concatenate((prev, np.full(lo_i + len(row) - prev_lo - len(prev), _INF)))
+    above = np.full(lo_i + len(row) - prev_lo, _INF)
+    above[: len(prev)] = prev
     win = _SCAN_WINDOW
     while j > lo_i:
         q0 = max(lo_i + 1, j - win + 1)
         left = row[q0 - lo_i - 1 : j - lo_i]
         up = above[q0 - prev_lo : j - prev_lo + 1]
         diag = above[q0 - prev_lo - 1 : j - prev_lo]
-        leaves = (diag <= up) & (diag <= left) | (up < left if flip else up <= left)
-        at = np.flatnonzero(leaves)
+        diagonal = (diag <= up) & (diag <= left)
+        at = np.flatnonzero(diagonal | (up < left if flip else up <= left))
         if at.size:
-            return q0 + int(at[-1])
+            k = int(at[-1])
+            return q0 + k, int(diagonal[k])
         j, win = q0 - 1, 2 * win
-    return j
+    k = j - prev_lo  # the row's first column: the diagonal against the row step alone
+    return j, int(0 < k and above[k - 1] <= above[k])
 
 
 def _wavefront(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:

@@ -318,7 +318,11 @@ def _manifest_entry(raw, base: Path) -> ManifestEntry:
         value = raw.get(key, default)
         if not isinstance(value, str) or not value:
             raise ManifestError(f"{key!r} must be a non-empty string")
+        if "\0" in value:
+            raise ManifestError(f"{key!r} holds a NUL character")
         fields[key] = value
+    if "\r" in fields["name"].replace("\r\n", ""):  # csv.writer would not quote it
+        raise ManifestError("'name' holds a carriage return outside a CR LF pair")
     try:
         system = SystemTag(fields["system"])
         time_format = TimeFormat(fields["time_format"])

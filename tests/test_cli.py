@@ -492,8 +492,8 @@ def test_report_rebuilds_csv(corpus_dir, tmp_path):
     assert (out / "report.csv").read_text() == before
 
 
-@pytest.mark.parametrize("name", ['Feeder 4, "kW"', "Feeder 4\nkW"],
-                         ids=["comma-quote", "line-break"])
+@pytest.mark.parametrize("name", ['Feeder 4, "kW"', "Feeder 4\nkW", "Feeder 4\r\nkW"],
+                         ids=["comma-quote", "line-break", "crlf"])
 def test_tables_quote_names_that_need_it(corpus_dir, tmp_path, name):
     manifest = json.loads((corpus_dir / "manifest.json").read_text())
     for entry in manifest["entries"]:

@@ -349,8 +349,9 @@ def assert_reference(a, b, radius, metric):
 
 
 # Rows of 12 x 4,000 (solved exactly) and of 48 x 6,000 and 48 x 2,000 (at
-# radius 10) are wider than _SCAN_MIN_WIDTH, so `_scan` fills them and
-# `_skip_columns` walks them; the metric alternates to bound the run time.
+# radius 10) are wider than _SCAN_WINDOW, so `_scan` and `_skip_columns`
+# search them over more than one window; the metric alternates to bound the
+# run time.
 @pytest.mark.parametrize("shape", [(12, 4000), (4000, 12), (48, 6000), (6000, 48)],
                          ids=["12x4000", "4000x12", "48x6000", "6000x48"])
 @pytest.mark.parametrize("kind", ["walk", "noise", "ties", "flat"])
@@ -382,19 +383,11 @@ def test_scan_gives_up_partway_through_a_row(rng):
         assert_reference(a, b, 1, metric)
 
 
-def _walk_every_column(row, prev, lo_i, prev_lo, j, flip):
-    return j
-
-
-@pytest.mark.parametrize("skip_columns", [0, 1])
 @pytest.mark.parametrize("window", [10**9, 1], ids=["never-gives-up", "gives-up-at-once"])
-@pytest.mark.parametrize("min_width", [1, 2, 64])
-def test_scan_and_span_settings_change_no_result(min_width, window, skip_columns):
-    # every row scanned, or only some; searches whose first window spans the
-    # row, or that give up on every window and double it; the walk back
-    # skipping column steps, or walking every cell: the same distances and paths
-    skip = dtw._skip_columns if skip_columns else _walk_every_column
-    with mock.patch.multiple(dtw, _SCAN_MIN_WIDTH=min_width, _SCAN_WINDOW=window, _skip_columns=skip):
+def test_scan_and_span_settings_change_no_result(window):
+    # searches whose first window spans the row, or that give up on every
+    # window and double it: the same distances and paths
+    with mock.patch.object(dtw, "_SCAN_WINDOW", window):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),

@@ -33,7 +33,7 @@ RUNS = {
     "pipeline": ["pipeline", "--recipe", "step", "--hist-step", "100", "--ion-step", "2",
                  "--top-n", "4"],
     "detect": ["detect", "--series", "HIST-44-S"],
-    # full resolution: the only run whose lattices have rows wide enough to scan
+    # full resolution: FastDTW on 24 x 17,280 lattices, rows up to 17,261 cells wide
     "match": ["match", "--recipe", "step", "--hist-step", "1", "--ion-step", "1"],
     # 24 x 24 FastDTW lattices: banded rows 3-24 cells wide
     "match-narrow": ["match", "--recipe", "step", "--hist-step", "720", "--ion-step", "1"],

@@ -299,8 +299,13 @@ GOOD_ENTRY = {"system": "ION", "name": "ION-1", "path": "ION-1.csv"}
         ({"entries": [{"system": "HIST", "name": "H-1"}]}, "H-1"),  # no path
         ({"entries": [{**GOOD_ENTRY, "system": "SCADA"}]}, "ION-1"),  # unknown system
         ({"entries": [{**GOOD_ENTRY, "time_format": "JULIAN"}]}, "ION-1"),  # unknown time format
+        # csv.writer quotes a line feed but not a bare CR, which would split the name's table rows
+        ({"entries": [{**GOOD_ENTRY, "name": "ION\r1"}]}, "ION\r1"),
+        # a NUL would reach the file system as an untyped ValueError
+        ({"entries": [{**GOOD_ENTRY, "path": "ION-1\0.csv"}]}, "ION-1"),
     ],
-    ids=["no-entries", "no-name", "no-system", "no-path", "unknown-system", "unknown-time-format"],
+    ids=["no-entries", "no-name", "no-system", "no-path", "unknown-system", "unknown-time-format",
+         "bare-cr-in-name", "nul-in-path"],
 )
 def test_malformed_manifest_is_typed_and_names_entry(tmp_path, doc, entry):
     manifest = tmp_path / "manifest.json"
