@@ -383,11 +383,39 @@ def test_scan_gives_up_partway_through_a_row(rng):
         assert_reference(a, b, 1, metric)
 
 
+def _walk_every_cell(row, prev, lo_i, prev_lo, j, flip):
+    """`_skip_columns` one cell at a time, by `_spans`'s tie rules."""
+    while j:
+        k = j - prev_lo
+        up = prev[k] if k < len(prev) else math.inf
+        diag = prev[k - 1] if 0 < k <= len(prev) else math.inf
+        left = row[j - lo_i - 1] if j > lo_i else math.inf
+        if diag <= up and diag <= left:
+            return j, 1
+        if up < left or (up == left and not flip):
+            return j, 0
+        j -= 1
+    return j, 0
+
+
+@pytest.mark.parametrize("skip_columns", [0, 1])
 @pytest.mark.parametrize("window", [10**9, 1], ids=["never-gives-up", "gives-up-at-once"])
-def test_scan_and_span_settings_change_no_result(window):
-    # searches whose first window spans the row, or that give up on every
-    # window and double it: the same distances and paths
-    with mock.patch.object(dtw, "_SCAN_WINDOW", window):
+@pytest.mark.parametrize("min_width", [1, 2, 64])
+def test_scan_and_span_settings_change_no_result(min_width, window, skip_columns):
+    # `_scan`'s searches whose first window spans the row, or that give up on
+    # every window and double it; `_skip_columns`'s searches from a window
+    # min_width cells wide; the walk back taking `_skip_columns`'s answers,
+    # or a walk one cell at a time checked against each: the same distances and paths
+    skip = dtw._skip_columns
+
+    def skip_from_min_width(row, prev, lo_i, prev_lo, j, flip):
+        with mock.patch.object(dtw, "_SCAN_WINDOW", min_width):
+            got = skip(row, prev, lo_i, prev_lo, j, flip)
+        if not skip_columns:
+            assert got == _walk_every_cell(row, prev, lo_i, prev_lo, j, flip)
+        return got
+
+    with mock.patch.multiple(dtw, _SCAN_WINDOW=window, _skip_columns=skip_from_min_width):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),
