@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -390,6 +391,11 @@ def _out_dir(out: str | None) -> Path | None:
     return None if out is None else Path(out)
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each control character as its Python escape, so it prints as one line."""
+    return re.sub(r"[\x00-\x1f\x7f-\x9f]", lambda m: repr(m[0])[1:-1], text)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
@@ -403,10 +409,10 @@ def main(argv=None) -> int:
             print(written)
     except MeterFuseError as e:
         entry = f" (entry {e.entry})" if e.entry is not None else ""
-        print(f"error: {e}{entry}", file=sys.stderr)
+        print(_one_line(f"error: {e}{entry}"), file=sys.stderr)
         return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        print(f"error: {e}", file=sys.stderr)
+        print(_one_line(f"error: {e}"), file=sys.stderr)
         return 1
     return 0
 

@@ -8,7 +8,7 @@ the series' own spread, so constant and straight-line inputs never flag
 on numerical noise, while a spike among otherwise-identical residuals
 (which leaves the IQR at exactly zero) is still caught.
 
-The median and the quartiles of a score set come from one `np.partition`,
+The median and the quartiles of a score set come from one `np.sort`,
 with numpy's own median and linear-percentile arithmetic redone on the
 selected elements (`_order_stats`), so they equal `np.median` and
 `np.percentile` bit for bit without their extra passes; level shift's
@@ -46,6 +46,12 @@ RELATIVE_NOISE_FLOOR = 1e-8
 MAGNITUDE_NOISE_FLOOR = 1e-10
 
 _RIDGE = 1e-8
+
+# Rows per block of the AR fit's QR (`fit_ar_predict`).  Summed over a
+# seed-1 `fullres` pipeline (median of six processes, 2 vCPUs, one BLAS
+# thread), its fits took 25.6 ms at 512 rows, 22.3 at 1,024, 19.4 at 2,048
+# and 20.1 at 4,096, where minor faults rose from 23 to 177.
+_AR_BLOCK = 2048
 
 # Windows of up to this many values take their medians from the sorting
 # network in `_window_medians`, wider ones from `np.partition`.  On a
@@ -136,21 +142,23 @@ def _linear(n: int, q: float) -> tuple[int, int, float]:
 def _order_stats(x: np.ndarray, quartiles: bool) -> tuple[float, ...]:
     """``np.median(x)``, then ``np.percentile(x, 25)`` and ``(x, 75)`` when ``quartiles``.
 
-    One `np.partition` places every element these read, and the last one:
-    NaN sorts last, so a NaN there makes every result that NaN, as numpy
-    gives it.  The median is numpy's mean of the middle one or two, a sum
-    that starts from 0.0; a percentile between ranks holding ``a`` and
-    ``b`` at weight ``t`` (`_linear`) is ``a + (b-a)*t`` below ``t = 0.5``
-    and ``b - (b-a)*(1-t)`` from it.  The arithmetic is on Python floats,
-    which round as float64 does and never warn, so the results are numpy's
-    bit for bit, NaN for NaN; only a zero percentile's sign can differ, as
-    it follows where a partition leaves equal zeros.  ``x`` is 1-D and not
-    empty.
+    One `np.sort` places every element these read, and the last one: NaN
+    sorts last, so a NaN there makes every result that NaN, as numpy gives
+    it.  (A partition at several ranks leaves numpy 2.4's SIMD path and
+    takes about 3x the sort's time.)  The median is numpy's mean of the
+    middle one or two, a sum that starts from 0.0; a percentile between
+    ranks holding ``a`` and ``b`` at weight ``t`` (`_linear`) is
+    ``a + (b-a)*t`` below ``t = 0.5`` and ``b - (b-a)*(1-t)`` from it.  The
+    arithmetic is on Python floats, which round as float64 does and never
+    warn, so the results are numpy's bit for bit, NaN for NaN; only a zero
+    percentile's sign can differ, as it follows where equal zeros sort.
+    That sign changes no nonzero IQR, and a zero IQR of either sign gives
+    the same `_flag_outliers` flags and scores.  ``x`` is 1-D and not empty.
     """
     n = len(x)
     lerps = [_linear(n, q) for q in (0.25, 0.75)] if quartiles else []
     ranks = sorted({(n - 1) // 2, n // 2, n - 1, *(r for i, j, _ in lerps for r in (i, j))})
-    at = dict(zip(ranks, np.partition(x, ranks)[ranks].tolist()))
+    at = dict(zip(ranks, np.sort(x)[ranks].tolist()))
     if math.isnan(at[n - 1]):
         return (at[n - 1],) * (1 + len(lerps))
     h = n // 2
@@ -195,24 +203,36 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     such as constant series stay solvable and predict the constant.
     Returns the residual for each of those t (length len - p); the first
     p positions carry no residual.
+
+    The fit never builds the design matrix: a Householder QR takes its
+    rows `_AR_BLOCK` at a time into one (p+2)-square triangle, and
+    `np.linalg.lstsq` solves that triangle with the singular-value cutoff
+    it would apply to the whole ridge-augmented design.  So it holds one
+    block, the residuals and one temporary of their length, whatever the
+    series' length.
     """
     y = np.asarray(values, dtype=np.float64)
     n = len(y)
     if n <= p:
         raise TooShort(f"AR({p}) needs more than {p} samples, got {n}")
     rows = n - p
-    # Ridge via the augmented system: argmin |Xc - y|^2 + 1e-8 |c|^2,
-    # with the design X the top rows of the one augmented matrix.
-    aug = np.empty((rows + p + 1, p + 1))
-    design = aug[:rows]
-    design[:, 0] = 1.0
-    for lag in range(1, p + 1):
-        design[:, lag] = y[p - lag : n - lag]
-    aug[rows:] = np.sqrt(_RIDGE) * np.eye(p + 1)
-    target = y[p:]
-    rhs = np.concatenate([target, np.zeros(p + 1)])
-    coef, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    return target - design @ coef
+    # Rows [1, y[t-p] .. y[t-1], y[t]] go in a block at a time below the
+    # triangle R of the rows so far, and R becomes the triangle of both.
+    # R starts as the ridge rows; the target's, R[p+1, p+1], moves no coefficient.
+    buf = np.empty((_AR_BLOCK + p + 2, p + 2))
+    buf[: p + 2] = np.sqrt(_RIDGE) * np.eye(p + 2)
+    buf[p + 2 :, 0] = 1.0
+    for s in range(0, rows, _AR_BLOCK):
+        b = min(_AR_BLOCK, rows - s)
+        buf[p + 2 : p + 2 + b, 1:] = np.lib.stride_tricks.sliding_window_view(y[s : s + b + p], p + 1)
+        buf[: p + 2] = np.linalg.qr(buf[: p + 2 + b], mode="r")
+    # R's singular values are the augmented design's: cut them where lstsq cut that.
+    rcond = np.finfo(np.float64).eps * (rows + p + 1)
+    coef = np.linalg.lstsq(buf[: p + 1, : p + 1], buf[: p + 1, p + 1], rcond=rcond)[0]
+    predicted = np.full(rows, coef[0])
+    for k in range(p):
+        predicted += coef[k + 1] * y[k : k + rows]
+    return y[p:] - predicted
 
 
 def _window_medians(values: np.ndarray, w: int) -> np.ndarray:

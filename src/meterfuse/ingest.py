@@ -74,7 +74,7 @@ from .errors import (
     UnparseableValue,
     naming,
 )
-from .model import MeasurementId, SystemTag, TimeSeries, finite_values, validate_series
+from .model import MeasurementId, SystemTag, TimeSeries, check_cell, finite_values, validate_series
 
 log = logging.getLogger(__name__)
 
@@ -321,15 +321,13 @@ def _manifest_entry(raw, base: Path) -> ManifestEntry:
         if "\0" in value:
             raise ManifestError(f"{key!r} holds a NUL character")
         fields[key] = value
-    if "\r" in fields["name"].replace("\r\n", ""):  # csv.writer would not quote it
-        raise ManifestError("'name' holds a carriage return outside a CR LF pair")
     try:
-        system = SystemTag(fields["system"])
+        measurement = MeasurementId(SystemTag(fields["system"]), fields["name"])
         time_format = TimeFormat(fields["time_format"])
-    except ValueError as e:
+    except ValueError as e:  # InvalidArgument too: a name `check_cell` refuses
         raise ManifestError(str(e)) from None
     return ManifestEntry(
-        id=MeasurementId(system, fields["name"]),
+        id=measurement,
         path=str(base / fields["path"]),  # an absolute path replaces base
         columns=ColumnMap(fields["time_column"], fields["value_column"]),
         time_format=time_format,
@@ -486,10 +484,13 @@ def csv_text(rows) -> str:
     """The package's table form: csv.writer's minimal quoting and LF line ends.
 
     A cell holding a comma, a double quote or a line feed is quoted, any
-    other is written as it is; a float as its repr.
+    other is written as it is; a float as its repr.  A text cell that
+    `check_cell` refuses raises InvalidArgument.
     """
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        writer.writerow([check_cell(c) if isinstance(c, str) else c for c in row])
     return out.getvalue()
 
 

@@ -39,10 +39,23 @@ class MeasurementId:
 
     def __post_init__(self):
         if not self.name:
-            raise ValueError("measurement name must be non-empty")
+            raise InvalidArgument("measurement name must be non-empty")
+        check_cell(self.name)
 
     def __str__(self) -> str:
         return self.name
+
+
+def check_cell(text: str) -> str:
+    """``text``, or InvalidArgument when it holds a carriage return outside a CR LF pair.
+
+    csv.writer quotes a cell holding its line terminator, a line feed, but
+    not a bare CR, at which csv.reader ends a record, so such a cell would
+    split its table row.  Every name and every text cell of a table pass here.
+    """
+    if "\r" in text.replace("\r\n", ""):
+        raise InvalidArgument(f"{text!r} holds a carriage return outside a CR LF pair")
+    return text
 
 
 def value_eq(self, other) -> bool:

@@ -527,6 +527,21 @@ def test_tables_quote_names_that_need_it(corpus_dir, tmp_path, name):
     assert (pipe / "report.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("name, shown", [("Feeder 4\rkW", r"Feeder 4\rkW"), ("Feeder 4\nkW", r"Feeder 4\nkW"),
+                                         ("F\t4\x1b[2J\x85", r"F\t4\x1b[2J\x85")],
+                         ids=["bare-cr", "line-feed", "tab-escape-nel"])
+def test_error_naming_an_entry_is_one_line(corpus_dir, tmp_path, capsys, name, shown):
+    # a bare CR is refused by name; the others fail on a missing file, named by entry
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    manifest["entries"][0].update(name=name, path=str(tmp_path / "missing.csv"))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["ingest", "--manifest", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f" (entry {shown})\n")
+    assert err.count("\n") == 1 and not re.search(r"[\x00-\x09\x0b-\x1f\x7f-\x9f]", err)
+
+
 def test_unknown_series_lists_available(corpus_dir, tmp_path, capsys):
     rc = main(
         [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from meterfuse import (
     run_detector,
 )
 from meterfuse.detectors import (
+    _AR_BLOCK,
     DETECTORS,
     MAGNITUDE_NOISE_FLOOR,
     RELATIVE_NOISE_FLOOR,
     _NETWORK_MAX_WIDTH,
+    _flag_outliers,
     _order_stats,
     _window_medians,
     default_params,
@@ -30,6 +33,7 @@ from meterfuse.detectors import (
 )
 from meterfuse.errors import TooShort
 
+import reference_ar
 from conftest import mkvalues
 
 AR, LS, RA = DetectorKind.AR, DetectorKind.LEVEL_SHIFT, DetectorKind.ROLLING_AVERAGE
@@ -87,6 +91,43 @@ def test_ar_too_short():
         fit_ar_predict(np.zeros(3), 3)
     with pytest.raises(TooShort):
         run_detector(DetectorParams(AR, size=2, threshold_k=3.0), np.zeros(2))
+
+
+@st.composite
+def ar_inputs(draw):
+    """An AR order and a series: a walk, a flat or a drifting line, on an offset, maybe spiked."""
+    p = draw(st.integers(1, 12))
+    edges = [p + 1, _AR_BLOCK - 1, _AR_BLOCK + 1, 2 * _AR_BLOCK - 1, 2 * _AR_BLOCK + 1]
+    edges += [p + _AR_BLOCK - 1, p + _AR_BLOCK + 1]  # one row either side of a block's end
+    n = draw(st.sampled_from(edges) | st.integers(p + 1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["walk", "flat", "drift"]))
+    y = {"walk": np.cumsum(rng.normal(0, 5, n)), "flat": np.zeros(n), "drift": 0.001 * np.arange(n)}[shape]
+    y = y + draw(st.sampled_from([0.0, 1e-3, 1.0, 1e3, 1e6, 1e9]) | st.floats(1e-3, 1e9))
+    y[rng.integers(0, n, draw(st.integers(0, 5)))] += 100.0
+    return p, np.round(y) if draw(st.booleans()) else y
+
+
+@settings(max_examples=300, deadline=None)
+@given(ar_inputs())
+def test_ar_fit_equals_whole_design_lstsq(case):
+    p, y = case
+    got, want = fit_ar_predict(y, p), reference_ar.fit_ar_predict(y, p)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(y))
+    floor = noise_floor(y)
+    assert np.array_equal(_flag_outliers(got, floor, 3.0)[0], _flag_outliers(want, floor, 3.0)[0])
+
+
+def test_ar_fit_memory_does_not_grow_with_the_series(rng):
+    y = np.cumsum(rng.normal(0, 5, 34_560))  # two days at 5 s: a whole design would take 3.3 MB
+    fit_ar_predict(y, 10)  # numpy's first-call set-up is not the fit's
+    tracemalloc.start()
+    try:
+        fit_ar_predict(y, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_ar_flags_spike_and_possibly_successor():
@@ -352,6 +393,21 @@ def test_order_stats_equal_numpy_on_large_tied_sets(n, extreme, rng):
     if extreme is not None:
         x[rng.integers(0, n, 3)] = [extreme, -extreme, extreme]
     check_order_stats(x)
+
+
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -2.5, 7.0, 1e9]), min_size=1, max_size=60),
+       st.sampled_from([0.0, 1e-9]))
+@example([0.0, -0.0, 0.0, -0.0, 0.0, 5.0], 0.0)
+def test_zero_quartile_sign_moves_no_flag_or_score(values, floor):
+    # The sort leaves equal zeros in any order, so a zero quartile may take
+    # either sign: with every zero +0.0 and every zero -0.0 the flags and
+    # the scores must be the same bits.
+    x = np.array(values)
+    plus, minus = np.where(x == 0, 0.0, x), np.where(x == 0, -0.0, x)
+    flags = [_flag_outliers(v, floor, 3.0) for v in (x, plus, minus)]
+    for positions, scores in flags[1:]:
+        assert np.array_equal(positions, flags[0][0])
+        assert same_bits(scores, flags[0][1])
 
 
 @settings(max_examples=25)

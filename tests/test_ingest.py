@@ -1056,3 +1056,10 @@ def test_edited_parser_misses_a_warm_cache(tmp_path, monkeypatch, old, new, time
     edited = _edited_ingest(tmp_path, monkeypatch, old, new)
     assert edited.load_corpus(edited.load_manifest(manifest)).get("H-s.csv").v.tolist() == [2.5, 3.5]
     assert load_corpus(load_manifest(manifest)).get("H-s.csv").v.tolist() == [1.5, 2.5]
+
+
+def test_csv_text_refuses_a_bare_carriage_return():
+    with pytest.raises(InvalidArgument, match="carriage return outside a CR LF pair"):
+        ingest.csv_text([["rank", "name"], [1, "H\r1"]])
+    text = ingest.csv_text([["rank", "name"], [1, "H\r\n1"], (2, "H,2")])
+    assert list(csv.reader(text.splitlines(keepends=True))) == [["rank", "name"], ["1", "H\r\n1"], ["2", "H,2"]]

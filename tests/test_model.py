@@ -98,8 +98,16 @@ def test_slice_invalid_range():
 
 
 def test_measurement_id_requires_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         MeasurementId(SystemTag.ION, "")
+
+
+@pytest.mark.parametrize("name", ["H\r1", "\r", "H\r\n\r1", "H\n\r1"])
+def test_measurement_id_refuses_a_bare_carriage_return(name):
+    # csv.writer would not quote it, and csv.reader would split the name's table rows there
+    with pytest.raises(InvalidArgument, match="carriage return outside a CR LF pair"):
+        MeasurementId(SystemTag.HIST, name)
+    assert MeasurementId(SystemTag.HIST, "H\r\n1").name == "H\r\n1"  # a CR LF is quoted
 
 
 def test_series_arrays_read_only():
