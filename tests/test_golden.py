@@ -1,4 +1,4 @@
-"""Byte-for-byte outputs of five CLI runs on the `synth --seed 7` demo corpus.
+"""Byte-for-byte outputs of six CLI runs on the `synth --seed 7` demo corpus.
 
 tests/golden/<run>/ holds every deterministic output of one run (the
 timing-bearing .meta sidecars are left out).  DIGESTS pins the series
@@ -33,6 +33,8 @@ RUNS = {
     "pipeline": ["pipeline", "--recipe", "step", "--hist-step", "100", "--ion-step", "2",
                  "--top-n", "4"],
     "detect": ["detect", "--series", "HIST-44-S"],
+    # level-shift windows of 20 take their medians from np.partition, not the sorting network
+    "detect-wide": ["detect", "--series", "HIST-44-S", "--ls-window", "20"],
     # full resolution: FastDTW on 24 x 17,280 lattices, rows up to 17,261 cells wide
     "match": ["match", "--recipe", "step", "--hist-step", "1", "--ion-step", "1"],
     # 24 x 24 FastDTW lattices: banded rows 3-24 cells wide
