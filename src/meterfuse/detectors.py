@@ -13,10 +13,10 @@ with numpy's own median and linear-percentile arithmetic redone on the
 selected elements (`_order_stats`), so they equal `np.median` and
 `np.percentile` bit for bit without their extra passes; level shift's
 window medians come from a sorting network over the window's shifted
-slices up to `_NETWORK_MAX_WIDTH` values, and from one `np.partition`
-along wider windows.  The noise floor depends on the series alone
-(`noise_floor`), so a caller that runs every kind on one series computes
-it once and passes it to each run.
+slices up to `_NETWORK_MAX_WIDTH` values, and from `np.partition` along
+wider windows, `_BLOCK` windows at a time.  The noise floor depends on the
+series alone (`noise_floor`), so a caller that runs every kind on one
+series computes it once and passes it to each run.
 
 ``DETECTORS`` holds each kind's facts; `run_detector` is the one entry point.
 
@@ -47,11 +47,15 @@ MAGNITUDE_NOISE_FLOOR = 1e-10
 
 _RIDGE = 1e-8
 
-# Rows per block of the AR fit's QR (`fit_ar_predict`).  Summed over a
-# seed-1 `fullres` pipeline (median of six processes, 2 vCPUs, one BLAS
-# thread), its fits took 25.6 ms at 512 rows, 22.3 at 1,024, 19.4 at 2,048
-# and 20.1 at 4,096, where minor faults rose from 23 to 177.
-_AR_BLOCK = 2048
+# Rows per block of the AR fit's QR (`fit_ar_predict`), and windows per
+# block of level shift's medians (`_window_medians`).  Summed over a seed-1
+# `fullres` pipeline (median of six processes, 2 vCPUs, one BLAS thread),
+# the AR fits took 25.6 ms at 512 rows, 22.3 at 1,024, 19.4 at 2,048 and
+# 20.1 at 4,096, where minor faults rose from 23 to 177.  Level shift on a
+# 34,560-point walk at w = 5 (median of 31 calls in one process) took
+# 1.39 ms at 512 windows, 0.90 at 1,024, 0.66 at 2,048 and 0.42 at 4,096,
+# and at w = 20 about 10 ms at every size.
+_BLOCK = 2048
 
 # Windows of up to this many values take their medians from the sorting
 # network in `_window_medians`, wider ones from `np.partition`.  On a
@@ -179,17 +183,17 @@ def noise_floor(values: np.ndarray) -> float:
     if not len(values):
         return 0.0
     (median,) = _order_stats(values, quartiles=False)
-    centered = values - median
-    return float(
-        RELATIVE_NOISE_FLOOR * np.max(np.abs(centered))
-        + MAGNITUDE_NOISE_FLOOR * np.max(np.abs(values))
-    )
+    scratch = values - median  # one temporary takes both absolute values in turn
+    spread = np.max(np.abs(scratch, out=scratch))
+    magnitude = np.max(np.abs(values, out=scratch))
+    return float(RELATIVE_NOISE_FLOOR * spread + MAGNITUDE_NOISE_FLOOR * magnitude)
 
 
 def _flag_outliers(scores: np.ndarray, floor: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     """Positions (into `scores`, not empty) whose deviation exceeds the threshold."""
     median, q1, q3 = _order_stats(scores, quartiles=True)
-    dev = np.abs(scores - median)
+    dev = scores - median
+    np.abs(dev, out=dev)
     threshold = k * max(q3 - q1, floor)
     positions = np.nonzero(dev > threshold)[0]
     return positions, dev[positions]
@@ -205,7 +209,7 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     p positions carry no residual.
 
     The fit never builds the design matrix: a Householder QR takes its
-    rows `_AR_BLOCK` at a time into one (p+2)-square triangle, and
+    rows `_BLOCK` at a time into one (p+2)-square triangle, and
     `np.linalg.lstsq` solves that triangle with the singular-value cutoff
     it would apply to the whole ridge-augmented design.  So it holds one
     block, the residuals and one temporary of their length, whatever the
@@ -219,11 +223,11 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     # Rows [1, y[t-p] .. y[t-1], y[t]] go in a block at a time below the
     # triangle R of the rows so far, and R becomes the triangle of both.
     # R starts as the ridge rows; the target's, R[p+1, p+1], moves no coefficient.
-    buf = np.empty((_AR_BLOCK + p + 2, p + 2))
+    buf = np.empty((_BLOCK + p + 2, p + 2))
     buf[: p + 2] = np.sqrt(_RIDGE) * np.eye(p + 2)
     buf[p + 2 :, 0] = 1.0
-    for s in range(0, rows, _AR_BLOCK):
-        b = min(_AR_BLOCK, rows - s)
+    for s in range(0, rows, _BLOCK):
+        b = min(_BLOCK, rows - s)
         buf[p + 2 : p + 2 + b, 1:] = np.lib.stride_tricks.sliding_window_view(y[s : s + b + p], p + 1)
         buf[: p + 2] = np.linalg.qr(buf[: p + 2 + b], mode="r")
     # R's singular values are the augmented design's: cut them where lstsq cut that.
@@ -238,34 +242,54 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
 def _window_medians(values: np.ndarray, w: int) -> np.ndarray:
     """``np.median`` of every ``w`` consecutive values, bit for bit.
 
-    Up to `_NETWORK_MAX_WIDTH` values, ``w`` rounds of odd-even
-    transposition sort the ``w`` shifted slices (row i holds each window's
-    i-th value) with `np.minimum` and `np.maximum`.  Both give NaN on both
-    outputs when either input is NaN, and over ``w`` rounds a NaN reaches
-    every row, so a window holding NaN gets NaN.  Wider windows take one
-    `np.partition` along the windows, which places the last rank too when
-    the input holds NaN: NaN sorts last, and a window's NaN there replaces
-    its upper middle value.  The arithmetic is `_order_stats`': the middle
-    one or two summed from 0.0, so a zero median is +0.0 whichever equal
-    zeros the selection leaves in the middle.
+    The windows go `_BLOCK` at a time, so beside its output this holds one
+    block: ``w + 1`` rows of `_BLOCK` values for the network, a copy of
+    `_BLOCK` windows for the partition.  Up to `_NETWORK_MAX_WIDTH` values,
+    ``w`` rounds of odd-even transposition sort the block's ``w`` shifted
+    slices (row i holds each window's i-th value) with `np.minimum` and
+    `np.maximum` into the rows.  Both give NaN on both outputs when either
+    input is NaN, and over ``w`` rounds a NaN reaches every row, so a
+    window holding NaN gets NaN.  Wider windows take one `np.partition`
+    along the block's windows, which places the last rank too when the
+    block holds NaN: NaN sorts last, and a window's NaN there replaces its
+    upper middle value.  The arithmetic is `_order_stats`': the middle one
+    or two summed from 0.0, so a zero median is +0.0 whichever equal zeros
+    the selection leaves in the middle.
     """
     g, h = (w - 1) // 2, w // 2
-    if w <= _NETWORK_MAX_WIDTH:
-        m = len(values) - w + 1
-        rows = [values[i : i + m] for i in range(w)]
-        for r in range(w):
-            for i in range(r % 2, w - 1, 2):
-                a, b = rows[i], rows[i + 1]
-                rows[i], rows[i + 1] = np.minimum(a, b), np.maximum(a, b)
-        lower, upper = rows[g], rows[h]
-    else:
-        nan = bool(np.isnan(values).any())
-        ranks = sorted({g, h, *([w - 1] if nan else [])})
-        part = np.partition(np.lib.stride_tricks.sliding_window_view(values, w), ranks, axis=1)
-        lower, upper = part[:, g], part[:, h]
-        if nan:
-            upper = np.where(np.isnan(part[:, -1]), part[:, -1], upper)
-    return 0.0 + upper if w % 2 else (0.0 + lower + upper) / 2
+    m = len(values) - w + 1
+    medians = np.empty(m)
+    network = w <= _NETWORK_MAX_WIDTH
+    buf = np.empty((w + 1, min(_BLOCK, m)) if network else (min(_BLOCK, m), w))
+    for s in range(0, m, _BLOCK):
+        b = min(_BLOCK, m - s)
+        block = values[s : s + b + w - 1]
+        if network:
+            *rows, spare = (row[:b] for row in buf)
+            for i in range(w):
+                rows[i][...] = block[i : i + b]
+            for r in range(w):
+                for i in range(r % 2, w - 1, 2):
+                    lo, hi = rows[i], rows[i + 1]
+                    np.minimum(lo, hi, out=spare)
+                    np.maximum(lo, hi, out=hi)
+                    rows[i], spare = spare, lo
+            lower, upper = rows[g], rows[h]
+        else:
+            nan = bool(np.isnan(block).any())
+            ranks = sorted({g, h, *([w - 1] if nan else [])})
+            part = buf[:b]
+            part[...] = np.lib.stride_tricks.sliding_window_view(block, w)
+            part.partition(ranks, axis=1)
+            lower, upper = part[:, g], part[:, h]
+            if nan:
+                upper = np.where(np.isnan(part[:, -1]), part[:, -1], upper)
+        out = medians[s : s + b]
+        np.add(0.0, upper if w % 2 else lower, out=out)
+        if not w % 2:
+            out += upper
+            out /= 2
+    return medians
 
 
 def level_shift_scores(values: np.ndarray, w: int) -> np.ndarray:
@@ -277,7 +301,8 @@ def level_shift_scores(values: np.ndarray, w: int) -> np.ndarray:
     medians = _window_medians(values, w)
     # medians[i] covers values[i : i+w]; score at t pairs windows ending
     # at t-1 and starting at t.
-    return np.abs(medians[: n - 2 * w + 1] - medians[w:])
+    scores = medians[: n - 2 * w + 1] - medians[w:]
+    return np.abs(scores, out=scores)
 
 
 def rolling_average_residuals(values: np.ndarray, w: int) -> np.ndarray:

@@ -36,7 +36,10 @@ source.  So two entries that read one file through different columns,
 and two versions of the parser, keep one cache file each.  A later load
 reads the arrays back when the cache file's key matches: all of that and
 the file's byte length and zlib CRC-32, so editing the parser needs no
-version to be bumped by hand.  A changed file overwrites its
+version to be bumped by hand.  The length and CRC come from fixed-size
+reads, so a load that hits the cache never holds the series file; a miss
+reads it whole once more, and parses it only if those bytes give the same
+length and CRC.  A changed file overwrites its
 cache file, which `write_outputs` stages and replaces as it does every
 output.  A file that fails to parse or validate is never cached, a cache
 that cannot be written is left out, and an unusable cache file is a
@@ -86,6 +89,7 @@ _QUEUE_JOBS = 4096 // 4
 # A file write_outputs stages: its target, the temporary file beside it, and its value.
 _Staged = tuple[Path, Path, str | bytes | TimeSeries]
 
+_READ_BYTES = 1 << 16  # per read of a series file's digest: a cache hit never holds the file
 _CACHE_DIR = ".meterfuse-cache"  # beside each series file, as __pycache__ beside sources
 # This module's own bytes: any edit to the parser or to the cache file's
 # form changes the key, so no entry outlives the code that wrote it.
@@ -385,11 +389,8 @@ def _load_entry(
     One cache file per series file, parse setting and parser (module docstring).
     """
     path = Path(entry.path)
-    try:
-        blob = path.read_bytes()
-    except OSError as e:
-        raise IoError(entry.path, e) from None
-    digest = (len(blob), zlib.crc32(blob))
+    with _os_errors(entry.path, "read"):
+        digest = _digest(path)
     if digests.setdefault(entry.id.name, digest) != digest:
         raise IoError(entry.path, ValueError("its bytes changed since it was first loaded"),
                       action="reload")
@@ -403,10 +404,24 @@ def _load_entry(
     cached = _read_cache(cache, key)
     if cached is not None:
         return _validated(entry.id, *cached), "cached"
+    with _os_errors(entry.path, "read"):
+        blob = path.read_bytes()
+    if (len(blob), zlib.crc32(blob)) != digest:  # the parser sees only the bytes digested
+        raise IoError(entry.path, ValueError("its bytes changed while it was loaded"))
     t, v, skipped = _parse_columns(blob, entry.columns, entry.time_format)
     series = _validated(entry.id, t, v, skipped)  # a failed parse raises before any write
     _write_cache(cache, key, series, skipped)
     return series, "parsed"
+
+
+def _digest(path: Path) -> tuple[int, int]:
+    """Byte length and zlib CRC-32 of the file at path, read `_READ_BYTES` at a time."""
+    size, crc = 0, 0
+    buf = bytearray(_READ_BYTES)
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            size, crc = size + n, zlib.crc32(memoryview(buf)[:n], crc)
+    return size, crc
 
 
 def _read_cache(path: Path, key: list) -> tuple[np.ndarray, np.ndarray, int] | None:
@@ -519,19 +534,19 @@ def write_outputs(out_dir: Path, files: dict[str, str | bytes | TimeSeries]):
             _check_loadable(value)
     targets = [out_dir / name for name in files]
     for path in targets:
-        with _writing(path):
+        with _os_errors(path, "write"):
             if path.is_dir():
                 raise IsADirectoryError("is a directory")
-    with _writing(out_dir):
+    with _os_errors(out_dir, "write"):
         out_dir.mkdir(parents=True, exist_ok=True)
     staged = [(path, path.with_name(f".{path.name}.{os.getpid()}.tmp"), value)
               for path, value in zip(targets, files.values())]
     try:
         for a in range(0, len(staged), _QUEUE_JOBS):
-            with _writing(out_dir):  # the job queue's pipe
+            with _os_errors(out_dir, "write"):  # the job queue's pipe
                 _stage(staged, range(a, min(a + _QUEUE_JOBS, len(staged))))
         for path, tmp, _ in staged:
-            with _writing(path):
+            with _os_errors(path, "write"):
                 os.replace(tmp, path)
     except BaseException:
         for _, tmp, _ in staged:
@@ -540,12 +555,12 @@ def write_outputs(out_dir: Path, files: dict[str, str | bytes | TimeSeries]):
 
 
 @contextmanager
-def _writing(path: Path):
-    """Raise an OSError of the block as IoError naming path, which `write_outputs` writes."""
+def _os_errors(path: str | Path, action: str):
+    """Raise an OSError of the block as IoError naming path: ``cannot <action> <path>``."""
     try:
         yield
     except OSError as e:
-        raise IoError(str(path), e, action="write") from None
+        raise IoError(str(path), e, action=action) from None
 
 
 def _stage(staged: list[_Staged], jobs: range):
@@ -611,7 +626,7 @@ def _take_jobs(read_fd: int, staged: list[_Staged]):
 
 def _stage_file(path: Path, tmp: Path, value: str | bytes | TimeSeries):
     """Write value to path's temporary file tmp; an OSError raises as IoError naming path."""
-    with _writing(path):
+    with _os_errors(path, "write"):
         if isinstance(value, bytes):
             tmp.write_bytes(value)
         else:

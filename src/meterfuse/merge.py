@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MeasurementId, TimeSeries, value_eq
+from .model import MeasurementId, TimeSeries, sorted_by_time, value_eq
 
 FROM_ION = 0
 FROM_HIST = 1
@@ -49,20 +49,25 @@ class MergedSeries:
 def merge_pair(ion: TimeSeries, hist: TimeSeries) -> MergedSeries:
     """Timestamp-sorted union of the two series.
 
-    len(merged) == len(ion) + len(hist) always; a stable sort with the
-    ION block first realizes the ION-before-HIST tie-break and preserves
-    each input's internal order.
+    len(merged) == len(ion) + len(hist) always.  The result is a stable
+    sort of the ION samples followed by the HIST samples: ION before HIST
+    on equal timestamps, and each input's order kept among its own equal
+    timestamps.  Each side is sorted stably first (a sorted side as it
+    is); then ION sample i goes to its place among the HIST samples,
+    before any equal one, plus the i ION samples before it, and the HIST
+    samples fill the rest in order.  So beyond its output the merge holds
+    one index per ION sample.
     """
-    t = np.concatenate([ion.t, hist.t])
-    v = np.concatenate([ion.v, hist.v])
-    origin = np.concatenate(
-        [
-            np.full(len(ion), FROM_ION, dtype=np.uint8),
-            np.full(len(hist), FROM_HIST, dtype=np.uint8),
-        ]
-    )
-    order = np.argsort(t, kind="stable")
-    return MergedSeries(ion.id, hist.id, t[order], v[order], origin[order])
+    ion, hist = sorted_by_time(ion), sorted_by_time(hist)
+    n = len(ion) + len(hist)
+    at = np.searchsorted(hist.t, ion.t, "left") + np.arange(len(ion))
+    origin = np.full(n, FROM_HIST, dtype=np.uint8)
+    origin[at] = FROM_ION
+    from_hist = origin.view(np.bool_)  # FROM_HIST is 1 and FROM_ION 0
+    t, v = np.empty(n, np.int64), np.empty(n, np.float64)
+    t[at], t[from_hist] = ion.t, hist.t
+    v[at], v[from_hist] = ion.v, hist.v
+    return MergedSeries(ion.id, hist.id, t, v, origin)
 
 
 def split(merged: MergedSeries) -> tuple[TimeSeries, TimeSeries]:

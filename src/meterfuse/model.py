@@ -126,11 +126,15 @@ def validate_series(raw: TimeSeries) -> TimeSeries:
     finite_values(raw.v)
     if len(raw) == 0:
         log.warning("series %s is empty", raw.id)
-        return raw
-    if (raw.t[1:] >= raw.t[:-1]).all():  # sorted already: the stable sort is the identity
-        return raw
-    order = np.argsort(raw.t, kind="stable")
-    return TimeSeries(raw.id, raw.t[order], raw.v[order])
+    return sorted_by_time(raw)
+
+
+def sorted_by_time(s: TimeSeries) -> TimeSeries:
+    """``s`` stably sorted by timestamp: ``s`` itself when it is sorted already."""
+    if (s.t[1:] >= s.t[:-1]).all():  # the stable sort would be the identity
+        return s
+    order = np.argsort(s.t, kind="stable")
+    return TimeSeries(s.id, s.t[order], s.v[order])
 
 
 def finite_values(a) -> np.ndarray:

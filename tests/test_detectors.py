@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from meterfuse import (
     run_detector,
 )
 from meterfuse.detectors import (
-    _AR_BLOCK,
+    _BLOCK,
     DETECTORS,
     MAGNITUDE_NOISE_FLOOR,
     RELATIVE_NOISE_FLOOR,
@@ -34,7 +33,7 @@ from meterfuse.detectors import (
 from meterfuse.errors import TooShort
 
 import reference_ar
-from conftest import mkvalues
+from conftest import mkvalues, traced_peak
 
 AR, LS, RA = DetectorKind.AR, DetectorKind.LEVEL_SHIFT, DetectorKind.ROLLING_AVERAGE
 
@@ -97,8 +96,8 @@ def test_ar_too_short():
 def ar_inputs(draw):
     """An AR order and a series: a walk, a flat or a drifting line, on an offset, maybe spiked."""
     p = draw(st.integers(1, 12))
-    edges = [p + 1, _AR_BLOCK - 1, _AR_BLOCK + 1, 2 * _AR_BLOCK - 1, 2 * _AR_BLOCK + 1]
-    edges += [p + _AR_BLOCK - 1, p + _AR_BLOCK + 1]  # one row either side of a block's end
+    edges = [p + 1, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1]
+    edges += [p + _BLOCK - 1, p + _BLOCK + 1]  # one row either side of a block's end
     n = draw(st.sampled_from(edges) | st.integers(p + 1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["walk", "flat", "drift"]))
@@ -118,16 +117,17 @@ def test_ar_fit_equals_whole_design_lstsq(case):
     assert np.array_equal(_flag_outliers(got, floor, 3.0)[0], _flag_outliers(want, floor, 3.0)[0])
 
 
+@pytest.mark.parametrize("w", [5, 200])
+def test_level_shift_memory_is_its_output_and_one_block(rng, w):
+    # the whole series' windows took 2.1 MiB at w = 5 and 52.7 MiB at w = 200
+    n = 34_560
+    y = np.cumsum(rng.normal(0, 5, n))
+    assert traced_peak(level_shift_scores, y, w) < 8 * (3 * n + _BLOCK * (w + 1))
+
+
 def test_ar_fit_memory_does_not_grow_with_the_series(rng):
     y = np.cumsum(rng.normal(0, 5, 34_560))  # two days at 5 s: a whole design would take 3.3 MB
-    fit_ar_predict(y, 10)  # numpy's first-call set-up is not the fit's
-    tracemalloc.start()
-    try:
-        fit_ar_predict(y, 10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    assert traced_peak(fit_ar_predict, y, 10) < 1_000_000
 
 
 def test_ar_flags_spike_and_possibly_successor():
@@ -417,6 +417,27 @@ def test_zero_quartile_sign_moves_no_flag_or_score(values, floor):
 def test_window_medians_equal_numpy(w, values):
     x = np.array(values)
     with np.errstate(all="ignore"):  # sums past float64's range warn, in numpy's median too
+        want = np.median(sliding_window_view(x, w), axis=1)
+        got = _window_medians(x, w)
+    assert same_bits(got, want)
+
+
+@settings(max_examples=10, deadline=None)
+@pytest.mark.parametrize("w", [1, 2, 5, _NETWORK_MAX_WIDTH - 1, _NETWORK_MAX_WIDTH,
+                               _NETWORK_MAX_WIDTH + 1, _NETWORK_MAX_WIDTH + 2, 20])
+@given(data=st.data())
+def test_window_medians_equal_numpy_across_blocks(w, data):
+    # B-1, B and B+1 values; B-1, B and B+1 windows; two whole blocks of windows
+    b = _BLOCK
+    n = data.draw(st.sampled_from([b - 1, b, b + 1, b + w - 2, b + w - 1, b + w, 2 * b + w - 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = np.round(rng.normal(0, 3, n))  # ties, and zeros of both signs below
+    x[rng.random(n) < 0.2] = -0.0
+    x[rng.random(n) < 0.2] = 0.0
+    edges = [0, b - 1, b, b + w - 2, b + w - 1, n - 1]  # where the first block's windows start and end
+    picks = data.draw(st.lists(st.sampled_from(edges) | st.integers(0, n - 1), max_size=3))
+    x[[i for i in picks if 0 <= i < n]] = math.nan
+    with np.errstate(all="ignore"):
         want = np.median(sliding_window_view(x, w), axis=1)
         got = _window_medians(x, w)
     assert same_bits(got, want)

@@ -43,7 +43,7 @@ from meterfuse.errors import (
 )
 
 import reference_ingest
-from conftest import mkseries
+from conftest import mkseries, traced_peak
 
 ION_X = MeasurementId(SystemTag.ION, "ION-X")
 COLS = ColumnMap("ts", "val")
@@ -1003,6 +1003,37 @@ def test_load_with_digests_fails_on_a_file_changed_since_the_first_load(tmp_path
         f"cannot reload {path}: its bytes changed since it was first loaded", "H-1"
     )
     assert load_corpus(load_manifest(manifest)).get("H-1").v.tolist() == [1.0, 2.5]
+
+
+def test_file_changed_between_its_digest_and_its_parse_fails_uncached(tmp_path, monkeypatch):
+    manifest = _write_corpus(tmp_path, [("HIST", "H-1")])
+    path = tmp_path / "H-1.csv"
+    digest = ingest._digest
+
+    def digest_then_edit(p):
+        found = digest(p)
+        path.write_text(path.read_text().replace("2.0", "2.5"), encoding="utf-8")  # same length
+        return found
+
+    monkeypatch.setattr(ingest, "_digest", digest_then_edit)
+    with pytest.raises(IoError) as exc:
+        load_corpus(load_manifest(manifest))
+    assert (str(exc.value), exc.value.entry) == (
+        f"cannot read {path}: its bytes changed while it was loaded", "H-1"
+    )
+    assert not (tmp_path / CACHE).exists()
+
+
+def test_cache_hit_never_holds_the_series_file(tmp_path):
+    rows = 34_560  # two days at 5 s: the file takes 1.1 MB, its cached columns 0.55 MB
+    t = 1_700_000_000_000 + 5_000 * np.arange(rows)
+    v = np.cumsum(np.random.default_rng(4).normal(0, 1, rows))
+    manifest = _manifest_for(tmp_path, [("s.csv", "timestamp,value\n" + "".join(
+        f"{a},{b!r}\n" for a, b in zip(t.tolist(), v.tolist())), TimeFormat.EPOCH_MILLIS, ColumnMap())])
+    entries = load_manifest(manifest)
+    assert load_corpus(entries).get("H-s.csv").v.tobytes() == v.tobytes()  # parsed, and cached
+    peak = traced_peak(load_corpus, entries)
+    assert peak < 16 * rows + 2 * ingest._READ_BYTES  # the cached columns, not the file
 
 
 @pytest.mark.parametrize("setting", ["field-limit", "python-version"])

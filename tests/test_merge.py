@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from meterfuse import SystemTag, describe, merge_pair, split, validate_series
+from meterfuse import MeasurementId, SystemTag, TimeSeries, describe, merge_pair, split, validate_series
 from meterfuse.merge import FROM_HIST, FROM_ION, MergedSeries
 
-from conftest import mkseries
+import reference_merge
+from conftest import mkseries, mkvalues, traced_peak
 
 
 def ion_series(pairs, name="ION-A"):
@@ -80,6 +81,38 @@ def test_ion_before_hist_on_shared_timestamps(pair):
         at_t = m.origin[m.t == t]
         # all ION tags precede all HIST tags within the timestamp group
         assert np.all(np.diff(at_t.astype(int)) >= 0)
+
+
+@st.composite
+def raw_side(draw, system, name):
+    """A series as given, not validated: any order, repeated timestamps, maybe empty."""
+    n = draw(st.integers(0, 40))
+    top = draw(st.sampled_from([3, 100, 2**62]))  # from many repeats to almost none
+    t = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    v = draw(st.lists(st.floats() | st.sampled_from([0.0, -0.0]), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        t.sort()
+    return TimeSeries(MeasurementId(system, name), np.array(t, np.int64), np.array(v))
+
+
+@given(raw_side(SystemTag.ION, "ION-A"), raw_side(SystemTag.HIST, "HIST-B"), st.data())
+def test_merge_equals_the_concatenate_and_argsort_merge(ion, hist, data):
+    if data.draw(st.booleans()):  # timestamps shared across the two sides
+        hist = TimeSeries(hist.id, np.concatenate([hist.t, ion.t]), np.concatenate([hist.v, ion.v + 1]))
+    got, want = merge_pair(ion, hist), reference_merge.merge_pair(ion, hist)
+    assert (got.ion_id, got.hist_id) == (want.ion_id, want.hist_id)
+    for name in ("t", "v", "origin"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.view(np.uint8).tobytes() == b.view(np.uint8).tobytes(), name
+
+
+def test_merge_memory_is_its_output(rng):
+    # 48 hourly ION samples into two days of 5 s HIST; the argsort merge peaked at 1.39 MiB
+    hist = mkvalues(np.cumsum(rng.normal(0, 1, 34_560)), cadence=5_000)
+    ion = mkvalues(rng.normal(0, 1, 48), name="ION-test", system=SystemTag.ION, cadence=3_600_000)
+    output = (len(ion) + len(hist)) * (8 + 8 + 1)  # its times, values and origin tags
+    assert traced_peak(merge_pair, ion, hist) < output + 64 * 1024
 
 
 def test_merged_stats_pool_the_inputs(rng):
