@@ -109,6 +109,8 @@ def ar_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ar_inputs())
+# a spike beside a flat drift: the blocked QR's solve put 1.7e-9, 17 times the bound, into the residuals
+@example((3, np.array([0.0, 1e-3, 2e-3, 3e-3, 100.004, 5e-3, 6e-3])))
 def test_ar_fit_equals_whole_design_lstsq(case):
     p, y = case
     got, want = fit_ar_predict(y, p), reference_ar.fit_ar_predict(y, p)
