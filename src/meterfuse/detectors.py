@@ -208,34 +208,18 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     Returns the residual for each of those t (length len - p); the first
     p positions carry no residual.
 
-    Up to `_BLOCK` rows, `np.linalg.lstsq` solves the ridge-augmented
-    design itself.  Longer series never build it: a Householder QR takes
-    their rows `_BLOCK` at a time into one (p+2)-square triangle, and
+    The fit never builds the design matrix: a Householder QR takes its
+    rows `_BLOCK` at a time into one (p+2)-square triangle, and
     `np.linalg.lstsq` solves that triangle with the singular-value cutoff
-    it would apply to the whole design.  So it holds one block, the
-    residuals and one temporary of their length, whatever the series'
-    length.  The triangle's solve rounds apart from the design's, by more
-    than 1e-12 of the series' magnitude on short, nearly square designs;
-    so one block is solved as a whole, and short series keep the whole
-    design's residuals bit for bit.
+    it would apply to the whole ridge-augmented design.  So it holds one
+    block, the residuals and one temporary of their length, whatever the
+    series' length.
     """
     y = np.asarray(values, dtype=np.float64)
     n = len(y)
     if n <= p:
         raise TooShort(f"AR({p}) needs more than {p} samples, got {n}")
     rows = n - p
-    if rows <= _BLOCK:
-        # argmin |Xc - y|^2 + 1e-8 |c|^2, with the design X the top rows of aug
-        aug = np.empty((rows + p + 1, p + 1))
-        design = aug[:rows]
-        design[:, 0] = 1.0
-        for lag in range(1, p + 1):
-            design[:, lag] = y[p - lag : n - lag]
-        aug[rows:] = np.sqrt(_RIDGE) * np.eye(p + 1)
-        rhs = np.zeros(rows + p + 1)
-        rhs[:rows] = y[p:]
-        coef = np.linalg.lstsq(aug, rhs, rcond=None)[0]
-        return y[p:] - design @ coef
     # Rows [1, y[t-p] .. y[t-1], y[t]] go in a block at a time below the
     # triangle R of the rows so far, and R becomes the triangle of both.
     # R starts as the ridge rows; the target's, R[p+1, p+1], moves no coefficient.
