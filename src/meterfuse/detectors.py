@@ -33,10 +33,10 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import InvalidArgument, TooShort, naming
+from .errors import CostOverflow, InvalidArgument, NonFiniteValue, TooShort, naming
 from .ingest import csv_text
 from .merge import ORIGIN_NAMES, MergedSeries
-from .model import TimeSeries, value_eq
+from .model import TimeSeries, finite_values, value_eq
 
 # Score variation below these fractions of the series' own spread and
 # magnitude is treated as numerical noise rather than signal.  The
@@ -178,23 +178,31 @@ def noise_floor(values: np.ndarray) -> float:
 
     It is `RELATIVE_NOISE_FLOOR` of the values' largest distance from their
     median plus `MAGNITUDE_NOISE_FLOOR` of their largest magnitude; 0 when
-    there are none.
+    there are none.  A distance past float64's range makes it infinite,
+    without a warning.
     """
     if not len(values):
         return 0.0
     (median,) = _order_stats(values, quartiles=False)
-    scratch = values - median  # one temporary takes both absolute values in turn
+    with np.errstate(over="ignore", invalid="ignore"):
+        scratch = values - median  # one temporary takes both absolute values in turn
     spread = np.max(np.abs(scratch, out=scratch))
     magnitude = np.max(np.abs(values, out=scratch))
     return float(RELATIVE_NOISE_FLOOR * spread + MAGNITUDE_NOISE_FLOOR * magnitude)
 
 
 def _flag_outliers(scores: np.ndarray, floor: float, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (into `scores`, not empty) whose deviation exceeds the threshold."""
+    """Positions (into `scores`, not empty) whose deviation exceeds the threshold.
+
+    `CostOverflow` unless the floor, the threshold and every deviation are
+    finite.
+    """
     median, q1, q3 = _order_stats(scores, quartiles=True)
     dev = scores - median
     np.abs(dev, out=dev)
     threshold = k * max(q3 - q1, floor)
+    if not (math.isfinite(floor) and math.isfinite(threshold) and np.isfinite(dev).all()):
+        raise CostOverflow("detector scores overflow float64")
     positions = np.nonzero(dev > threshold)[0]
     return positions, dev[positions]
 
@@ -213,7 +221,8 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     `np.linalg.lstsq` solves that triangle with the singular-value cutoff
     it would apply to the whole ridge-augmented design.  So it holds one
     block, the residuals and one temporary of their length, whatever the
-    series' length.
+    series' length.  `CostOverflow` when the triangle is not finite, before
+    `lstsq` reads it: LAPACK would print to stdout and fail untyped.
     """
     y = np.asarray(values, dtype=np.float64)
     n = len(y)
@@ -230,6 +239,8 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
         b = min(_BLOCK, rows - s)
         buf[p + 2 : p + 2 + b, 1:] = np.lib.stride_tricks.sliding_window_view(y[s : s + b + p], p + 1)
         buf[: p + 2] = np.linalg.qr(buf[: p + 2 + b], mode="r")
+    if not np.isfinite(buf[: p + 2]).all():
+        raise CostOverflow(f"AR({p}) fit overflows float64")
     # R's singular values are the augmented design's: cut them where lstsq cut that.
     rcond = np.finfo(np.float64).eps * (rows + p + 1)
     coef = np.linalg.lstsq(buf[: p + 1, : p + 1], buf[: p + 1, p + 1], rcond=rcond)[0]
@@ -338,14 +349,19 @@ def run_detector(params: DetectorParams, s: SeriesLike, floor: float | None = No
 
     The size is also the first index the kind scores, so it offsets the
     flagged positions.  ``floor`` is ``noise_floor`` of the series' values,
-    computed here when not given.  TooShort names the series as its ``entry``.
+    computed here when not given.  Values must be finite (`NonFiniteValue`),
+    and so must the scores and the floor computed from them, without a
+    warning (`CostOverflow`).  These errors and TooShort name the series as
+    their ``entry``.
     """
     values, name = _values_and_name(s)
-    with naming(name or None, TooShort):
-        scores = DETECTORS[params.kind].score(values, params.size)
-    if floor is None:
-        floor = noise_floor(values)
-    positions, deviations = _flag_outliers(scores, floor, params.threshold_k)
+    with naming(name or None, TooShort, NonFiniteValue, CostOverflow):
+        finite_values(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = DETECTORS[params.kind].score(values, params.size)
+            if floor is None:
+                floor = noise_floor(values)
+            positions, deviations = _flag_outliers(scores, floor, params.threshold_k)
     return AnomalySet(name, params, positions + params.size, deviations)
 
 

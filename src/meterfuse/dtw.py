@@ -77,8 +77,8 @@ _BASE_CASE_MIN = 16
 # on random walks 8 pairs of 16 x 2,000 (127 cells per diagonal) took 0.95x
 # the wavefront's time per pair, and 16 such pairs 1.4x (2 vCPUs, numpy 2.4).
 _WAVEFRONT_MIN_WIDTH = 128
-# Chain ends, and where a row's column steps end, are searched over
-# windows that start `_SCAN_WINDOW` cells wide and double.
+# `_scan` searches for a chain's end over windows that start this many cells
+# wide and double.
 _SCAN_WINDOW = 128
 _INF = float("inf")
 
@@ -242,30 +242,25 @@ def _skip_columns(
 ) -> tuple[int, int]:
     """Where `_spans`'s walk, entering row ``i`` at column ``j``, leaves it.
 
-    The column is the last one at or left of ``j`` where the diagonal or
-    the row step wins under the walk's tie rules; cells right of it take
-    the column step.  The step is 1 when the walk leaves diagonally, else
-    0.  The search runs leftwards over a window that doubles while every
-    cell in it takes the column step; the row's first column, with no
-    neighbour to its left, ends it.
+    The column is the last one in ``lo_i + 1..j`` where the diagonal or the
+    row step wins under the walk's tie rules; cells right of it take the
+    column step.  The step is 1 when the walk leaves diagonally, else 0.
+    When no column qualifies, the row's first column, with no neighbour to
+    its left, ends it.
     """
     # the row above, read as infinite out to this row's last column
     above = np.full(lo_i + len(row) - prev_lo, _INF)
     above[: len(prev)] = prev
-    win = _SCAN_WINDOW
-    while j > lo_i:
-        q0 = max(lo_i + 1, j - win + 1)
-        left = row[q0 - lo_i - 1 : j - lo_i]
-        up = above[q0 - prev_lo : j - prev_lo + 1]
-        diag = above[q0 - prev_lo - 1 : j - prev_lo]
-        diagonal = (diag <= up) & (diag <= left)
-        at = np.flatnonzero(diagonal | (up < left if flip else up <= left))
-        if at.size:
-            k = int(at[-1])
-            return q0 + k, int(diagonal[k])
-        j, win = q0 - 1, 2 * win
-    k = j - prev_lo  # the row's first column: the diagonal against the row step alone
-    return j, int(0 < k and above[k - 1] <= above[k])
+    left = row[: j - lo_i]
+    up = above[lo_i + 1 - prev_lo : j + 1 - prev_lo]
+    diag = above[lo_i - prev_lo : j - prev_lo]
+    diagonal = (diag <= up) & (diag <= left)
+    at = np.flatnonzero(diagonal | (up < left if flip else up <= left))
+    if at.size:
+        k = int(at[-1])
+        return lo_i + 1 + k, int(diagonal[k])
+    k = lo_i - prev_lo  # the row's first column: the diagonal against the row step alone
+    return lo_i, int(0 < k and above[k - 1] <= above[k])
 
 
 def _wavefront(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:

@@ -6,11 +6,12 @@ it: the entry's name, or its manifest index when it has no usable name.
 itself.  Errors that name their entry: every error of loading an entry's
 manifest record or file, the `ManifestError` of a name that
 `CorpusManifest.select` does not find, `DuplicateId`, `EmptyInput` and
-`NonFiniteValue` of a series `match_all` samples, `TooShort` of a named
-series a detector scores, `EmptyWindow`, `TooFewSamples` and
-`NonFiniteValue` of the CLI's injection, `NonFiniteValue` and
-`InvalidArgument` of a series `series_to_csv` or `write_outputs` refuses,
-and the `InvalidArgument` of a `synth` builder whose timestamps pass int64.
+`NonFiniteValue` of a series `match_all` samples, `TooShort`,
+`NonFiniteValue` and `CostOverflow` of a named series a detector scores,
+`EmptyWindow`, `TooFewSamples` and `NonFiniteValue` of the CLI's
+injection, `NonFiniteValue` and `InvalidArgument` of a series
+`series_to_csv` or `write_outputs` refuses, and the `InvalidArgument` of a
+`synth` builder whose timestamps pass int64.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class EmptyInput(MeterFuseError):
 
 
 class CostOverflow(MeterFuseError):
-    """A warped distance whose accumulated cost is too large for float64."""
+    """A warped distance or a detector's scores too large for float64."""
 
 
 class TooShort(MeterFuseError):

@@ -13,9 +13,10 @@ Manifest JSON::
 
 Series CSV (canonical export): header ``timestamp,value``, LF endings,
 value as decimal text (see `series_to_csv`).  `series_to_csv` renders
-series files, `csv_text` every other table and `json_text` the JSON
-files, and `write_outputs`, the one code that writes a file, writes a
-directory's files whole, rendering its series files on every usable CPU.
+series files, `manifest_text` the manifest, `csv_text` every other table
+and `json_text` the other JSON files, and `write_outputs`, the one code
+that writes a file, writes a directory's files whole, rendering its
+series files on every usable CPU.
 
 An ``EPOCH_MILLIS`` file of plain shape, as every canonical export is,
 is parsed column-wise: split on commas and converted with ``int``/``float``
@@ -63,6 +64,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -357,6 +359,17 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     return CorpusManifest(tuple(entries))
 
 
+def manifest_text(entries: Iterable[ManifestEntry]) -> str:
+    """The manifest file of ``entries``, every key written; paths are relative to its directory."""
+    rows = [
+        {"system": e.id.system.value, "name": e.id.name, "path": e.path,
+         "time_column": e.columns.time_column, "value_column": e.columns.value_column,
+         "time_format": e.time_format.value}
+        for e in entries
+    ]
+    return json_text({"entries": rows})
+
+
 def load_corpus(
     manifest: CorpusManifest, digests: dict[str, tuple[int, int]] | None = None
 ) -> Corpus:
@@ -474,7 +487,7 @@ def series_to_csv(s: TimeSeries) -> str:
     once stay bounded by the chunk; it takes about half csv.writer's time.
     """
     _check_loadable(s)
-    parts = ["timestamp,value\n"]
+    parts = [f"{ColumnMap.time_column},{ColumnMap.value_column}\n"]
     for a in range(0, len(s), _CHUNK_ROWS):
         v = s.v[a : a + _CHUNK_ROWS]
         values = v.astype(object)  # Python floats, whose %s is their repr

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DuplicateId, InvalidArgument, naming
-from .ingest import ColumnMap, Corpus, ManifestEntry, json_text, write_outputs
+from .ingest import Corpus, ManifestEntry, manifest_text, write_outputs
 from .model import MeasurementId, SystemTag, TimeSeries, check_seed
 
 START_EPOCH_MS = 1_600_000_000_000
@@ -147,17 +147,8 @@ def corpus_files(corpus: Corpus) -> dict[str, TimeSeries | str]:
         if filename in files:
             raise DuplicateId(mid.name)
         files[filename] = corpus.series_by_id[mid]
-        entries.append(
-            {
-                "system": mid.system.value,
-                "name": mid.name,
-                "path": filename,
-                "time_column": ColumnMap.time_column,
-                "value_column": ColumnMap.value_column,
-                "time_format": ManifestEntry.time_format.value,
-            }
-        )
-    files["manifest.json"] = json_text({"entries": entries})
+        entries.append(ManifestEntry(mid, filename))
+    files["manifest.json"] = manifest_text(entries)
     return files
 
 

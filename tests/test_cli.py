@@ -683,6 +683,23 @@ def test_overflowing_noise_draw_names_entry(corpus_dir, tmp_path, capfd, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["detect", "evaluate"])
+def test_detector_overflow_is_one_typed_line_naming_entry(tmp_path, capfd, command):
+    # spikes of 1.7e308 are finite, but the AR fit's triangle overflows:
+    # LAPACK printed to stdout and lstsq raised an untyped LinAlgError
+    corpus = tmp_path / "big"
+    assert main(["synth", "--out", str(corpus), "--seed", "7", "--hist-points", "2000",
+                 "--spike-magnitude", "1.7e308"]) == 0
+    capfd.readouterr()
+    out = tmp_path / "o"
+    assert main([command, "--manifest", str(corpus / "manifest.json"),
+                 "--series", "HIST-40-S", "--out", str(out)]) == 1
+    stdout, err = capfd.readouterr()
+    assert stdout == ""
+    assert re.fullmatch(r"error: [^\n]*\(entry HIST-40-S\)\n", err)
+    assert not out.exists()
+
+
 def test_overflowing_warped_cost_is_typed_error(tmp_path, capsys):
     # finite spikes whose squared difference from the ION level overflows float64
     assert main(["synth", "--out", str(tmp_path / "c"), "--spike-magnitude", "1e200"]) == 0

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -18,6 +18,7 @@ from meterfuse import (
 )
 from meterfuse.detectors import (
     _BLOCK,
+    AnomalySet,
     DETECTORS,
     MAGNITUDE_NOISE_FLOOR,
     RELATIVE_NOISE_FLOOR,
@@ -30,7 +31,7 @@ from meterfuse.detectors import (
     noise_floor,
     rolling_average_residuals,
 )
-from meterfuse.errors import TooShort
+from meterfuse.errors import MeterFuseError, TooShort
 
 import reference_ar
 from conftest import mkvalues, traced_peak
@@ -328,7 +329,7 @@ def test_anomaly_csv_origin_column_for_merged_series():
 
 @pytest.mark.parametrize("view", ["plain", "merged"])
 def test_anomaly_csv_matches_per_row_reference(rng, view):
-    from meterfuse.detectors import AnomalySet, anomalies_to_csv
+    from meterfuse.detectors import anomalies_to_csv
     from meterfuse.ingest import _CHUNK_ROWS
 
     import reference_ingest
@@ -479,3 +480,19 @@ def test_merged_view_passes_whenever_both_of_its_series_pass(data):
         except TooShort:
             return
     run_detector(params, merge_pair(ion, hist))  # raises no TooShort
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(list(DETECTORS)), size=st.integers(1, 12),
+       values=st.lists(doubles | st.sampled_from([1.7e308, -1.7e308]), max_size=40))
+@example(kind=AR, size=2, values=[1.7e308, -1.7e308, 1.0] * 6)  # LAPACK printed, lstsq failed
+@example(kind=AR, size=2, values=[1.0, math.nan] * 6)
+@example(kind=RA, size=2, values=[1.7e308, 1.7e308, -1.7e308, 0.0] * 4)  # the mean overflowed
+@example(kind=LS, size=2, values=[1.7e308, 1.7e308, -1.7e308, -1.7e308, 0.0] * 4)
+def test_any_doubles_give_an_anomaly_set_or_a_typed_error_and_print_nothing(capfd, kind, size, values):
+    params = DetectorParams(kind, size, DETECTORS[kind].default_k)
+    try:
+        assert isinstance(run_detector(params, np.array(values)), AnomalySet)
+    except MeterFuseError:
+        pass
+    assert capfd.readouterr() == ("", "")

@@ -349,9 +349,8 @@ def assert_reference(a, b, radius, metric):
 
 
 # Rows of 12 x 4,000 (solved exactly) and of 48 x 6,000 and 48 x 2,000 (at
-# radius 10) are wider than _SCAN_WINDOW, so `_scan` and `_skip_columns`
-# search them over more than one window; the metric alternates to bound the
-# run time.
+# radius 10) are wider than _SCAN_WINDOW, so `_scan` searches them over more
+# than one window; the metric alternates to bound the run time.
 @pytest.mark.parametrize("shape", [(12, 4000), (4000, 12), (48, 6000), (6000, 48)],
                          ids=["12x4000", "4000x12", "48x6000", "6000x48"])
 @pytest.mark.parametrize("kind", ["walk", "noise", "ties", "flat"])
@@ -400,22 +399,20 @@ def _walk_every_cell(row, prev, lo_i, prev_lo, j, flip):
 
 @pytest.mark.parametrize("skip_columns", [0, 1])
 @pytest.mark.parametrize("window", [10**9, 1], ids=["never-gives-up", "gives-up-at-once"])
-@pytest.mark.parametrize("min_width", [1, 2, 64])
-def test_scan_and_span_settings_change_no_result(min_width, window, skip_columns):
+def test_scan_and_span_settings_change_no_result(window, skip_columns):
     # `_scan`'s searches whose first window spans the row, or that give up on
-    # every window and double it; `_skip_columns`'s searches from a window
-    # min_width cells wide; the walk back taking `_skip_columns`'s answers,
-    # or a walk one cell at a time checked against each: the same distances and paths
+    # every window and double it; the walk back taking `_skip_columns`'s
+    # answers, or a walk one cell at a time checked against each: the same
+    # distances and paths
     skip = dtw._skip_columns
 
-    def skip_from_min_width(row, prev, lo_i, prev_lo, j, flip):
-        with mock.patch.object(dtw, "_SCAN_WINDOW", min_width):
-            got = skip(row, prev, lo_i, prev_lo, j, flip)
+    def checked_skip(row, prev, lo_i, prev_lo, j, flip):
+        got = skip(row, prev, lo_i, prev_lo, j, flip)
         if not skip_columns:
             assert got == _walk_every_cell(row, prev, lo_i, prev_lo, j, flip)
         return got
 
-    with mock.patch.multiple(dtw, _SCAN_WINDOW=window, _skip_columns=skip_from_min_width):
+    with mock.patch.multiple(dtw, _SCAN_WINDOW=window, _skip_columns=checked_skip):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),
@@ -423,7 +420,6 @@ def test_scan_and_span_settings_change_no_result(min_width, window, skip_columns
             a, b = _series(kind, shape[0], seed), _series(kind, shape[1], seed + 1)
             for metric in Metric:
                 assert_reference(a, b, radius, metric)
-
 
 
 def test_match_all_self_match():
