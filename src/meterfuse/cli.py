@@ -60,9 +60,7 @@ import numpy as np
 
 from . import analysis, detectors, dtw, injection, sampling, synth
 from .detectors import DETECTORS, AnomalySet, DetectorKind, DetectorParams, run_detector
-from .errors import (
-    EmptyWindow, InvalidArgument, IoError, MeterFuseError, NonFiniteValue, TooFewSamples, naming,
-)
+from .errors import EmptyWindow, InvalidArgument, IoError, NonFiniteValue, TooFewSamples, naming
 from .ingest import (
     Corpus, CorpusManifest, ManifestEntry, csv_text, json_text, load_corpus, load_manifest,
     write_outputs,
@@ -407,12 +405,10 @@ def main(argv=None) -> int:
             write_outputs(out, files)
         if written:
             print(written)
-    except MeterFuseError as e:
-        entry = f" (entry {e.entry})" if e.entry is not None else ""
-        print(_one_line(f"error: {e}{entry}"), file=sys.stderr)
-        return 1
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        print(_one_line(f"error: {e}"), file=sys.stderr)
+        entry = getattr(e, "entry", None)
+        suffix = "" if entry is None else f" (entry {entry})"
+        print(_one_line(f"error: {e}{suffix}"), file=sys.stderr)
         return 1
     return 0
 

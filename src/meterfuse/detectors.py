@@ -13,7 +13,7 @@ with numpy's own median and linear-percentile arithmetic redone on the
 selected elements (`_order_stats`), so they equal `np.median` and
 `np.percentile` bit for bit without their extra passes; level shift's
 window medians come from a sorting network over the window's shifted
-slices up to `_NETWORK_MAX_WIDTH` values, and from `np.partition` along
+slices up to `_NETWORK_MAX_WIDTH` values, and from an in-place sort of
 wider windows, `_BLOCK` windows at a time.  The noise floor depends on the
 series alone (`noise_floor`), so a caller that runs every kind on one
 series computes it once and passes it to each run.
@@ -54,18 +54,25 @@ _RIDGE = 1e-8
 # 20.1 at 4,096, where minor faults rose from 23 to 177.  Level shift on a
 # 34,560-point walk at w = 5 (median of 31 calls in one process) took
 # 1.39 ms at 512 windows, 0.90 at 1,024, 0.66 at 2,048 and 0.42 at 4,096,
-# and at w = 20 about 10 ms at every size.
+# and at w = 20 (the sort) 4.3-5.7 ms at 512, 3.3-4.6 at 2,048 and 3.0-3.6
+# at 4,096 over three processes.
 _BLOCK = 2048
 
 # Windows of up to this many values take their medians from the sorting
-# network in `_window_medians`, wider ones from `np.partition`.  On a
-# 17,280-point random walk, as the median of six best-of-40 timings, the
-# network took 0.15 ms against the partition's 0.99 ms at w = 5, 0.88
-# against 1.40 ms at w = 11, 1.23 against 1.64 ms at w = 13 and 1.84 against
-# 1.38 ms at w = 15 (2 vCPUs, numpy 2.4).  The partition places two ranks
-# at even widths and takes 2-3x as long there (3.76 ms at w = 12), so the
-# network wins at every width up to 14.
-_NETWORK_MAX_WIDTH = 14
+# network in `_window_medians`, wider ones from sorting each window.  On a
+# random walk, as the range of three best-of-25 timings (2 vCPUs, numpy
+# 2.4.6), network against sort in ms:
+#
+#     w   17,280 points           34,560 points
+#     5   0.27-0.37 / 0.83-1.10   0.52-0.58 / 1.70-1.91
+#    10   1.02-1.31 / 1.14-1.43   2.08-2.11 / 2.24-2.36
+#    11   1.19-1.52 / 1.19-1.34   2.44-2.48 / 2.20-2.29
+#    12   1.45-1.84 / 1.24-1.30   2.77-2.89 / 2.38-2.55
+#    14   1.83-2.38 / 1.10-1.51   3.69-3.71 / 2.55-2.84
+#
+# The network's cost grows as w squared and the sort's barely moves, so the
+# network wins up to w = 10, ties at 11 and loses from 12.
+_NETWORK_MAX_WIDTH = 10
 
 
 class DetectorKind(Enum):
@@ -255,17 +262,17 @@ def _window_medians(values: np.ndarray, w: int) -> np.ndarray:
 
     The windows go `_BLOCK` at a time, so beside its output this holds one
     block: ``w + 1`` rows of `_BLOCK` values for the network, a copy of
-    `_BLOCK` windows for the partition.  Up to `_NETWORK_MAX_WIDTH` values,
+    `_BLOCK` windows for the sort.  Up to `_NETWORK_MAX_WIDTH` values,
     ``w`` rounds of odd-even transposition sort the block's ``w`` shifted
     slices (row i holds each window's i-th value) with `np.minimum` and
     `np.maximum` into the rows.  Both give NaN on both outputs when either
     input is NaN, and over ``w`` rounds a NaN reaches every row, so a
-    window holding NaN gets NaN.  Wider windows take one `np.partition`
-    along the block's windows, which places the last rank too when the
-    block holds NaN: NaN sorts last, and a window's NaN there replaces its
-    upper middle value.  The arithmetic is `_order_stats`': the middle one
-    or two summed from 0.0, so a zero median is +0.0 whichever equal zeros
-    the selection leaves in the middle.
+    window holding NaN gets NaN.  Wider windows are sorted in place along
+    the block's windows.  NaN sorts last, so a window holds NaN when its
+    last value is NaN, and that NaN replaces its upper middle value.  The
+    arithmetic is `_order_stats`': the middle one or two summed from 0.0,
+    so a zero median is +0.0 whichever equal zeros either sort leaves in
+    the middle.
     """
     g, h = (w - 1) // 2, w // 2
     m = len(values) - w + 1
@@ -287,14 +294,10 @@ def _window_medians(values: np.ndarray, w: int) -> np.ndarray:
                     rows[i], spare = spare, lo
             lower, upper = rows[g], rows[h]
         else:
-            nan = bool(np.isnan(block).any())
-            ranks = sorted({g, h, *([w - 1] if nan else [])})
-            part = buf[:b]
-            part[...] = np.lib.stride_tricks.sliding_window_view(block, w)
-            part.partition(ranks, axis=1)
-            lower, upper = part[:, g], part[:, h]
-            if nan:
-                upper = np.where(np.isnan(part[:, -1]), part[:, -1], upper)
+            windows = buf[:b]
+            windows[...] = np.lib.stride_tricks.sliding_window_view(block, w)
+            windows.sort(axis=1)
+            lower, upper = windows[:, g], np.where(np.isnan(windows[:, -1]), windows[:, -1], windows[:, h])
         out = medians[s : s + b]
         np.add(0.0, upper if w % 2 else lower, out=out)
         if not w % 2:

@@ -374,7 +374,7 @@ def check_order_stats(x):
     got = _order_stats(x, quartiles=True)
     assert same_bits(got[0], median)
     assert same_bits(_order_stats(x, quartiles=False), [median])
-    # a zero percentile's sign follows where a partition leaves equal zeros,
+    # a zero percentile's sign follows where numpy's partition or the sort leaves equal zeros,
     # so the quartiles are held to numpy's value, not to the sign of a zero
     for mine, theirs in zip(got[1:], (q1, q3)):
         assert mine == theirs or (math.isnan(mine) and math.isnan(theirs)), (mine, theirs)
@@ -416,8 +416,8 @@ def test_zero_quartile_sign_moves_no_flag_or_score(values, floor):
 
 
 @settings(max_examples=25)
-@pytest.mark.parametrize("w", range(1, _NETWORK_MAX_WIDTH + 4))  # the network's widths and past them
-@given(values=st.lists(doubles, min_size=_NETWORK_MAX_WIDTH + 3, max_size=80))
+@pytest.mark.parametrize("w", range(1, _NETWORK_MAX_WIDTH + 8))  # the network's widths, the sort's first 7
+@given(values=st.lists(doubles, min_size=_NETWORK_MAX_WIDTH + 7, max_size=80))
 @example(values=[-0.0, 0.0] * 8 + [math.nan] + [0.0, -0.0, -1.0, 1.0] * 4)
 def test_window_medians_equal_numpy(w, values):
     x = np.array(values)
@@ -428,8 +428,8 @@ def test_window_medians_equal_numpy(w, values):
 
 
 @settings(max_examples=10, deadline=None)
-@pytest.mark.parametrize("w", [1, 2, 5, _NETWORK_MAX_WIDTH - 1, _NETWORK_MAX_WIDTH,
-                               _NETWORK_MAX_WIDTH + 1, _NETWORK_MAX_WIDTH + 2, 20])
+# the network's last two widths and the sort's first six, then wide even and odd windows
+@pytest.mark.parametrize("w", [1, 2, 5, *range(_NETWORK_MAX_WIDTH - 1, _NETWORK_MAX_WIDTH + 7), 20, 200, 201])
 @given(data=st.data())
 def test_window_medians_equal_numpy_across_blocks(w, data):
     # B-1, B and B+1 values; B-1, B and B+1 windows; two whole blocks of windows

@@ -33,7 +33,7 @@ RUNS = {
     "pipeline": ["pipeline", "--recipe", "step", "--hist-step", "100", "--ion-step", "2",
                  "--top-n", "4"],
     "detect": ["detect", "--series", "HIST-44-S"],
-    # level-shift windows of 20 take their medians from np.partition, not the sorting network
+    # level-shift windows of 20 take their medians from ndarray.sort, not the sorting network
     "detect-wide": ["detect", "--series", "HIST-44-S", "--ls-window", "20"],
     # full resolution: FastDTW on 24 x 17,280 lattices, rows up to 17,261 cells wide
     "match": ["match", "--recipe", "step", "--hist-step", "1", "--ion-step", "1"],
