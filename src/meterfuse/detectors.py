@@ -10,13 +10,14 @@ on numerical noise, while a spike among otherwise-identical residuals
 
 The median and the quartiles of a score set come from one `np.sort`,
 with numpy's own median and linear-percentile arithmetic redone on the
-selected elements (`_order_stats`), so they equal `np.median` and
-`np.percentile` bit for bit without their extra passes; level shift's
-window medians come from a sorting network over the window's shifted
-slices up to `_NETWORK_MAX_WIDTH` values, and from an in-place sort of
-wider windows, `_BLOCK` windows at a time.  The noise floor depends on the
-series alone (`noise_floor`), so a caller that runs every kind on one
-series computes it once and passes it to each run.
+selected elements (`_order_stats`), so on the finite values `run_detector`
+admits they equal `np.median` and `np.percentile` bit for bit without
+their extra passes; level shift's window medians come from a sorting
+network over the window's shifted slices up to `_NETWORK_MAX_WIDTH`
+values, and from an in-place sort of wider windows, `_BLOCK` windows at
+a time.  The noise floor depends on the series alone (`noise_floor`), so
+a caller that runs every kind on one series computes it once and passes
+it to each run.
 
 ``DETECTORS`` holds each kind's facts; `run_detector` is the one entry point.
 
@@ -137,45 +138,31 @@ def _values_and_name(s: SeriesLike) -> tuple[np.ndarray, str]:
     return np.asarray(s, dtype=np.float64), ""
 
 
-def _linear(n: int, q: float) -> tuple[int, int, float]:
-    """The two ranks numpy's linear percentile at fraction ``q`` of ``n`` values reads, and its weight.
+def _order_stats(x: np.ndarray) -> tuple[float, float, float]:
+    """``np.median(x)``, ``np.percentile(x, 25)`` and ``np.percentile(x, 75)``.
 
-    The virtual index is ``(n-1)*q``; at or above ``n-1`` numpy reads the
-    last element twice and takes the weight against index -1.
-    """
-    v = (n - 1) * q
-    if v >= n - 1:
-        return n - 1, n - 1, v + 1
-    i = int(v)
-    return i, i + 1, v - i
-
-
-def _order_stats(x: np.ndarray, quartiles: bool) -> tuple[float, ...]:
-    """``np.median(x)``, then ``np.percentile(x, 25)`` and ``(x, 75)`` when ``quartiles``.
-
-    One `np.sort` places every element these read, and the last one: NaN
-    sorts last, so a NaN there makes every result that NaN, as numpy gives
-    it.  (A partition at several ranks leaves numpy 2.4's SIMD path and
-    takes about 3x the sort's time.)  The median is numpy's mean of the
-    middle one or two, a sum that starts from 0.0; a percentile between
-    ranks holding ``a`` and ``b`` at weight ``t`` (`_linear`) is
-    ``a + (b-a)*t`` below ``t = 0.5`` and ``b - (b-a)*(1-t)`` from it.  The
-    arithmetic is on Python floats, which round as float64 does and never
-    warn, so the results are numpy's bit for bit, NaN for NaN; only a zero
+    One `np.sort` places every element these read.  (A partition at several
+    ranks leaves numpy 2.4's SIMD path and takes about 3x the sort's time.)
+    The median is numpy's mean of the middle one or two, a sum that starts
+    from 0.0.  The percentile at fraction ``q`` has virtual index
+    ``v = (n-1)*q`` and reads ranks ``i = int(v)`` and ``min(i + 1, n - 1)``,
+    holding ``a`` and ``b``, at weight ``t = v - i``: ``a + (b-a)*t`` below
+    ``t = 0.5`` and ``b - (b-a)*(1-t)`` from it.  The arithmetic is on Python
+    floats, which round as float64 does and never warn, so on finite and
+    infinite values the results are numpy's bit for bit; only a zero
     percentile's sign can differ, as it follows where equal zeros sort.
     That sign changes no nonzero IQR, and a zero IQR of either sign gives
-    the same `_flag_outliers` flags and scores.  ``x`` is 1-D and not empty.
+    the same `_flag_outliers` flags and scores.  ``x`` is 1-D and not
+    empty; a NaN in it makes `_flag_outliers` raise whatever this returns.
     """
     n = len(x)
-    lerps = [_linear(n, q) for q in (0.25, 0.75)] if quartiles else []
-    ranks = sorted({(n - 1) // 2, n // 2, n - 1, *(r for i, j, _ in lerps for r in (i, j))})
-    at = dict(zip(ranks, np.sort(x)[ranks].tolist()))
-    if math.isnan(at[n - 1]):
-        return (at[n - 1],) * (1 + len(lerps))
+    s = np.sort(x)
     h = n // 2
-    stats = [0.0 + at[h] if n % 2 else (0.0 + at[h - 1] + at[h]) / 2]
-    for i, j, t in lerps:
-        a, b = at[i], at[j]
+    stats = [0.0 + s[h].item() if n % 2 else (0.0 + s[h - 1].item() + s[h].item()) / 2]
+    for q in (0.25, 0.75):
+        v = (n - 1) * q
+        i = int(v)
+        a, b, t = s[i].item(), s[min(i + 1, n - 1)].item(), v - i
         stats.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
     return tuple(stats)
 
@@ -190,7 +177,7 @@ def noise_floor(values: np.ndarray) -> float:
     """
     if not len(values):
         return 0.0
-    (median,) = _order_stats(values, quartiles=False)
+    median = _order_stats(values)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         scratch = values - median  # one temporary takes both absolute values in turn
     spread = np.max(np.abs(scratch, out=scratch))
@@ -204,7 +191,7 @@ def _flag_outliers(scores: np.ndarray, floor: float, k: float) -> tuple[np.ndarr
     `CostOverflow` unless the floor, the threshold and every deviation are
     finite.
     """
-    median, q1, q3 = _order_stats(scores, quartiles=True)
+    median, q1, q3 = _order_stats(scores)
     dev = scores - median
     np.abs(dev, out=dev)
     threshold = k * max(q3 - q1, floor)
@@ -265,14 +252,11 @@ def _window_medians(values: np.ndarray, w: int) -> np.ndarray:
     `_BLOCK` windows for the sort.  Up to `_NETWORK_MAX_WIDTH` values,
     ``w`` rounds of odd-even transposition sort the block's ``w`` shifted
     slices (row i holds each window's i-th value) with `np.minimum` and
-    `np.maximum` into the rows.  Both give NaN on both outputs when either
-    input is NaN, and over ``w`` rounds a NaN reaches every row, so a
-    window holding NaN gets NaN.  Wider windows are sorted in place along
-    the block's windows.  NaN sorts last, so a window holds NaN when its
-    last value is NaN, and that NaN replaces its upper middle value.  The
-    arithmetic is `_order_stats`': the middle one or two summed from 0.0,
-    so a zero median is +0.0 whichever equal zeros either sort leaves in
-    the middle.
+    `np.maximum` into the rows.  Wider windows are sorted in place along
+    the block's windows.  The arithmetic is `_order_stats`': the middle one
+    or two summed from 0.0, so a zero median is +0.0 whichever equal zeros
+    either sort leaves in the middle.  ``values`` are finite, as
+    `run_detector` admits them, or infinite.
     """
     g, h = (w - 1) // 2, w // 2
     m = len(values) - w + 1
@@ -297,7 +281,7 @@ def _window_medians(values: np.ndarray, w: int) -> np.ndarray:
             windows = buf[:b]
             windows[...] = np.lib.stride_tricks.sliding_window_view(block, w)
             windows.sort(axis=1)
-            lower, upper = windows[:, g], np.where(np.isnan(windows[:, -1]), windows[:, -1], windows[:, h])
+            lower, upper = windows[:, g], windows[:, h]
         out = medians[s : s + b]
         np.add(0.0, upper if w % 2 else lower, out=out)
         if not w % 2:

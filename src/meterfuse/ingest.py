@@ -195,11 +195,11 @@ def parse_csv(
 ) -> TimeSeries:
     """Parse one measurement's CSV, its bytes or its text, into a validated series.
 
-    Expects UTF-8 text with a header row; text that is not UTF-8 or that
-    the csv module rejects raises MalformedCsv.  Rows with an empty value
-    cell are skipped (zero is meaningful in this data, so blanks are never
-    zero-filled); the skip count is logged.  Row numbers in errors are
-    1-based over data rows.
+    Expects UTF-8 text with a header row; one leading byte-order mark is
+    skipped.  Text that is not UTF-8 or that the csv module rejects raises
+    MalformedCsv.  Rows with an empty value cell are skipped (zero is
+    meaningful in this data, so blanks are never zero-filled); the skip
+    count is logged.  Row numbers in errors are 1-based over data rows.
     """
     return _validated(id, *_parse_columns(data, columns, time_format))
 
@@ -209,7 +209,7 @@ def _parse_columns(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Time and value columns of a CSV, and the number of rows skipped for a blank value."""
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = (data.decode("utf-8") if isinstance(data, bytes) else data).removeprefix("\ufeff")
         if time_format is TimeFormat.EPOCH_MILLIS:
             raw = data if isinstance(data, bytes) else text.encode("utf-8", "surrogatepass")
             plain = _parse_plain(text, raw, columns)
@@ -344,7 +344,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse a manifest file; a malformed one raises ManifestError naming the entry."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as e:
         raise IoError(str(path), e) from None
     except ValueError as e:  # not UTF-8, or not JSON

@@ -58,11 +58,11 @@ def parse_csv(
 ) -> TimeSeries:
     """Parse one measurement's CSV into a validated series.
 
-    Expects UTF-8 text with a header row; text that is not UTF-8 or that
-    the csv module rejects raises MalformedCsv.  Rows with an empty value
-    cell are skipped (zero is meaningful in this data, so blanks are never
-    zero-filled); the skip count is logged.  Row numbers in errors are
-    1-based over data rows.
+    Expects UTF-8 text with a header row; one leading byte-order mark is
+    skipped.  Text that is not UTF-8 or that the csv module rejects raises
+    MalformedCsv.  Rows with an empty value cell are skipped (zero is
+    meaningful in this data, so blanks are never zero-filled); the skip
+    count is logged.  Row numbers in errors are 1-based over data rows.
     """
     ts: list[int] = []
     vs: list[float] = []
@@ -75,6 +75,7 @@ def parse_csv(
         else:
             raw = data.read()
             text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = text.removeprefix("\ufeff")  # one leading byte-order mark
 
         reader = csv.DictReader(io.StringIO(text))
         header = reader.fieldnames or []

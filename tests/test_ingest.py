@@ -752,6 +752,8 @@ def test_parse_csv_matches_row_by_row_reference(data, columns, time_format, fiel
         "ts,val\n-1,2\n",  # negative millis
         "ts,val\n9223372036854775808,2\n",  # millis past int64
         "ts,val\n1,x\n",  # unparseable value
+        "\ufeffts,val\n1,2\n3,4\n",  # byte-order mark
+        '\ufeffts,val\r\n1,"2"\r\n3,4\r\n',  # byte-order mark, CRLF and a quoted cell: the row loop
     ],
 )
 def test_parse_csv_matches_reference_on_edge_files(body):
@@ -759,6 +761,16 @@ def test_parse_csv_matches_reference_on_edge_files(body):
         assert _outcome(parse_csv, data, COLS, TimeFormat.EPOCH_MILLIS) == _outcome(
             reference_ingest.parse_csv, data, COLS, TimeFormat.EPOCH_MILLIS
         )
+
+
+def test_files_with_a_byte_order_mark_load_the_same_corpus(tmp_path):
+    # Windows export tools often start a UTF-8 file with U+FEFF
+    corpus = synth.demo_corpus(hist_points=50)
+    plain, marked = (synth.write_corpus(corpus, tmp_path / d) for d in ("plain", "marked"))
+    for path in marked.parent.iterdir():
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    want = _contents(load_corpus(load_manifest(plain)))
+    assert _contents(load_corpus(load_manifest(marked))) == want == _contents(corpus)
 
 
 # Parse cache: load_corpus keeps each parsed series beside its file.
