@@ -51,8 +51,9 @@ _RIDGE = 1e-8
 # Rows per block of the AR fit's QR (`fit_ar_predict`), and windows per
 # block of level shift's medians (`_window_medians`).  Summed over a seed-1
 # `fullres` pipeline (median of six processes, 2 vCPUs, one BLAS thread),
-# the AR fits took 25.6 ms at 512 rows, 22.3 at 1,024, 19.4 at 2,048 and
-# 20.1 at 4,096, where minor faults rose from 23 to 177.  Level shift on a
+# the AR fits on a C-order block took 25.6 ms at 512 rows, 22.3 at 1,024,
+# 19.4 at 2,048 and 20.1 at 4,096, where minor faults rose from 23 to 177;
+# the block size also sets how the fit's triangle rounds.  Level shift on a
 # 34,560-point walk at w = 5 (median of 31 calls in one process) took
 # 1.39 ms at 512 windows, 0.90 at 1,024, 0.66 at 2,048 and 0.42 at 4,096,
 # and at w = 20 (the sort) 4.3-5.7 ms at 512, 3.3-4.6 at 2,048 and 3.0-3.6
@@ -226,7 +227,8 @@ def fit_ar_predict(values: np.ndarray, p: int) -> np.ndarray:
     # Rows [1, y[t-p] .. y[t-1], y[t]] go in a block at a time below the
     # triangle R of the rows so far, and R becomes the triangle of both.
     # R starts as the ridge rows; the target's, R[p+1, p+1], moves no coefficient.
-    buf = np.empty((_BLOCK + p + 2, p + 2))
+    # Fortran order, as LAPACK reads it: qr copies the block without transposing it.
+    buf = np.empty((_BLOCK + p + 2, p + 2), order="F")
     buf[: p + 2] = np.sqrt(_RIDGE) * np.eye(p + 2)
     buf[p + 2 :, 0] = 1.0
     for s in range(0, rows, _BLOCK):

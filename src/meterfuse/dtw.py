@@ -2,9 +2,9 @@
 
 Both engines run one banded dynamic program: row ``i`` of the lattice is
 evaluated over the columns ``lo[i]..hi[i]`` only, with ``lo`` and ``hi``
-non-decreasing, and the path is recovered by walking back over the stored
-rows (diagonal preferred on ties, then the row step, then the column step,
-so paths are unique and reproducible).  They differ only in the band:
+non-decreasing, and the path is walked back over step bytes (diagonal
+preferred on ties, then the row step, then the column step, so paths are
+unique and reproducible).  They differ only in the band:
 
 * `dtw_exact` passes the full band (``lo = 0``, ``hi = len_b - 1``) and is
   the oracle of record: the globally minimal warped distance.
@@ -26,14 +26,14 @@ monotone, so ``fl(min(x, y) + c) == min(fl(x + c), fl(y + c))``, and a cell
 ``D = min(diag, up) + cost`` computed for the whole row at once.  The row is
 then runs that keep ``D`` and chains from the left, each summed by
 ``np.add.accumulate``, which adds in sequence and so rounds as a cell by
-cell loop does.  The walk back needs only each row's first and last path
-column (`_spans`): the coarse levels hand those straight to
-`_projected_band`, and in every row one vectorised search (`_skip_columns`)
-finds where the column steps end and whether the walk leaves the row
-diagonally or by the row step.  One recursive
-function (`_level`) solves a level: it bands it by the coarser level's
-spans, runs the program, and returns the total, the cells of it and every
-coarser level, and, when asked, its own spans.
+cell loop does.  `_steps` records, one byte per cell, how the walk back
+leaves each row as it is scanned: 2 by the diagonal, 1 by the row step,
+0 by the column step; no float row is kept for it.  The walk needs only
+each row's first and last path column (`_spans`), which the coarse levels
+hand straight to `_projected_band`.  One recursive function (`_level`)
+solves a level: it bands it by the coarser level's spans, runs the
+program, and returns the total, the cells of it and every coarser level,
+and, when asked, its own spans.
 
 `match_all` ranks pairs by distance alone, so it builds no path at the
 finest level.  It groups the pairs whose lattice is solved exactly by
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -159,8 +158,8 @@ def _banded(
     """
     l1 = metric is Metric.L1
     for i, (lo_i, hi_i) in enumerate(zip(lo, hi)):
-        d = a[i] - b[lo_i : hi_i + 1]
-        cost = np.abs(d) if l1 else d * d
+        cost = a[i] - b[lo_i : hi_i + 1]
+        (np.abs if l1 else np.square)(cost, out=cost)
         if i:
             prev = _scan(prev, cost, lo_i - lo[i - 1], hi[i - 1] - lo_i + 1)
         else:
@@ -217,50 +216,42 @@ def _scan(prev: np.ndarray, cost: np.ndarray, s: int, n: int) -> np.ndarray:
     return out
 
 
-def _spans(
-    rows: list[np.ndarray], lo: list[int], len_b: int, flip: bool
-) -> tuple[list[int], list[int]]:
-    """First and last path column of each of `_banded`'s rows.
+def _steps(row: np.ndarray, prev: np.ndarray, lo_i: int, prev_lo: int, flip: bool) -> np.ndarray:
+    """How the walk back leaves each cell of ``row``: 2 diagonally, 1 by the row step, else 0.
 
-    The path is walked back from (len_a-1, len_b-1), ties resolved diagonal
-    first, then the row step, then the column step; ``flip`` marks a
-    transposed lattice and swaps the tie order of the row and column steps
-    to match.  `_skip_columns` finds where the walk leaves each row.
+    Ties go diagonal first, then the row step, then the column step; ``flip``
+    marks a transposed lattice and swaps the row and column steps' tie order
+    to match.  Cells outside the band, and the first cell's left neighbour,
+    read as infinite, so the first cell never takes the column step.
     """
-    first, last = [0] * len(rows), [0] * len(rows)
+    w, s = len(row), lo_i - prev_lo
+    # the row above over columns lo_i - 1 .. hi_i, and this row one column on
+    near = np.full((2, w + 1), _INF)
+    src = prev[max(s - 1, 0) : s + w]
+    near[0, max(1 - s, 0) : max(1 - s, 0) + len(src)] = src
+    near[1, 1:] = row
+    diag, up, left = near[0, :-1], near[0, 1:], near[1, :-1]
+    step = (up < left if flip else up <= left).view(np.uint8)
+    step[(diag <= up) & (diag <= left)] = 2
+    return step
+
+
+def _spans(steps: list[np.ndarray], lo: list[int], len_b: int) -> tuple[list[int], list[int]]:
+    """First and last path column of each row, walked back from (len_a-1, len_b-1).
+
+    ``steps`` holds `_steps`' bytes of every row after the first.  Entering
+    row ``i`` at column ``j``, the walk leaves at the last nonzero byte at
+    or left of ``j``.
+    """
+    first, last = [0] * len(lo), [0] * len(lo)
     j = len_b - 1
-    for i in range(len(rows) - 1, 0, -1):
+    for i in range(len(lo) - 1, 0, -1):
         last[i] = j
-        first[i], step = _skip_columns(rows[i], rows[i - 1], lo[i], lo[i - 1], j, flip)
-        j = first[i] - step
+        head = steps[i - 1][: j - lo[i] + 1].tobytes().rstrip(b"\0")  # to its last nonzero byte
+        first[i] = lo[i] + len(head) - 1
+        j = first[i] - (head[-1] == 2)
     last[0] = j
     return first, last
-
-
-def _skip_columns(
-    row: np.ndarray, prev: np.ndarray, lo_i: int, prev_lo: int, j: int, flip: bool
-) -> tuple[int, int]:
-    """Where `_spans`'s walk, entering row ``i`` at column ``j``, leaves it.
-
-    The column is the last one in ``lo_i + 1..j`` where the diagonal or the
-    row step wins under the walk's tie rules; cells right of it take the
-    column step.  The step is 1 when the walk leaves diagonally, else 0.
-    When no column qualifies, the row's first column, with no neighbour to
-    its left, ends it.
-    """
-    # the row above, read as infinite out to this row's last column
-    above = np.full(lo_i + len(row) - prev_lo, _INF)
-    above[: len(prev)] = prev
-    left = row[: j - lo_i]
-    up = above[lo_i + 1 - prev_lo : j + 1 - prev_lo]
-    diag = above[lo_i - prev_lo : j - prev_lo]
-    diagonal = (diag <= up) & (diag <= left)
-    at = np.flatnonzero(diagonal | (up < left if flip else up <= left))
-    if at.size:
-        k = int(at[-1])
-        return lo_i + 1 + k, int(diagonal[k])
-    k = lo_i - prev_lo  # the row's first column: the diagonal against the row step alone
-    return lo_i, int(0 < k and above[k - 1] <= above[k])
 
 
 def _wavefront(a: np.ndarray, b: np.ndarray, metric: Metric) -> np.ndarray:
@@ -398,7 +389,8 @@ def _level(
 
     The band is the full lattice when the level is solved exactly, else the
     projection of the coarser level's spans.  The spans (`_spans`) come
-    only when ``spans`` is set; otherwise only the last row is kept.
+    only when ``spans`` is set, from `_steps`' bytes of every row; either
+    way only the last float row is kept.
     `CostOverflow` unless the total is finite.
     """
     la, lb = len(av), len(bv)
@@ -407,13 +399,16 @@ def _level(
     else:
         _, cells, coarse = _level(_halve(av), _halve(bv), radius, metric, flip, True)
         lo, hi = _projected_band(*coarse, la, lb, radius)
-    rows = _banded(av, bv, lo, hi, metric)
-    kept = list(rows) if spans else deque(rows, maxlen=1)
-    total = float(kept[-1][-1])
+    steps = []
+    for i, row in enumerate(_banded(av, bv, lo, hi, metric)):
+        if spans and i:
+            steps.append(_steps(row, prev, lo[i], lo[i - 1], flip))
+        prev = row
+    total = float(prev[-1])
     if not math.isfinite(total):
         raise CostOverflow("warped cost overflows float64")
     cells += sum(hi) - sum(lo) + la
-    return total, cells, _spans(kept, lo, lb, flip) if spans else None
+    return total, cells, _spans(steps, lo, lb) if spans else None
 
 
 def z_normalize(values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from meterfuse.dtw import _halve, _projected_band, z_normalize
 from meterfuse.errors import CostOverflow, EmptyInput, EmptyPartition, NonFiniteValue
 
 import reference_fastdtw
-from conftest import mkvalues
+from conftest import mkvalues, traced_peak
 
 
 def oracle_dtw(a, b, metric=Metric.L2):
@@ -365,6 +365,15 @@ def test_wide_rows_match_cell_set_reference(shape, kind):
     assert scan.called
 
 
+def test_walk_back_keeps_a_byte_per_cell_and_a_few_rows(rng):
+    # An exact 12 x 8,640 lattice, the shape of `fullres`'s FastDTW base
+    # level: its step bytes take 104 KB and a float row 69 KB, where keeping
+    # every float row for the walk back took 0.83 MB.
+    a, b = np.cumsum(rng.normal(size=12)), np.cumsum(rng.normal(size=8640))
+    for flip in (False, True):
+        assert traced_peak(dtw._level, a, b, None, Metric.L2, flip, True) < 12 * 8640 + 6 * 8 * 8640
+
+
 def test_scan_gives_up_partway_through_a_row(rng):
     # Row 1 of a 2 x 4,000 lattice: over the ramp one long chain from the left
     # wins; over the white noise the chains turn short.  Both equal the loop.
@@ -383,7 +392,8 @@ def test_scan_gives_up_partway_through_a_row(rng):
 
 
 def _walk_every_cell(row, prev, lo_i, prev_lo, j, flip):
-    """`_skip_columns` one cell at a time, by `_spans`'s tie rules."""
+    """Where the walk back, entering a row at column ``j``, leaves it, one cell at a
+    time by its tie rules: the column, and 1 when it leaves diagonally, else 0."""
     while j:
         k = j - prev_lo
         up = prev[k] if k < len(prev) else math.inf
@@ -397,22 +407,25 @@ def _walk_every_cell(row, prev, lo_i, prev_lo, j, flip):
     return j, 0
 
 
-@pytest.mark.parametrize("skip_columns", [0, 1])
+@pytest.mark.parametrize("step_bytes", [0, 1])
 @pytest.mark.parametrize("window", [10**9, 1], ids=["never-gives-up", "gives-up-at-once"])
-def test_scan_and_span_settings_change_no_result(window, skip_columns):
+def test_scan_and_span_settings_change_no_result(window, step_bytes):
     # `_scan`'s searches whose first window spans the row, or that give up on
-    # every window and double it; the walk back taking `_skip_columns`'s
-    # answers, or a walk one cell at a time checked against each: the same
-    # distances and paths
-    skip = dtw._skip_columns
+    # every window and double it; the walk back reading `_steps`' bytes as
+    # they are, or with every byte of every row checked against a walk one
+    # cell at a time from each entry column: the same distances and paths
+    steps = dtw._steps
 
-    def checked_skip(row, prev, lo_i, prev_lo, j, flip):
-        got = skip(row, prev, lo_i, prev_lo, j, flip)
-        if not skip_columns:
-            assert got == _walk_every_cell(row, prev, lo_i, prev_lo, j, flip)
+    def checked_steps(row, prev, lo_i, prev_lo, flip):
+        got = steps(row, prev, lo_i, prev_lo, flip)
+        if not step_bytes:
+            for j in range(lo_i, lo_i + len(row)):
+                k = int(np.flatnonzero(got[: j - lo_i + 1])[-1])
+                want = _walk_every_cell(row, prev, lo_i, prev_lo, j, flip)
+                assert (lo_i + k, int(got[k] == 2)) == want
         return got
 
-    with mock.patch.multiple(dtw, _SCAN_WINDOW=window, _skip_columns=checked_skip):
+    with mock.patch.multiple(dtw, _SCAN_WINDOW=window, _steps=checked_steps):
         # seed 52's integer walks tie up and left where the diagonal loses
         for kind, shape, radius, seed in (("walk", (40, 700), 1, 3), ("noise", (700, 40), 2, 3),
                                           ("ties", (90, 90), 0, 3), ("flat", (30, 500), 1, 3),
